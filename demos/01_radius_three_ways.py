@@ -2,8 +2,9 @@
 
 The toolkit offers three routes to w_rho(S_{n+1}(1)):
 
-  1. the angle system (an auxiliary angle omega solves two coupled trig
-     equations; fast and very accurate for 1 < rho < n+2),
+  1. the companion eigenvalue (the largest real eigenvalue of a 2(n+1) x
+     2(n+1) linearization of the kernel at z = 1; ``shift_radius``, which
+     also returns the auxiliary angle omega for 1 < rho < n+2),
   2. the first root of the kernel determinant in the weight (recurrence plus
      smallest-eigenvalue bisection, works for every rho > 1),
   3. plain bisection on the membership predicate (works for ANY matrix, so it
@@ -23,13 +24,13 @@ from rho_toolkit import (critical_rho, determinant_radius, make_shift,
 print("=" * 72)
 print("three-way agreement, n = 4")
 print("=" * 72)
-print(f"{'rho':>6} | {'angle system':>16} | {'determinant':>16} | {'bisection':>16}")
+print(f"{'rho':>6} | {'companion':>16} | {'determinant':>16} | {'bisection':>16}")
 n = 4
 for rho in (1.3, 2.0, 3.5, 6.0, 9.0):
-    w_angle = shift_radius(n, rho).value
+    w_comp = shift_radius(n, rho).value
     w_det = determinant_radius(n, rho).value
     w_bis = radius_bisect(make_shift(n, 1.0), rho).value
-    print(f"{rho:6.2f} | {w_angle:16.12f} | {w_det:16.12f} | {w_bis:16.12f}")
+    print(f"{rho:6.2f} | {w_comp:16.12f} | {w_det:16.12f} | {w_bis:16.12f}")
 
 print()
 print("closed form at rho = 2: w_2(S_{n+1}) = cos(pi/(n+2))")

@@ -3,8 +3,8 @@
 Matrices travel as JSON documents ``{"dim": d, "entries": [[re, im], ...],
 "label": "..."}`` with entries in row-major order.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 numeric error.  The environment
-variable RHO_TOOLKIT_THREADS caps internal parallelism (default: machine
-parallelism).
+variable RHO_TOOLKIT_THREADS sizes the thread pool that ``verify`` runs its
+criteria on (default: the CPU count); it does not cap BLAS threads.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,9 +26,10 @@ from .errors import ToolkitError, TorusSpectrumError
 from .harnack import are_harnack_equivalent
 from .kernel import DiscGrid, has_torus_spectrum, rho_kernel, torus_nullspace
 from .linalg import as_cmatrix, spectral_norm
-from .radius import determinant_radius, radius_bisect, shift_radius
+from .radius import determinant_radius, omega_of_rho_curve, radius_bisect, shift_radius
 from .shifts import make_shift, normalized_shift
 from .structure import null_profile
+from .verify import _fmt
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,6 @@ def _parse_complex(text: str) -> complex:
     return complex(float(parts[0]), float(parts[1]))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.8g}"
-
-
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
@@ -100,16 +97,20 @@ def _cmd_radius(args) -> int:
     if (args.shift is None) == (args.matrix is None):
         raise UsageError("exactly one of --shift or --matrix is required")
     if args.shift is not None:
-        if args.method in ("auto", "omega"):
+        if not args.weight > 0:
+            raise UsageError("--weight must be positive")
+        if args.method == "auto":
             res = shift_radius(args.shift, args.rho, tol=max(args.tol, 1e-9))
         elif args.method == "det":
             res = determinant_radius(args.shift, args.rho, tol=args.tol)
         else:
-            res = radius_bisect(make_shift(args.shift, args.weight), args.rho, tol=args.tol)
+            res = radius_bisect(make_shift(args.shift, 1.0), args.rho, tol=args.tol)
+        b = args.weight  # w_rho(b S) = b w_rho(S); every route above solves b = 1
+        res = replace(res, value=b * res.value, bracket=(b * res.bracket[0], b * res.bracket[1]))
     else:
         t = load_matrix(args.matrix)
-        if args.method in ("omega", "det"):
-            raise UsageError(f"method {args.method!r} applies to shifts only")
+        if args.method == "det":
+            raise UsageError("method 'det' applies to shifts only")
         if spectral_norm(t) == 0.0:
             print(json.dumps({"value": 0.0, "method": "closed_form"}) if args.json
                   else "value=0 method=closed_form")
@@ -221,18 +222,17 @@ def _cmd_detcheck(args) -> int:
     }
     if args.m >= 2:
         payload["mixed_identity_residual"] = mixed_identity_residual(args.m, args.a, args.rho)
-    lines = [f"{k}={_fmt(v) if isinstance(v, float) else v}" for k, v in payload.items()]
+    lines = [f"{k}={_fmt(v)}" for k, v in payload.items()]
     _emit(payload, args.json, lines)
     return 0
 
 
 def _cmd_omega_curve(args) -> int:
     rho_max = args.rho_max if args.rho_max is not None else args.n + 2 - 0.05
-    rhos = np.linspace(args.rho_min, rho_max, args.samples)
+    curve = omega_of_rho_curve(args.n, np.linspace(args.rho_min, rho_max, args.samples))
     rows = [["rho", "omega", "radius"]]
-    for rho in rhos:
-        res = shift_radius(args.n, float(rho))
-        rows.append([repr(float(rho)), repr(res.omega), repr(res.value)])
+    for rho, omega in curve:
+        rows.append([repr(rho), repr(omega), repr(shift_radius(args.n, rho).value)])
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         csv.writer(out).writerows(rows)
@@ -319,16 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rho-toolkit",
         description="Numerical radii, operatorial kernels, and Harnack "
                     "domination for finite complex matrices.",
-        epilog="RHO_TOOLKIT_THREADS caps internal parallelism.",
+        epilog="RHO_TOOLKIT_THREADS sizes the thread pool of verify's "
+               "criteria; it does not cap BLAS threads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("radius", help="compute a rho-numerical radius")
     p.add_argument("--shift", type=int, help="use the truncated shift of size N+1")
     p.add_argument("--matrix", help="matrix JSON file")
-    p.add_argument("--weight", type=float, default=1.0, help="shift weight (bisect method)")
+    p.add_argument("--weight", type=float, default=1.0, help="shift weight (B > 0)")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--method", choices=("auto", "bisect", "omega", "det"), default="auto")
+    p.add_argument("--method", choices=("auto", "bisect", "det"), default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_radius)

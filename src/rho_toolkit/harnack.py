@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GapTooSmallError, InteriorSingularError, TorusSpectrumError
-from .kernel import DiscGrid, _resolvent_sum, default_grid, has_torus_spectrum
+from .kernel import DiscGrid, _resolvent_sum, default_grid, has_torus_spectrum, near_torus
 from .linalg import NULLSPACE_TOL, as_cmatrix
 
 # relative floor under which K(T0) counts as not positive definite
@@ -96,11 +96,11 @@ def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
 
 def torus_spectrum_check(t1, t0) -> bool:
     """Necessary condition for T1 to be Harnack dominated by T0: every
-    eigenvalue of T1 within 1e-8 of the unit circle must match an eigenvalue
-    of T0 within 1e-6."""
+    eigenvalue of T1 within TORUS_MARGIN of the unit circle must match an
+    eigenvalue of T0 within 1e-6."""
     e1 = np.linalg.eigvals(as_cmatrix(t1))
     e0 = np.linalg.eigvals(as_cmatrix(t0))
-    for lam in e1[np.abs(np.abs(e1) - 1.0) <= 1e-8]:
+    for lam in e1[near_torus(e1)]:
         if not np.any(np.abs(e0 - lam) <= 1e-6):
             return False
     return True

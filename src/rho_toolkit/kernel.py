@@ -126,10 +126,14 @@ def congruence_factor(n: int, a: float, rho: float, z: complex) -> np.ndarray:
     return m
 
 
+def near_torus(eigs: np.ndarray, margin: float = TORUS_MARGIN) -> np.ndarray:
+    """Mask of the eigenvalues that lie within ``margin`` of the unit circle."""
+    return np.abs(np.abs(eigs) - 1.0) <= margin
+
+
 def has_torus_spectrum(t, margin: float = TORUS_MARGIN) -> bool:
     """True when some eigenvalue of T lies within ``margin`` of the unit circle."""
-    eigs = np.linalg.eigvals(as_cmatrix(t))
-    return bool(np.any(np.abs(np.abs(eigs) - 1.0) <= margin))
+    return bool(np.any(near_torus(np.linalg.eigvals(as_cmatrix(t)), margin)))
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,7 @@ def is_rho_contraction(t, rho: float, grid: DiscGrid | None = None,
     eigs = np.linalg.eigvals(a)
     srad = float(np.max(np.abs(eigs))) if a.size else 0.0
 
-    boundary = not np.any(np.abs(np.abs(eigs) - 1.0) <= TORUS_MARGIN)
+    boundary = not np.any(near_torus(eigs))
     zs = grid.interior_points()
     if boundary:
         zs = np.concatenate([grid.torus_points(), zs])

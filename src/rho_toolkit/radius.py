@@ -1,31 +1,25 @@
 """Computation of the rho-numerical radius w_rho.
 
-Four routes, cross-checkable against each other:
+* ``radius_bisect`` — bisection on gamma of the grid positivity predicate
+  for T/gamma; works for any matrix.
+* ``shift_radius`` — the unit-weight truncated shift S of size n + 1.  At
+  z = 1 the kernel of S/g, times g^2, is congruent to the matrix polynomial
 
-* ``radius_bisect`` — generic bisection on gamma of the grid positivity
-  predicate for T/gamma; works for any matrix.
-* ``shift_radius`` — for truncated shifts; dispatches between the angle
-  system (1 < rho < n+2, n >= 2), the closed form n/(n+2) at rho = n+2, and
-  the determinant route elsewhere.
+      Q(g) = rho g^2 I - (rho - 1) g H + (rho - 2) P,   H = S + S^T, P = S^T S
+
+  (``kernel.congruence_factor``), first singular at g = w_rho, so w_rho is
+  the largest real eigenvalue of the companion matrix of Q (Tisseur and
+  Meerbergen, SIAM Rev. 43, 2001).  Exact closed forms at rho = 1, n + 2.
 * ``determinant_radius`` — first positive root of the kernel determinant in
   the weight, computed twice (recurrence and smallest-eigenvalue bisection)
-  with agreement asserted.
-* closed forms where they exist (rho = 1, rho = n + 2).
+  with agreement asserted; the independent oracle for ``shift_radius``.
 
-The angle system for x = w_rho(S_{n+1}) with intermediate angle w:
+For 1 < rho < n + 2 and n >= 2, x = w_rho and an angle w solve
 
     sin(n w) / sin(w) = rho x,
-    cos(w) = (rho x^2 + rho - 2) / (2 x (rho - 1)).
+    cos(w) = (rho x^2 + rho - 2) / (2 x (rho - 1));
 
-Eliminating x = sin(n w)/(rho sin w) gives the scalar equation g(w) = 0 with
-g(w) = rho x(w)^2 - 2 (rho-1) cos(w) x(w) + (rho - 2).  Two traps, both
-handled below: near one exceptional rho*(n) per n the equation has a PAIR of
-nearly coincident roots both satisfying the full system inside the stated
-windows (so the system alone does not identify w_rho there), and at
-(n, rho) = (2, 2) the two equations coincide, making g identically zero.  The
-solver therefore splits near-tangent root pairs, solves n = 2 by the exact
-elimination x = 1/sqrt(rho), and selects among candidates by a positive-
-semidefiniteness boundary certificate on the kernel at z = 1.
+``shift_radius`` takes w from the cosine equation and checks the sine one.
 """
 
 from __future__ import annotations
@@ -48,8 +42,8 @@ class RadiusResult:
     """A computed radius with its provenance.
 
     value     -- the computed w_rho
-    method    -- one of bisection | omega_system | determinant_oracle | closed_form
-    omega     -- auxiliary angle when the angle system was used, else None
+    method    -- one of bisection | companion | determinant_oracle | closed_form
+    omega     -- auxiliary angle of the radius system when it exists, else None
     residual  -- defining-equation residual of the returned value
     bracket   -- final enclosing interval for the value
     """
@@ -140,95 +134,14 @@ def _system_residual(n: int, rho: float, x: float, w: float) -> float:
     return max(r1, r2)
 
 
-def _angle_candidates(n: int, rho: float, samples: int = 4001) -> list[float]:
-    """All candidate roots of g on (0, pi/n): sign-change brackets plus
-    near-tangent pairs split by a local quadratic fit."""
-
-    def x_of(w: float) -> float:
-        return math.sin(n * w) / (rho * math.sin(w))
-
-    def g(w: float) -> float:
-        x = x_of(w)
-        return rho * x * x - 2.0 * (rho - 1.0) * math.cos(w) * x + (rho - 2.0)
-
-    def g_prime(w: float) -> float:
-        x = x_of(w)
-        sw, cw = math.sin(w), math.cos(w)
-        dx = (n * math.cos(n * w) * sw - math.sin(n * w) * cw) / (rho * sw * sw)
-        return 2.0 * rho * x * dx - 2.0 * (rho - 1.0) * (dx * cw - x * sw)
-
-    lo_edge, hi_edge = 1e-9, math.pi / n - 1e-9
-    ws = np.linspace(lo_edge, hi_edge, samples)
-    gs = np.array([g(w) for w in ws])
-
-    def polish(w: float) -> float:
-        for _ in range(60):
-            gw = g(w)
-            dg = g_prime(w)
-            if dg == 0.0:
-                break
-            step = gw / dg
-            w_new = w - step
-            if not lo_edge <= w_new <= hi_edge:
-                break
-            w = w_new
-            if abs(step) < 1e-16:
-                break
-        return w
-
-    cands: list[float] = []
-    for i in np.nonzero(np.sign(gs[:-1]) != np.sign(gs[1:]))[0]:
-        lo, hi = float(ws[i]), float(ws[i + 1])
-        flo = g(lo)
-        for _ in range(BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if np.sign(g(mid)) == np.sign(flo):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15:
-                break
-        cands.append(polish(0.5 * (lo + hi)))
-
-    # near-tangent pairs: local minima of |g| without a sign change
-    h = float(ws[1] - ws[0])
-    for i in range(1, samples - 1):
-        if np.sign(gs[i - 1]) != np.sign(gs[i]) or np.sign(gs[i]) != np.sign(gs[i + 1]):
-            continue
-        if not (abs(gs[i]) <= abs(gs[i - 1]) and abs(gs[i]) <= abs(gs[i + 1])):
-            continue
-        if abs(gs[i]) > 1e-3 * max(abs(gs[0]), abs(gs[-1]), 1e-12):
-            continue
-        # quadratic through the three points, roots if the parabola crosses 0
-        c = gs[i]
-        b = (gs[i + 1] - gs[i - 1]) / (2.0 * h)
-        aa = (gs[i + 1] - 2.0 * gs[i] + gs[i - 1]) / (h * h)
-        if aa == 0.0:
-            continue
-        disc = b * b - 2.0 * aa * c
-        if disc <= 0.0:
-            cands.append(polish(float(ws[i])))
-            continue
-        for s in (-1.0, 1.0):
-            dw = (-b + s * math.sqrt(disc)) / aa
-            w0 = float(ws[i]) + dw
-            if lo_edge < w0 < hi_edge:
-                cands.append(polish(w0))
-
-    out: list[float] = []
-    for w in sorted(cands):
-        if not out or abs(w - out[-1]) > 1e-12:
-            out.append(w)
-    return out
-
-
 def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
     """w_rho of the unit-weight truncated shift of size n + 1, any rho >= 1.
 
-    Dispatch: rho = 1 gives the operator norm 1 exactly; rho = n + 2 gives
-    the closed form n/(n+2); 1 < rho < n+2 with n >= 2 solves the angle
-    system; everything else (n = 1, or rho > n+2 where no angle formula
-    exists) uses the determinant route.
+    Exact at rho = 1 (norm 1) and rho = n + 2 (n/(n+2)); otherwise the
+    largest real eigenvalue x of the companion matrix of Q (module
+    docstring).  NoRootError when there is no real eigenvalue, when the
+    z = 1 kernel at weight 1/x is not singular to 1e-6 rho, or when the
+    radius system misses ``tol`` at (x, omega).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -243,36 +156,37 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
         resid = abs(kernel_det(n, 1.0 / value, rho)) / rho ** n
         return RadiusResult(value=value, method="closed_form", omega=None,
                             residual=resid, bracket=(value, value))
-    if n == 1 or rho > n + 2:
-        return determinant_radius(n, rho)
 
-    if n == 2:
-        # the two system equations eliminate exactly: x = 1/sqrt(rho)
-        x = 1.0 / math.sqrt(rho)
-        w = math.acos(math.sqrt(rho) / 2.0)
-        resid = _system_residual(n, rho, x, w)
-        return RadiusResult(value=x, method="omega_system", omega=w,
-                            residual=resid, bracket=(x, x))
-
-    cands = []
-    for w in _angle_candidates(n, rho):
-        x = math.sin(n * w) / (rho * math.sin(w))
-        if not (1.0 / rho + 1e-12 < x < 1.0 - 1e-12):
-            continue
-        cands.append((abs(_boundary_min_eig(n, 1.0 / x, rho)), x, w))
-    if not cands:
-        raise NoRootError(f"angle system has no admissible root for n={n}, rho={rho}")
-    certificate, x, w = min(cands)
+    s = np.eye(n + 1, k=1)
+    companion = np.block([[(rho - 1.0) / rho * (s + s.T), -(rho - 2.0) / rho * (s.T @ s)],
+                          [np.eye(n + 1), np.zeros((n + 1, n + 1))]])
+    eigs = np.linalg.eigvals(companion)
+    real = eigs.real[eigs.imag == 0.0]
+    if real.size == 0:
+        raise NoRootError(f"companion matrix has no real eigenvalue for n={n}, rho={rho}")
+    x = float(real.max())
+    certificate = abs(_boundary_min_eig(n, 1.0 / x, rho))
     if certificate > 1e-6 * rho:
         raise NoRootError(
-            f"no angle-system root sits on the kernel positivity boundary "
-            f"(best certificate {certificate:.3e}) for n={n}, rho={rho}"
+            f"companion eigenvalue {x!r} is off the kernel positivity boundary "
+            f"(certificate {certificate:.3e}) for n={n}, rho={rho}"
         )
-    resid = _system_residual(n, rho, x, w)
-    if resid > tol:
-        raise NoRootError(f"angle-system residual {resid:.3e} exceeds {tol:.1e}")
-    return RadiusResult(value=x, method="omega_system", omega=w,
-                        residual=resid, bracket=(x, x))
+    w, resid = None, 0.0
+    if n >= 2 and rho < n + 2:
+        cos_w = (rho * x * x + rho - 2.0) / (2.0 * x * (rho - 1.0))
+        if not -1.0 < cos_w < 1.0:
+            raise NoRootError(f"no angle: cos(omega) = {cos_w!r} for n={n}, rho={rho}")
+        w = math.acos(cos_w)
+        # the cosine form loses digits like 1/(rho - 1) as rho -> 1; one
+        # Newton step on the sine equation, well conditioned there, restores them
+        sw = math.sin(w)
+        u = math.sin(n * w) / sw
+        w -= (u - rho * x) * sw / (n * math.cos(n * w) - u * cos_w)
+        resid = _system_residual(n, rho, x, w)
+        if resid > tol:
+            raise NoRootError(f"angle-system residual {resid:.3e} exceeds {tol:.1e}")
+    return RadiusResult(value=x, method="companion", omega=w,
+                        residual=max(certificate, resid), bracket=(x, x))
 
 
 def radius_bisect(t, rho: float, grid: DiscGrid | None = None,

@@ -42,7 +42,7 @@ class TestRadiusCommand:
         assert main(["radius", "--shift", "2", "--rho", "2"]) == 0
         out = capsys.readouterr().out
         assert "0.70710678" in out
-        assert "omega_system" in out
+        assert "companion" in out
 
     def test_shift_critical(self, capsys):
         assert main(["radius", "--shift", "4", "--rho", "6"]) == 0
@@ -59,6 +59,18 @@ class TestRadiusCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(1 / 3, abs=1e-6)
         assert payload["method"] == "bisection"
+
+    def test_weight_scales_every_method(self, capsys):
+        # w_rho(B S) = B w_rho(S) = 2 cos(pi/5) for N = 3, B = 2, rho = 2
+        values = []
+        for method in ("auto", "det", "bisect"):
+            assert main(["radius", "--shift", "3", "--weight", "2", "--rho", "2",
+                         "--method", method, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["bracket"][0] <= payload["value"] <= payload["bracket"][1]
+            values.append(payload["value"])
+        assert max(values) - min(values) <= 1e-5
+        assert values[0] == pytest.approx(2 * math.cos(math.pi / 5), abs=1e-9)
 
     def test_deterministic_output(self, capsys):
         main(["radius", "--shift", "3", "--rho", "2.5", "--json"])
@@ -176,6 +188,12 @@ class TestOmegaCurveCommand:
         assert rows[0] == ["rho", "omega", "radius"]
         omegas = [float(r[1]) for r in rows[1:]]
         assert all(w1 > w2 for w1, w2 in zip(omegas, omegas[1:]))
+
+    def test_range_without_angle_is_usage_error(self, capsys):
+        # n = 1 and rho >= n + 2 have no auxiliary angle
+        assert main(["omega-curve", "--n", "1"]) == 2
+        assert main(["omega-curve", "--n", "4", "--rho-max", "6"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestVerifyCommand:

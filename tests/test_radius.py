@@ -15,7 +15,7 @@ class TestShiftRadius:
             res = shift_radius(n, 2.0)
             assert res.value == pytest.approx(math.cos(math.pi / (n + 2)), abs=1e-12)
             assert res.omega == pytest.approx(math.pi / (n + 2), abs=1e-9)
-            assert res.method == "omega_system"
+            assert res.method == "companion"
 
     def test_critical_parameter(self):
         res = shift_radius(2, 4.0)
@@ -26,7 +26,7 @@ class TestShiftRadius:
         for rho in (1.5, 2.9):
             res = shift_radius(1, rho)
             assert res.value == pytest.approx(1.0 / rho, abs=1e-9)
-            assert res.method == "determinant_oracle"
+            assert res.method == "companion"
 
     def test_norm_at_rho_one(self):
         assert shift_radius(5, 1.0).value == 1.0
@@ -57,7 +57,8 @@ class TestShiftRadius:
 
     def test_dispatch_above_critical(self):
         res = shift_radius(3, 8.0)
-        assert res.method == "determinant_oracle"
+        assert res.method == "companion"
+        assert abs(res.value - determinant_radius(3, 8.0).value) <= 1e-8
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -131,12 +132,21 @@ class TestRadiusBisect:
 
 
 class TestThreeWayAgreement:
-    @pytest.mark.parametrize("n", [2, 5, 9, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 10, 12, 17, 24])
     def test_omega_vs_determinant(self, n):
-        for rho in (1.5, 2.0, 3.0, float(n + 2), float(n + 4)):
-            omega_route = shift_radius(n, rho).value
+        # rho -> 1, both regimes, the critical point, rho >> n + 2, and at
+        # n = 10 the near-tangent points of the angle equation
+        rhos = [1.001, 1.5, 2.0, (n + 3) / 2.0, n + 1.75, float(n + 2), n + 2.5,
+                n + 6.0, 3.0 * n + 7.0]
+        if n == 10:
+            rhos += [7.0, 7.3145, 7.317, 7.33]
+        for rho in rhos:
+            res = shift_radius(n, rho)
             det_route = determinant_radius(n, rho).value
-            assert abs(omega_route - det_route) <= 1e-8
+            assert abs(res.value - det_route) <= 1e-8
+            if res.omega is not None:
+                w = res.omega
+                assert abs(math.sin(n * w) / math.sin(w) - rho * res.value) <= 1e-9
 
     @pytest.mark.parametrize("n", [2, 5, 9, 12])
     def test_omega_vs_bisection(self, n):
