@@ -7,7 +7,9 @@ The toolkit offers three routes to w_rho(S_{n+1}(1)):
      also returns the auxiliary angle omega for 1 < rho < n+2),
   2. the first root of the kernel determinant in the weight (recurrence plus
      smallest-eigenvalue bisection, works for every rho > 1),
-  3. plain bisection on the membership predicate (works for ANY matrix, so it
+  3. the grid route: the largest membership threshold of T/gamma over the
+     disc samples, each the largest real eigenvalue of the same companion
+     built at that point (``radius_bisect``; works for ANY matrix, so it
      cross-checks the shift-specific routes).
 
 They must agree; this script prints the comparison table plus the closed
@@ -24,13 +26,13 @@ from rho_toolkit import (critical_rho, determinant_radius, make_shift,
 print("=" * 72)
 print("three-way agreement, n = 4")
 print("=" * 72)
-print(f"{'rho':>6} | {'companion':>16} | {'determinant':>16} | {'bisection':>16}")
+print(f"{'rho':>6} | {'companion':>16} | {'determinant':>16} | {'grid':>16}")
 n = 4
 for rho in (1.3, 2.0, 3.5, 6.0, 9.0):
     w_comp = shift_radius(n, rho).value
     w_det = determinant_radius(n, rho).value
-    w_bis = radius_bisect(make_shift(n, 1.0), rho).value
-    print(f"{rho:6.2f} | {w_comp:16.12f} | {w_det:16.12f} | {w_bis:16.12f}")
+    w_grid = radius_bisect(make_shift(n, 1.0), rho).value
+    print(f"{rho:6.2f} | {w_comp:16.12f} | {w_det:16.12f} | {w_grid:16.12f}")
 
 print()
 print("closed form at rho = 2: w_2(S_{n+1}) = cos(pi/(n+2))")

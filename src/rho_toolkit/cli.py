@@ -25,7 +25,7 @@ from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
 from .errors import ToolkitError, TorusSpectrumError
 from .harnack import are_harnack_equivalent
 from .kernel import DiscGrid, has_torus_spectrum, rho_kernel, torus_nullspace
-from .linalg import as_cmatrix, spectral_norm
+from .linalg import as_cmatrix
 from .radius import determinant_radius, omega_of_rho_curve, radius_bisect, shift_radius
 from .shifts import make_shift, normalized_shift
 from .structure import null_profile
@@ -104,18 +104,14 @@ def _cmd_radius(args) -> int:
         elif args.method == "det":
             res = determinant_radius(args.shift, args.rho, tol=args.tol)
         else:
-            res = radius_bisect(make_shift(args.shift, 1.0), args.rho, tol=args.tol)
+            res = radius_bisect(make_shift(args.shift, 1.0), args.rho)
         b = args.weight  # w_rho(b S) = b w_rho(S); every route above solves b = 1
         res = replace(res, value=b * res.value, bracket=(b * res.bracket[0], b * res.bracket[1]))
     else:
         t = load_matrix(args.matrix)
         if args.method == "det":
             raise UsageError("method 'det' applies to shifts only")
-        if spectral_norm(t) == 0.0:
-            print(json.dumps({"value": 0.0, "method": "closed_form"}) if args.json
-                  else "value=0 method=closed_form")
-            return 0
-        res = radius_bisect(t, args.rho, tol=args.tol)
+        res = radius_bisect(t, args.rho)
     payload = {"value": res.value, "method": res.method, "omega": res.omega,
                "residual": res.residual, "bracket": list(res.bracket)}
     omega = "" if res.omega is None else f" omega={_fmt(res.omega)}"
@@ -329,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", help="matrix JSON file")
     p.add_argument("--weight", type=float, default=1.0, help="shift weight (B > 0)")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--method", choices=("auto", "bisect", "det"), default="auto")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--method", choices=("auto", "bisect", "det"), default="auto",
+                   help="bisect: the grid companion route, any matrix")
+    p.add_argument("--tol", type=float, default=1e-8, help="auto and det only")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_radius)
 

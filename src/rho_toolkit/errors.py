@@ -31,7 +31,7 @@ class NoRootError(ToolkitError):
 
 
 class BracketInvalidError(ToolkitError):
-    """A bisection bracket does not satisfy its sign assumptions."""
+    """A bracket or bound the computation relies on does not hold."""
 
 
 class NotNilpotentError(ToolkitError):

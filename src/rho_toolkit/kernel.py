@@ -26,15 +26,15 @@ from .linalg import NULLSPACE_TOL, as_cmatrix, nullspace
 TORUS_MARGIN = 1e-8
 
 DEFAULT_PSD_TOL = 1e-9
+COMPANION_CHUNK = 256
 
 
 @dataclass(frozen=True)
 class DiscGrid:
     """Sampling grid for "for all z in the disc" statements.
 
-    radii are the interior sampling circles (strictly increasing, < 1), each
-    sampled at angles_per_radius equispaced angles; torus_angles boundary
-    points are used when the operator has no unit-circle spectrum.
+    radii are the interior circles (increasing, inside (0, 1)), each with
+    angles_per_radius equispaced angles; torus_angles unit-circle points.
     """
 
     radii: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
@@ -100,11 +100,6 @@ def rho_kernel(t, z: complex, rho: float) -> KernelEval:
     return KernelEval(z=complex(z), rho=float(rho), matrix=k, min_eigenvalue=float(np.linalg.eigvalsh(k)[0]))
 
 
-def _min_eigs(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray:
-    k = _resolvent_sum(t, zs, rho)
-    return np.linalg.eigvalsh(k)[:, 0]
-
-
 def congruence_factor(n: int, a: float, rho: float, z: complex) -> np.ndarray:
     """Middle factor of the resolvent congruence of a shift kernel.
 
@@ -136,6 +131,50 @@ def has_torus_spectrum(t, margin: float = TORUS_MARGIN) -> bool:
     return bool(np.any(near_torus(np.linalg.eigvals(as_cmatrix(t)), margin)))
 
 
+def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray:
+    """Membership threshold of T/gamma at each z (-inf where none): the largest
+    real eigenvalue of [[(rho-1)/rho (conj(z) T + z T*), -(rho-2)/rho |z|^2 T*T],
+    [I, 0]], the companion of Q_z (``radius``).  The dtype follows t and zs;
+    COMPANION_CHUNK points per ``eigvals`` call bound memory."""
+    d = t.shape[0]
+    tstar = np.conj(t.T)
+    out = np.empty(len(zs))
+    for i in range(0, len(zs), COMPANION_CHUNK):
+        z = zs[i:i + COMPANION_CHUNK, None, None]
+        c = np.zeros((len(z), 2 * d, 2 * d), dtype=np.result_type(t, zs))
+        c[:, :d, :d] = (rho - 1.0) / rho * (np.conj(z) * t + z * tstar)
+        c[:, :d, d:] = -(rho - 2.0) / rho * np.abs(z) ** 2 * (tstar @ t)
+        c[:, d:, :d] = np.eye(d)
+        eigs = np.linalg.eigvals(c)
+        real = np.abs(eigs.imag) <= 1e-6 * np.abs(eigs).max(axis=1, keepdims=True)
+        out[i:i + len(z)] = np.where(real, eigs.real, -np.inf).max(axis=1)
+    return out
+
+
+def _first_min(points: np.ndarray, values: np.ndarray) -> tuple[complex, float]:
+    # roundoff ties go to the earliest sample: rotation-invariant T gets z > 0
+    vmin = float(np.min(values))
+    tie = vmin + 1e-12 * max(1.0, abs(vmin))
+    i = int(np.argmax(values <= tie))
+    return complex(points[i]), float(values[i])
+
+
+def grid_minimum(score, grid: DiscGrid, boundary: bool) -> tuple[complex, float]:
+    """Smallest value of ``score`` (points -> values) over the grid, torus
+    first when ``boundary``, and its witness; one refinement pass re-samples
+    the witness ring at doubled angular resolution from the witness angle."""
+    zs = grid.interior_points()
+    if boundary:
+        zs = np.concatenate([grid.torus_points(), zs])
+    worst_z, worst = _first_min(zs, score(zs))
+    count = 2 * (grid.torus_angles if abs(worst_z) > grid.radii[-1] else grid.angles_per_radius)
+    ring = worst_z * np.exp(2j * np.pi * np.arange(count) / count)
+    ring_z, ring_min = _first_min(ring, score(ring))
+    if ring_min < worst - 1e-12 * max(1.0, abs(worst)):
+        worst_z, worst = ring_z, ring_min
+    return worst_z, worst
+
+
 @dataclass(frozen=True)
 class ContractionReport:
     """Outcome of a grid positivity test, with the worst sample as witness."""
@@ -158,10 +197,8 @@ def is_rho_contraction(t, rho: float, grid: DiscGrid | None = None,
     """Grid-certified membership test for the class of rho-contractions.
 
     True iff the spectral radius is at most 1 + tol and the smallest kernel
-    eigenvalue over all sampled z is at least -tol.  Boundary circles are
-    sampled only when T has no unit-circle spectrum.  One refinement pass
-    re-samples the witness ring at doubled angular resolution anchored at the
-    witness angle.
+    eigenvalue over the samples of ``grid_minimum`` is at least -tol.  The
+    torus is sampled only when T has no unit-circle spectrum.
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
@@ -169,32 +206,9 @@ def is_rho_contraction(t, rho: float, grid: DiscGrid | None = None,
     grid = grid or default_grid()
     eigs = np.linalg.eigvals(a)
     srad = float(np.max(np.abs(eigs))) if a.size else 0.0
-
     boundary = not np.any(near_torus(eigs))
-    zs = grid.interior_points()
-    if boundary:
-        zs = np.concatenate([grid.torus_points(), zs])
-
-    def first_min(points: np.ndarray, values: np.ndarray) -> tuple[complex, float]:
-        # deterministic witness: ties at roundoff level go to the earliest
-        # sample (angle 0 first), so rotation-invariant operators report a
-        # real positive witness
-        vmin = float(np.min(values))
-        tie = vmin + 1e-12 * max(1.0, abs(vmin))
-        i = int(np.argmax(values <= tie))
-        return complex(points[i]), float(values[i])
-
-    worst_z, worst = first_min(zs, _min_eigs(a, zs, rho))
-
-    # refinement: double the angular resolution on the witness ring
-    r = abs(worst_z)
-    count = 2 * (grid.torus_angles if boundary and r > grid.radii[-1] else grid.angles_per_radius)
-    theta0 = np.angle(worst_z)
-    ring = r * np.exp(1j * (theta0 + 2.0 * np.pi * np.arange(count) / count))
-    ring_z, ring_min = first_min(ring, _min_eigs(a, ring, rho))
-    if ring_min < worst - 1e-12 * max(1.0, abs(worst)):
-        worst_z, worst = ring_z, ring_min
-
+    worst_z, worst = grid_minimum(
+        lambda zs: np.linalg.eigvalsh(_resolvent_sum(a, zs, rho))[:, 0], grid, boundary)
     ok = srad <= 1.0 + tol and worst >= -tol
     return ContractionReport(ok=ok, witness_z=worst_z, witness_min_eig=worst,
                              spectral_radius=srad, rho=float(rho), tol=float(tol),

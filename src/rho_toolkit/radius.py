@@ -1,18 +1,20 @@
 """Computation of the rho-numerical radius w_rho.
 
-* ``radius_bisect`` — bisection on gamma of the grid positivity predicate
-  for T/gamma; works for any matrix.
-* ``shift_radius`` — the unit-weight truncated shift S of size n + 1.  At
-  z = 1 the kernel of S/g, times g^2, is congruent to the matrix polynomial
+By the Durszt congruence, gamma^2 K_z(T/gamma) is positive exactly when
 
-      Q(g) = rho g^2 I - (rho - 1) g H + (rho - 2) P,   H = S + S^T, P = S^T S
+    Q_z(gamma) = rho gamma^2 I - (rho - 1) gamma (conj(z) T + z T*) + (rho - 2) |z|^2 T*T
 
-  (``kernel.congruence_factor``), first singular at g = w_rho, so w_rho is
-  the largest real eigenvalue of the companion matrix of Q (Tisseur and
-  Meerbergen, SIAM Rev. 43, 2001).  Exact closed forms at rho = 1, n + 2.
+is, so the membership threshold of T/gamma at z is the largest real
+eigenvalue of a companion matrix of Q_z (Tisseur and Meerbergen, SIAM Rev.
+43, 2001; ``kernel.companion_threshold``).
+
+* ``radius_bisect`` — any matrix: the largest threshold over the disc
+  samples, floored at max(spectral radius, norm/rho).
+* ``shift_radius`` — the unit-weight truncated shift S of size n + 1: the
+  threshold at z = 1.  Exact closed forms at rho = 1, n + 2.
 * ``determinant_radius`` — first positive root of the kernel determinant in
   the weight, computed twice (recurrence and smallest-eigenvalue bisection)
-  with agreement asserted; the independent oracle for ``shift_radius``.
+  and required to agree; the independent oracle for ``shift_radius``.
 
 For 1 < rho < n + 2 and n >= 2, x = w_rho and an angle w solve
 
@@ -31,7 +33,8 @@ import numpy as np
 
 from .determinants import kernel_det, kernel_det_matrix
 from .errors import BracketInvalidError, NoRootError, NotNilpotentError
-from .kernel import DiscGrid, default_grid, is_rho_contraction
+from .kernel import DEFAULT_PSD_TOL, DiscGrid, companion_threshold, default_grid, grid_minimum
+from .kernel import is_rho_contraction  # noqa: F401, bound by perfbench/test_bench.py
 from .linalg import as_cmatrix, spectral_norm, spectral_radius
 
 BISECT_MAX_ITER = 200
@@ -42,7 +45,7 @@ class RadiusResult:
     """A computed radius with its provenance.
 
     value     -- the computed w_rho
-    method    -- one of bisection | companion | determinant_oracle | closed_form
+    method    -- one of grid_companion | companion | determinant_oracle | closed_form
     omega     -- auxiliary angle of the radius system when it exists, else None
     residual  -- defining-equation residual of the returned value
     bracket   -- final enclosing interval for the value
@@ -74,8 +77,8 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
     The reciprocal weight a* is the smallest a > 1 with a singular kernel at
     z = 1; it is computed both as the first sign change of the determinant
     recurrence and by bisection on the smallest eigenvalue, and the two must
-    agree.  The bracket [1, rho] is guaranteed: the order-2 leading principal
-    minor rho^2 - a^2 goes negative beyond a = rho.
+    agree (NoRootError otherwise).  The bracket [1, rho] is guaranteed: the
+    order-2 leading principal minor rho^2 - a^2 goes negative beyond a = rho.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -116,7 +119,7 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
     a_rec = bisect(det, samples[i], samples[i + 1])
     a_eig = bisect(lambda a: _boundary_min_eig(n, a, rho), samples[i], samples[i + 1])
     if abs(a_rec - a_eig) > 100.0 * tol * max(1.0, a_rec):
-        raise AssertionError(
+        raise NoRootError(
             f"determinant and eigenvalue routes disagree: {a_rec!r} vs {a_eig!r}"
         )
     a_star = float(a_rec)
@@ -138,10 +141,10 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
     """w_rho of the unit-weight truncated shift of size n + 1, any rho >= 1.
 
     Exact at rho = 1 (norm 1) and rho = n + 2 (n/(n+2)); otherwise the
-    largest real eigenvalue x of the companion matrix of Q (module
-    docstring).  NoRootError when there is no real eigenvalue, when the
-    z = 1 kernel at weight 1/x is not singular to 1e-6 rho, or when the
-    radius system misses ``tol`` at (x, omega).
+    companion threshold x of S at z = 1 (module docstring).  NoRootError
+    when the z = 1 kernel at weight 1/x is not singular to 1e-6 rho (x = -inf,
+    no real eigenvalue, included) or the radius system misses ``tol`` at
+    (x, omega).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -157,14 +160,7 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
         return RadiusResult(value=value, method="closed_form", omega=None,
                             residual=resid, bracket=(value, value))
 
-    s = np.eye(n + 1, k=1)
-    companion = np.block([[(rho - 1.0) / rho * (s + s.T), -(rho - 2.0) / rho * (s.T @ s)],
-                          [np.eye(n + 1), np.zeros((n + 1, n + 1))]])
-    eigs = np.linalg.eigvals(companion)
-    real = eigs.real[eigs.imag == 0.0]
-    if real.size == 0:
-        raise NoRootError(f"companion matrix has no real eigenvalue for n={n}, rho={rho}")
-    x = float(real.max())
+    x = float(companion_threshold(np.eye(n + 1, k=1), np.ones(1), rho)[0])
     certificate = abs(_boundary_min_eig(n, 1.0 / x, rho))
     if certificate > 1e-6 * rho:
         raise NoRootError(
@@ -189,43 +185,37 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
                         residual=max(certificate, resid), bracket=(x, x))
 
 
-def radius_bisect(t, rho: float, grid: DiscGrid | None = None,
-                  tol: float = 1e-8) -> RadiusResult:
-    """w_rho(T) by bisection on gamma of the membership predicate for T/gamma.
+def radius_bisect(t, rho: float, grid: DiscGrid | None = None) -> RadiusResult:
+    """w_rho(T) of any matrix: max(lo, largest ``companion_threshold`` over
+    the disc samples, torus included), lo = max(spectral radius, norm/rho).
 
-    The bracket starts at [max(spectral radius, norm/rho), norm].  When the
-    predicate already holds at the lower endpoint the infimum is attained
-    there (e.g. normal T) and that endpoint is returned exactly.
+    lo >= norm (rho = 1, normal T, T = 0) is exact: ``closed_form``.  Else
+    |lambda_min Q_w(x)| <= 1e-6 rho x^2 at the witness w certifies x
+    (NoRootError if not); x above the norm is a bug (BracketInvalidError).
     """
+    if rho < 1:
+        raise ValueError("rho must be >= 1")
     a = as_cmatrix(t)
-    grid = grid or default_grid()
     norm = spectral_norm(a)
-    if norm == 0.0:
-        raise ValueError("radius_bisect requires T != 0")
     lo = max(spectral_radius(a), norm / rho)
-    hi = norm
-
-    def member(gamma: float) -> bool:
-        return bool(is_rho_contraction(a / gamma, rho, grid))
-
-    if lo >= hi or member(lo):
-        return RadiusResult(value=lo, method="bisection", omega=None,
+    if lo >= norm:
+        return RadiusResult(value=lo, method="closed_form", omega=None,
                             residual=0.0, bracket=(lo, lo))
-    if not member(hi):
-        raise BracketInvalidError(
-            f"T/||T|| fails the membership predicate at rho={rho}; "
-            "w_rho <= ||T|| is violated, which signals a bug"
-        )
-    for _ in range(BISECT_MAX_ITER):
-        if hi - lo < tol * max(1.0, abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid
-    return RadiusResult(value=0.5 * (lo + hi), method="bisection", omega=None,
-                        residual=hi - lo, bracket=(lo, hi))
+    w, neg = grid_minimum(lambda zs: -companion_threshold(a, zs, rho),
+                          grid or default_grid(), True)
+    x = max(lo, -neg)
+    if x > norm * (1.0 + DEFAULT_PSD_TOL):
+        raise BracketInvalidError(f"grid value {x!r} exceeds ||T|| = {norm!r} at "
+                                  f"rho={rho}: w_rho <= ||T|| fails, a bug")
+    astar = np.conj(a.T)
+    q = (rho * x * x * np.eye(a.shape[0]) - (rho - 1.0) * x * (np.conj(w) * a + w * astar)
+         + (rho - 2.0) * abs(w) ** 2 * (astar @ a))
+    certificate = abs(float(np.linalg.eigvalsh(q)[0]))
+    if certificate > 1e-6 * rho * x * x:
+        raise NoRootError(f"grid value {x!r} is off the positivity boundary at "
+                          f"z={w!r} (certificate {certificate:.3e}), rho={rho}")
+    return RadiusResult(value=x, method="grid_companion", omega=None,
+                        residual=certificate, bracket=(x, x))
 
 
 def nilpotent_bound(m: int, t, tol: float = 1e-5) -> bool:
@@ -237,8 +227,6 @@ def nilpotent_bound(m: int, t, tol: float = 1e-5) -> bool:
         raise ValueError("m must be >= 2")
     a = as_cmatrix(t)
     norm = spectral_norm(a)
-    if norm == 0.0:
-        return True
     power = np.linalg.matrix_power(a, m)
     if spectral_norm(power) > 1e-10 * norm ** m:
         raise NotNilpotentError(f"||T^{m}|| = {spectral_norm(power):.3e} is not ~0")

@@ -58,7 +58,7 @@ class TestRadiusCommand:
         assert main(["radius", "--matrix", path, "--rho", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(1 / 3, abs=1e-6)
-        assert payload["method"] == "bisection"
+        assert payload["method"] == "grid_companion"
 
     def test_weight_scales_every_method(self, capsys):
         # w_rho(B S) = B w_rho(S) = 2 cos(pi/5) for N = 3, B = 2, rho = 2
@@ -86,6 +86,13 @@ class TestRadiusCommand:
         with pytest.raises(SystemExit) as err:
             main(["radius", "--shift", "2", "--rho", "2", "--method", "nope"])
         assert err.value.code == 2
+
+    def test_det_routes_disagreeing_is_numeric_error(self, capsys):
+        # just past the critical point the determinant's first root is nearly
+        # double and its two routes part ways
+        assert main(["radius", "--shift", "24", "--rho", "26.00000000000001",
+                     "--method", "det"]) == 3
+        assert "NoRootError" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self):
         assert main(["radius", "--matrix", "/no/such/file.json", "--rho", "2"]) == 2

@@ -1,14 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rho_toolkit import (DiscGrid, SingularError, TorusSpectrumError,
                          congruence_factor, is_rho_contraction, make_shift,
                          normalized_shift, nullspace, rho_kernel,
                          spectral_norm, torus_nullspace)
+from rho_toolkit.kernel import companion_threshold, grid_minimum
 
 
 class TestRhoKernel:
@@ -67,18 +69,34 @@ class TestCongruenceFactor:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.floats(0.05, 1.0), st.floats(1.05, 5.0),
            st.floats(0, 1), st.floats(0, 2 * math.pi))
+    # corners where a float product L @ M @ R cancels to 1e-10 and 2.5e-7
+    @example(8, 1.0, 5.0, 1.0, 1.0)
+    @example(12, 1.0, 5.0, 1.0, 0.3)
     def test_factorization(self, n, frac, rho, r, theta):
         # K_z(S) = (I - z S*)^-1 M (I - conj(z) S)^-1 with M the tridiagonal
-        # factor, across the closed disc and weights up to rho
+        # factor, across the closed disc and weights up to rho; the right side
+        # is formed at 50 digits, since in floats it cancels near |z| = 1
         a = frac * rho
         z = r * np.exp(1j * theta)
-        s = make_shift(n, a)
-        eye = np.eye(n + 1)
-        k = rho_kernel(s, z, rho).matrix
+        d = n + 1
+        with mpmath.workdps(50):
+            zm, am, rm = mpmath.mpc(complex(z)), mpmath.mpf(a), mpmath.mpf(rho)
+            s, mid = mpmath.zeros(d, d), mpmath.zeros(d, d)
+            for i in range(d):
+                mid[i, i] = rm + (rm - 2) * am * am * abs(zm) ** 2 if i else rm
+                if i < n:
+                    s[i, i + 1] = am
+                    mid[i, i + 1] = (1 - rm) * am * mpmath.conj(zm)
+                    mid[i + 1, i] = (1 - rm) * am * zm
+            eye = mpmath.eye(d)
+            left = mpmath.inverse(eye - zm * s.H)
+            ref = left * mid * mpmath.inverse(eye - mpmath.conj(zm) * s)
+        ref = np.array(ref.tolist(), dtype=complex)
+        k = rho_kernel(make_shift(n, a), z, rho).matrix
+        assert spectral_norm(k - ref) <= 1e-10 * spectral_norm(k)
         m = congruence_factor(n, a, rho, z)
-        left = np.linalg.inv(eye - z * s.conj().T)
-        right = np.linalg.inv(eye - np.conj(z) * s)
-        assert spectral_norm(k - left @ m @ right) <= 1e-10 * spectral_norm(k)
+        mid = np.array(mid.tolist(), dtype=complex)
+        assert spectral_norm(m - mid) <= 1e-10 * spectral_norm(mid)
 
     def test_null_dimensions_match_kernel(self):
         # at the normalized weight both the kernel and the factor are singular
@@ -104,6 +122,34 @@ class TestDiscGrid:
             DiscGrid(radii=(0.5, 0.5))
         with pytest.raises(ValueError):
             DiscGrid(radii=(0.5, 1.0))
+
+    def test_grid_minimum_refines_witness_ring(self):
+        # the minimum sits midway between two samples; the doubled ring
+        # anchored at the first of them lands on it
+        grid = DiscGrid(radii=(0.1,), angles_per_radius=4, torus_angles=4)
+        cases = ((True, np.exp(0.25j * np.pi)), (False, 0.1 * np.exp(0.75j * np.pi)))
+        for boundary, target in cases:
+            z, value = grid_minimum(lambda zs: np.abs(zs - target), grid, boundary)
+            assert z == pytest.approx(target, abs=1e-12)
+            assert value == pytest.approx(0.0, abs=1e-12)
+
+
+class TestCompanionThreshold:
+    def test_rho2_is_numerical_range_edge(self, rng):
+        # at rho = 2 the companion is block triangular: its real spectrum is
+        # that of Re(conj(z) T) together with d zeros; 300 points span two stacks
+        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        zs = np.exp(2j * np.pi * np.arange(300) / 300)
+        herm = (np.conj(zs)[:, None, None] * t + zs[:, None, None] * t.conj().T) / 2
+        expected = np.maximum(np.linalg.eigvalsh(herm)[:, -1], 0.0)
+        np.testing.assert_allclose(companion_threshold(t, zs, 2.0), expected, atol=1e-12)
+
+    def test_real_shift_stays_real(self):
+        # at z = 1 a real T gives a real companion; the shift threshold at
+        # rho = 2 is cos(pi/(n+2))
+        t = make_shift(4, 1.0)
+        value = companion_threshold(t.real, np.ones(1), 2.0)[0]
+        assert value == pytest.approx(math.cos(math.pi / 6), abs=1e-12)
 
 
 class TestIsRhoContraction:

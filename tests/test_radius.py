@@ -8,6 +8,8 @@ from rho_toolkit import (BracketInvalidError, NotNilpotentError, critical_rho,
                          nilpotent_bound, omega_of_rho_curve, radius_bisect,
                          shift_radius, spectral_norm)
 
+from conftest import random_unitary
+
 
 class TestShiftRadius:
     def test_rho2_closed_form(self):
@@ -111,9 +113,24 @@ class TestRadiusBisect:
         assert res.value == pytest.approx(0.7)
         assert res.bracket[0] == res.bracket[1]
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            radius_bisect(np.zeros((2, 2)), 2.0)
+    def test_zero_matrix(self):
+        res = radius_bisect(np.zeros((2, 2)), 2.0)
+        assert res.value == 0.0
+        assert res.method == "closed_form"
+
+    def test_rejects_rho_below_one(self):
+        for t in (make_shift(2, 1.0), np.diag([0.7, -0.7])):
+            with pytest.raises(ValueError):
+                radius_bisect(t, 0.5)
+
+    def test_rotated_nilpotent_dense(self):
+        # a draw whose sample set hit a singular I - conj(z) T when membership
+        # went through the resolvent
+        rng = np.random.default_rng((40, 21))
+        b = rng.uniform(0.5, 2)
+        u = random_unitary(rng, 21)
+        res = radius_bisect(u @ make_shift(20, b) @ u.conj().T, 22.0)
+        assert res.value == pytest.approx(b * 20 / 22, abs=1e-5)
 
     def test_general_bracket_on_random_matrices(self, rng, quick_grid):
         # norm/rho <= w_rho <= norm, and the membership predicate flips
@@ -126,7 +143,7 @@ class TestRadiusBisect:
             res = radius_bisect(t, rho, quick_grid)
             norm = spectral_norm(t)
             assert max(spectral_radius(t), norm / rho) - 1e-12 <= res.value <= norm + 1e-12
-            if res.bracket[0] < res.bracket[1]:
+            if res.value > max(spectral_radius(t), norm / rho):
                 assert is_rho_contraction(t / (res.value * (1 + 1e-4)), rho, quick_grid)
                 assert not is_rho_contraction(t / (res.value * (1 - 1e-4)), rho, quick_grid)
 
