@@ -85,15 +85,12 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
     if not rho > 1:
         raise ValueError("determinant route requires rho > 1")
 
-    def det(a: float) -> float:
-        return kernel_det(n, a, rho)
-
     # locate the first sign change of the determinant on [1, rho]; the root
     # spacing shrinks roughly like 1/n^2 near weight 1 for large rho, so the
     # scan densifies with n (a missed first root would be caught loudly by
     # the eigenvalue cross-check below, which then sees no sign change)
     samples = np.linspace(1.0, rho, max(2001, 400 * n + 1))
-    vals = np.array([det(a) for a in samples])
+    vals = np.array([kernel_det(n, a, rho) for a in samples])
     if vals[0] <= 0:
         raise BracketInvalidError("kernel determinant not positive at a = 1")
     crossings = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
@@ -116,16 +113,15 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    a_rec = bisect(det, samples[i], samples[i + 1])
+    a_rec = bisect(lambda a: kernel_det(n, a, rho), samples[i], samples[i + 1])
     a_eig = bisect(lambda a: _boundary_min_eig(n, a, rho), samples[i], samples[i + 1])
     if abs(a_rec - a_eig) > 100.0 * tol * max(1.0, a_rec):
         raise NoRootError(
             f"determinant and eigenvalue routes disagree: {a_rec!r} vs {a_eig!r}"
         )
     a_star = float(a_rec)
-    value = 1.0 / a_star
     resid = abs(_boundary_min_eig(n, a_star, rho))
-    return RadiusResult(value=value, method="determinant_oracle", omega=None,
+    return RadiusResult(value=1.0 / a_star, method="determinant_oracle", omega=None,
                         residual=resid,
                         bracket=(float(1.0 / samples[i + 1]), float(1.0 / samples[i])))
 
@@ -189,9 +185,9 @@ def radius_bisect(t, rho: float, grid: DiscGrid | None = None) -> RadiusResult:
     """w_rho(T) of any matrix: max(lo, largest ``companion_threshold`` over
     the disc samples, torus included), lo = max(spectral radius, norm/rho).
 
-    lo >= norm (rho = 1, normal T, T = 0) is exact: ``closed_form``.  Else
-    |lambda_min Q_w(x)| <= 1e-6 rho x^2 at the witness w certifies x
-    (NoRootError if not); x above the norm is a bug (BracketInvalidError).
+    lo >= norm (rho = 1, normal T, T = 0) is exact: ``closed_form``.  A largest
+    threshold x > lo is certified by |lambda_min Q_w(x)| <= 1e-6 rho x^2 at its
+    witness w (NoRootError if not); x above the norm is a bug (BracketInvalidError).
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
@@ -203,7 +199,11 @@ def radius_bisect(t, rho: float, grid: DiscGrid | None = None) -> RadiusResult:
                             residual=0.0, bracket=(lo, lo))
     w, neg = grid_minimum(lambda zs: -companion_threshold(a, zs, rho),
                           grid or default_grid(), True)
-    x = max(lo, -neg)
+    if -neg <= lo:
+        # T/lo is a member at every sample; w need not be on its boundary
+        return RadiusResult(value=lo, method="grid_companion", omega=None,
+                            residual=0.0, bracket=(lo, lo))
+    x = -neg
     if x > norm * (1.0 + DEFAULT_PSD_TOL):
         raise BracketInvalidError(f"grid value {x!r} exceeds ||T|| = {norm!r} at "
                                   f"rho={rho}: w_rho <= ||T|| fails, a bug")

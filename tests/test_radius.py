@@ -113,6 +113,15 @@ class TestRadiusBisect:
         assert res.value == pytest.approx(0.7)
         assert res.bracket[0] == res.bracket[1]
 
+    def test_floor_attained_off_grid_angle(self):
+        # w_rho = |lambda| > w_rho(N) for lambda (+) N, arg lambda off the grid
+        # angles: every sampled threshold sits below the floor
+        t = np.zeros((3, 3), dtype=complex)
+        t[0, 0], t[1, 2] = np.exp(0.3j), 1.5
+        res = radius_bisect(t, 2.0)
+        assert res.value == pytest.approx(1.0, abs=1e-12)
+        assert res.residual == 0.0
+
     def test_zero_matrix(self):
         res = radius_bisect(np.zeros((2, 2)), 2.0)
         assert res.value == 0.0
