@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -23,8 +24,9 @@ from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            discriminant, kernel_det, kernel_det_matrix,
                            mixed_identity_residual)
 from .errors import ToolkitError, TorusSpectrumError
-from .harnack import are_harnack_equivalent
-from .kernel import DiscGrid, has_torus_spectrum, rho_kernel, torus_nullspace
+from .harnack import are_harnack_equivalent, nullspace_equality
+from .kernel import (UNIT_CIRCLE_TOL, DiscGrid, has_torus_spectrum, rho_kernel,
+                     torus_nullspace)
 from .linalg import as_cmatrix
 from .radius import determinant_radius, omega_of_rho_curve, radius_bisect, shift_radius
 from .shifts import make_shift, normalized_shift
@@ -93,9 +95,13 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 # ------------------------------------------------------------- subcommands
 
-def _cmd_radius(args) -> int:
+def _require_one_operand(args) -> None:
     if (args.shift is None) == (args.matrix is None):
         raise UsageError("exactly one of --shift or --matrix is required")
+
+
+def _cmd_radius(args) -> int:
+    _require_one_operand(args)
     if args.shift is not None:
         if not args.weight > 0:
             raise UsageError("--weight must be positive")
@@ -121,8 +127,7 @@ def _cmd_radius(args) -> int:
 
 
 def _kernel_operand(args) -> np.ndarray:
-    if (args.shift is None) == (args.matrix is None):
-        raise UsageError("exactly one of --shift or --matrix is required")
+    _require_one_operand(args)
     if args.matrix is not None:
         return load_matrix(args.matrix)
     if args.normalized:
@@ -133,10 +138,9 @@ def _kernel_operand(args) -> np.ndarray:
 def _cmd_kernel(args) -> int:
     t = _kernel_operand(args)
     z = _parse_complex(args.z)
-    if abs(abs(z) - 1.0) <= 1e-12 and has_torus_spectrum(t):
+    if abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL and has_torus_spectrum(t):
         raise TorusSpectrumError("matrix has unit-circle spectrum; |z| = 1 is not allowed")
-    ev = rho_kernel(t, z, args.rho)
-    values = np.linalg.eigvalsh(ev.matrix)
+    values = np.linalg.eigvalsh(rho_kernel(t, z, args.rho).matrix)
     if args.format == "json":
         print(json.dumps({"z": [z.real, z.imag], "rho": args.rho,
                           "eigenvalues": [float(v) for v in values]}, indent=2))
@@ -149,18 +153,15 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_nullspace(args) -> int:
+    _require_one_operand(args)
     z = _parse_complex(args.z)
     payload: dict = {"z": [z.real, z.imag], "rho": args.rho}
     lines = []
     if args.matrix is not None:
-        t = load_matrix(args.matrix)
-        vecs = torus_nullspace(t, args.rho, z, args.tol)
+        vecs = torus_nullspace(load_matrix(args.matrix), args.rho, z, args.tol)
     else:
-        if args.shift is None:
-            raise UsageError("one of --shift or --matrix is required")
         profile = null_profile(args.shift, args.rho, tol=args.tol)
-        t = normalized_shift(args.shift, args.rho)
-        vecs = torus_nullspace(t, args.rho, z, args.tol)
+        vecs = torus_nullspace(normalized_shift(args.shift, args.rho), args.rho, z, args.tol)
         payload["antisymmetry_residual"] = profile.antisymmetry_residual
         payload["zero_pattern"] = list(profile.zero_pattern)
         payload["support"] = list(profile.support)
@@ -244,8 +245,6 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         rendered = json.dumps(report.to_json_dict(), indent=2)
     elif args.format == "csv":
-        import io
-
         buf = io.StringIO()
         csv.writer(buf).writerows(report.to_csv_rows())
         rendered = buf.getvalue()
@@ -267,8 +266,6 @@ def _cmd_verify(args) -> int:
 def _cmd_explore(args) -> int:
     """Non-normative sweeps around the open questions: which single-coordinate
     phase twists keep the normalized shift's Harnack part, for general rho."""
-    from .harnack import nullspace_equality
-
     n = args.n
     rhos = [float(r) for r in args.rho.split(",")]
     thetas = np.linspace(0.0, math.pi, args.theta_samples + 1)[1:]

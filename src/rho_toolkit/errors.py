@@ -19,7 +19,11 @@ class SingularError(ToolkitError):
 
 class GapTooSmallError(ToolkitError):
     """Null-space extraction is ill-determined: no spectral gap above the
-    null-eigenvalue cluster."""
+    null-eigenvalue cluster.  ``index`` is the offending entry of a stack."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class TorusSpectrumError(ToolkitError):

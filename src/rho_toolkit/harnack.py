@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GapTooSmallError, InteriorSingularError, TorusSpectrumError
-from .kernel import DiscGrid, _resolvent_sum, default_grid, has_torus_spectrum, near_torus
+from .errors import InteriorSingularError, TorusSpectrumError
+from .kernel import (DiscGrid, _resolvent_sum, default_grid, near_torus, roots_of_unity,
+                     torus_nullspace)
 from .linalg import NULLSPACE_TOL, as_cmatrix
 
 # relative floor under which K(T0) counts as not positive definite
@@ -100,10 +101,7 @@ def torus_spectrum_check(t1, t0) -> bool:
     eigenvalue of T0 within 1e-6."""
     e1 = np.linalg.eigvals(as_cmatrix(t1))
     e0 = np.linalg.eigvals(as_cmatrix(t0))
-    for lam in e1[near_torus(e1)]:
-        if not np.any(np.abs(e0 - lam) <= 1e-6):
-            return False
-    return True
+    return all(np.any(np.abs(e0 - lam) <= 1e-6) for lam in e1[near_torus(e1)])
 
 
 @dataclass(frozen=True)
@@ -143,34 +141,24 @@ def nullspace_equality(t1, t0, rho: float, torus_angles: int = 256,
     """True iff the kernel null spaces of T1 and T0 agree at every sampled
     unit-circle point (equal dimension, principal angle within tol).
 
-    Both matrices must be free of unit-circle spectrum (checked).  A
-    GapTooSmallError from the null-space extraction is re-raised with the
-    offending z attached.
+    Both matrices must be free of unit-circle spectrum (checked once each,
+    TorusSpectrumError naming T1 or T0).  A GapTooSmallError from the
+    null-space extraction names the offending z.
     """
-    from .kernel import torus_nullspace
-
-    a1, a0 = as_cmatrix(t1), as_cmatrix(t0)
-    for label, a in (("T1", a1), ("T0", a0)):
-        if has_torus_spectrum(a):
-            raise TorusSpectrumError(f"{label} has spectrum on the unit circle")
-    records = []
-    equal = True
-    for k in range(torus_angles):
-        z = complex(np.exp(2j * np.pi * k / torus_angles))
+    zs = roots_of_unity(torus_angles)
+    bases = []
+    for label, t in (("T1", t1), ("T0", t0)):
         try:
-            ns1 = torus_nullspace(a1, rho, z, NULLSPACE_TOL)
-            ns0 = torus_nullspace(a0, rho, z, NULLSPACE_TOL)
-        except GapTooSmallError as exc:
-            raise GapTooSmallError(f"{exc} (at z = {z})") from exc
-        if len(ns1) != len(ns0):
-            residual = 1.0
-        else:
-            residual = _principal_angle_residual(ns1, ns0)
-        records.append(AngleRecord(z=z, dim1=len(ns1), dim0=len(ns0),
-                                   principal_angle_residual=residual))
-        if len(ns1) != len(ns0) or residual > tol:
-            equal = False
-    return NullspaceComparison(equal=equal, records=tuple(records))
+            bases.append(torus_nullspace(t, rho, zs, NULLSPACE_TOL))
+        except TorusSpectrumError as exc:
+            raise TorusSpectrumError(f"{label} has spectrum on the unit circle") from exc
+    records = tuple(
+        AngleRecord(z=complex(z), dim1=len(ns1), dim0=len(ns0),
+                    principal_angle_residual=(_principal_angle_residual(ns1, ns0)
+                                              if len(ns1) == len(ns0) else 1.0))
+        for z, ns1, ns0 in zip(zs, *bases))
+    equal = all(r.dim1 == r.dim0 and r.principal_angle_residual <= tol for r in records)
+    return NullspaceComparison(equal=equal, records=records)
 
 
 @dataclass(frozen=True)

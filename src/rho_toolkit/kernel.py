@@ -6,10 +6,10 @@ The kernel of a matrix T at a point z of the closed unit disc is
 
 Hermitian by construction.  Membership of T in the class of rho-contractions
 is equivalent to sigma(T) inside the closed disc together with positivity of
-the kernel on the open disc; positivity is sampled on a DiscGrid, with
-boundary sampling added when T has no spectrum on the unit circle (for such T
-the kernel extends continuously to the closed disc, and for shifts the
-boundary is exactly where positivity is binding).
+the kernel on the open disc; positivity is sampled on a DiscGrid, one point
+set per sweep: the unit circle when T has no spectrum there (the minimum
+principle puts the least positive samples there, ``grid_minimum``), else the
+interior circles.
 """
 
 from __future__ import annotations
@@ -18,15 +18,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularError, TorusSpectrumError
+from .errors import GapTooSmallError, SingularError, TorusSpectrumError
 from .linalg import NULLSPACE_TOL, as_cmatrix, nullspace
 
 # An eigenvalue this close (absolutely) to the unit circle counts as torus
 # spectrum; boundary kernel evaluation is then refused.
 TORUS_MARGIN = 1e-8
+# |z| within this of 1 makes z a unit-circle point.
+UNIT_CIRCLE_TOL = 1e-12
 
 DEFAULT_PSD_TOL = 1e-9
 COMPANION_CHUNK = 256
+
+
+def roots_of_unity(k: int) -> np.ndarray:
+    """The k equispaced unit-circle points exp(2 pi i j / k), j = 0, ..., k-1."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(k) / k))
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,8 @@ class DiscGrid:
     """Sampling grid for "for all z in the disc" statements.
 
     radii are the interior circles (increasing, inside (0, 1)), each with
-    angles_per_radius equispaced angles; torus_angles unit-circle points.
+    angles_per_radius equispaced angles; torus_angles unit-circle points.  A
+    sweep samples one of the two sets, never both (``grid_minimum``).
     """
 
     radii: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
@@ -50,13 +58,11 @@ class DiscGrid:
 
     def interior_points(self) -> np.ndarray:
         """All interior samples, radius-major, angle 0 first on each ring."""
-        theta = 2.0 * np.pi * np.arange(self.angles_per_radius) / self.angles_per_radius
-        ring = np.exp(1j * theta)
+        ring = roots_of_unity(self.angles_per_radius)
         return np.concatenate([r * ring for r in self.radii])
 
     def torus_points(self) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(self.torus_angles) / self.torus_angles
-        return np.exp(1j * theta)
+        return roots_of_unity(self.torus_angles)
 
 
 def default_grid() -> DiscGrid:
@@ -95,8 +101,7 @@ def rho_kernel(t, z: complex, rho: float) -> KernelEval:
     |z| = 1 the caller is responsible for the torus-spectrum precondition
     (see torus_nullspace, which checks it).
     """
-    a = as_cmatrix(t)
-    k = _resolvent_sum(a, np.asarray([z], dtype=complex), rho)[0]
+    k = _resolvent_sum(as_cmatrix(t), np.asarray([z], dtype=complex), rho)[0]
     return KernelEval(z=complex(z), rho=float(rho), matrix=k, min_eigenvalue=float(np.linalg.eigvalsh(k)[0]))
 
 
@@ -109,13 +114,9 @@ def congruence_factor(n: int, a: float, rho: float, z: complex) -> np.ndarray:
     diagonal rho + (rho-2) a^2 |z|^2, off-diagonals (1-rho) a conj(z) above and
     (1-rho) a z below.
     """
-    d = n + 1
-    m = np.zeros((d, d), dtype=complex)
-    r2 = abs(z) ** 2
-    diag = rho + (rho - 2.0) * a * a * r2
-    m[np.arange(d), np.arange(d)] = diag
+    m = np.diag(np.full(n + 1, rho + (rho - 2.0) * a * a * abs(z) ** 2, dtype=complex))
     m[0, 0] = rho
-    idx = np.arange(d - 1)
+    idx = np.arange(n)
     m[idx, idx + 1] = (1.0 - rho) * a * np.conj(z)
     m[idx + 1, idx] = (1.0 - rho) * a * z
     return m
@@ -160,15 +161,20 @@ def _first_min(points: np.ndarray, values: np.ndarray) -> tuple[complex, float]:
 
 
 def grid_minimum(score, grid: DiscGrid, boundary: bool) -> tuple[complex, float]:
-    """Smallest value of ``score`` (points -> values) over the grid, torus
-    first when ``boundary``, and its witness; one refinement pass re-samples
-    the witness ring at doubled angular resolution from the witness angle."""
-    zs = grid.interior_points()
-    if boundary:
-        zs = np.concatenate([grid.torus_points(), zs])
+    """Smallest value of ``score`` (points -> values) over the torus samples
+    when ``boundary``, else over the interior ones, and its witness; one
+    refinement pass re-samples the witness ring at doubled angular resolution
+    from the witness angle."""
+    # One point set is enough.  If T has no unit-circle spectrum and spectral
+    # radius below 1, K_z is harmonic on a neighbourhood of the closed disc,
+    # so lambda_min K_z (a minimum of harmonic <K_z x, x>) is superharmonic
+    # and smallest on the circle.  For the radius route, any gamma above
+    # max(lo, torus maximum threshold) makes Q_z(gamma) > 0 on the circle, so
+    # K_z(T/gamma) >= 0 on the whole disc: no interior threshold exceeds gamma.
+    zs = grid.torus_points() if boundary else grid.interior_points()
     worst_z, worst = _first_min(zs, score(zs))
-    count = 2 * (grid.torus_angles if abs(worst_z) > grid.radii[-1] else grid.angles_per_radius)
-    ring = worst_z * np.exp(2j * np.pi * np.arange(count) / count)
+    count = 2 * (grid.torus_angles if boundary else grid.angles_per_radius)
+    ring = worst_z * roots_of_unity(count)
     ring_z, ring_min = _first_min(ring, score(ring))
     if ring_min < worst - 1e-12 * max(1.0, abs(worst)):
         worst_z, worst = ring_z, ring_min
@@ -197,8 +203,8 @@ def is_rho_contraction(t, rho: float, grid: DiscGrid | None = None,
     """Grid-certified membership test for the class of rho-contractions.
 
     True iff the spectral radius is at most 1 + tol and the smallest kernel
-    eigenvalue over the samples of ``grid_minimum`` is at least -tol.  The
-    torus is sampled only when T has no unit-circle spectrum.
+    eigenvalue over the samples of ``grid_minimum`` is at least -tol: the
+    torus when T has no unit-circle spectrum, else the interior circles.
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
@@ -215,17 +221,25 @@ def is_rho_contraction(t, rho: float, grid: DiscGrid | None = None,
                              boundary_sampled=boundary, grid=grid)
 
 
-def torus_nullspace(t, rho: float, z: complex, tol: float = NULLSPACE_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the kernel's null space at a unit-circle point.
+def torus_nullspace(t, rho: float, z, tol: float = NULLSPACE_TOL) -> list:
+    """Orthonormal basis of the kernel's null space at a unit-circle point z,
+    or one basis per point of a 1-d array z, from one stacked extraction.
 
-    Requires |z| = 1 and an empty unit-circle spectrum for T (checked;
-    TorusSpectrumError otherwise).  GapTooSmallError propagates from the
-    null-space extraction when the nullity is ill-determined.
+    Requires |z| = 1 at every point and an empty unit-circle spectrum for T
+    (checked once; TorusSpectrumError otherwise).  GapTooSmallError, raised
+    when a nullity is ill-determined, names the offending z.
     """
-    if abs(abs(z) - 1.0) > 1e-12:
-        raise ValueError(f"z must lie on the unit circle, got |z| = {abs(z)}")
+    zs = np.asarray(z, dtype=complex)
+    points = np.atleast_1d(zs)
+    off = np.abs(np.abs(points) - 1.0) > UNIT_CIRCLE_TOL
+    if np.any(off):
+        raise ValueError(f"z must lie on the unit circle, got |z| = {abs(points[off][0])}")
     a = as_cmatrix(t)
     if has_torus_spectrum(a):
         raise TorusSpectrumError("T has spectrum within tolerance of the unit circle")
-    k = rho_kernel(a, z, rho)
-    return nullspace(k.matrix, tol)
+    try:
+        bases = nullspace(_resolvent_sum(a, points, rho), tol)
+    except GapTooSmallError as exc:
+        raise GapTooSmallError(f"{exc} (at z = {complex(points[exc.index])})",
+                               index=exc.index) from exc
+    return bases if zs.ndim else bases[0]

@@ -41,10 +41,6 @@ def as_cmatrix(m) -> np.ndarray:
     return a
 
 
-def adjoint(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
-
-
 def spectral_norm(m) -> float:
     """Largest singular value."""
     a = as_cmatrix(m)
@@ -55,19 +51,21 @@ def spectral_norm(m) -> float:
 
 def spectral_radius(m) -> float:
     """Largest eigenvalue modulus."""
-    a = as_cmatrix(m)
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
+    return float(np.max(np.abs(np.linalg.eigvals(as_cmatrix(m)))))
 
 
 def _require_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
-    """Check the symmetry residual and return the symmetrized matrix."""
-    scale = max(np.max(np.abs(a)), 1e-300)
-    resid = np.max(np.abs(a - adjoint(a)))
-    if resid > rtol * scale:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: residual {resid:.3e} exceeds {rtol:.1e} * {scale:.3e}"
-        )
-    return 0.5 * (a + adjoint(a))
+    """Check the symmetry residual of each matrix (the last two axes), at its
+    own scale, and return the symmetrized array."""
+    ah = np.conj(np.swapaxes(a, -1, -2))
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
+    resid = np.max(np.abs(a - ah), axis=(-2, -1))
+    bad = np.ravel(resid > rtol * scale)
+    if np.any(bad):
+        i = np.argmax(bad)  # the first offender of a stack
+        raise NotHermitianError(f"matrix is not Hermitian: residual {np.ravel(resid)[i]:.3e} "
+                                f"exceeds {rtol:.1e} * {np.ravel(scale)[i]:.3e}")
+    return 0.5 * (a + ah)
 
 
 @dataclass(frozen=True)
@@ -84,15 +82,12 @@ class EigenResult:
 
 def hermitian_eigen(m, rtol: float = HERMITIAN_RTOL) -> EigenResult:
     """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
-    a = _require_hermitian(as_cmatrix(m), rtol)
-    values, vectors = np.linalg.eigh(a)
-    return EigenResult(values=values, vectors=vectors)
+    return EigenResult(*np.linalg.eigh(_require_hermitian(as_cmatrix(m), rtol)))
 
 
 def min_eig(m) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    a = _require_hermitian(as_cmatrix(m))
-    return float(np.linalg.eigvalsh(a)[0])
+    return float(np.linalg.eigvalsh(_require_hermitian(as_cmatrix(m)))[0])
 
 
 def inverse(m) -> np.ndarray:
@@ -108,29 +103,39 @@ def inverse(m) -> np.ndarray:
             f"condition number {svals[0] / max(svals[-1], 1e-300):.3e} exceeds {MAX_CONDITION:.1e}"
         )
     inv = np.linalg.inv(a)
-    eye = np.eye(a.shape[0])
-    resid = spectral_norm(a @ inv - eye)
+    resid = spectral_norm(a @ inv - np.eye(a.shape[0]))
     if resid > EIGEN_RESIDUAL_RTOL:
         raise SingularError(f"inversion residual {resid:.3e} exceeds {EIGEN_RESIDUAL_RTOL:.1e}")
     return inv
 
 
-def nullspace(m, tol: float = NULLSPACE_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the (numerical) null space of a Hermitian matrix.
+def nullspace(m, tol: float = NULLSPACE_TOL) -> list:
+    """Orthonormal basis of the (numerical) null space of a Hermitian matrix,
+    or one basis per matrix of a (k, d, d) stack, from one ``eigh``.
 
     Eigenvectors whose eigenvalue modulus is at most tol*||M|| are returned.
     Requires a spectral gap: the first eigenvalue above the null cluster must
     exceed 10*tol*||M||, otherwise the nullity is ill-determined and
-    GapTooSmallError is raised.
+    GapTooSmallError is raised, its ``index`` naming the first stack entry at
+    fault.  Every check is made per matrix, at that matrix's own scale.
     """
-    eig = hermitian_eigen(m)
-    scale = max(float(np.max(np.abs(eig.values))), 1e-300)
-    null_mask = np.abs(eig.values) <= tol * scale
-    kept = np.abs(eig.values) >= 10.0 * tol * scale
-    if np.any(~null_mask & ~kept):
-        offenders = eig.values[~null_mask & ~kept]
+    a = np.asarray(m, dtype=complex)
+    stacked = a.ndim == 3
+    a = a if stacked else as_cmatrix(a)[None]
+    if a.shape[1] != a.shape[2] or not np.all(np.isfinite(a)):
+        raise ValueError(f"expected a stack of finite square matrices, got shape {a.shape}")
+    values, vectors = np.linalg.eigh(_require_hermitian(a))
+    size = np.abs(values)
+    scale = np.maximum(np.max(size, axis=1), 1e-300)[:, None]
+    null_mask = size <= tol * scale
+    gap = ~null_mask & (size < 10.0 * tol * scale)
+    if np.any(gap):
+        i = int(np.argmax(gap.any(axis=1)))
         raise GapTooSmallError(
-            f"eigenvalues {offenders} fall between the null threshold "
-            f"{tol * scale:.3e} and the gap floor {10.0 * tol * scale:.3e}"
+            f"eigenvalues {values[i][gap[i]]} fall between the null threshold "
+            f"{tol * scale[i, 0]:.3e} and the gap floor {10.0 * tol * scale[i, 0]:.3e}",
+            index=i if stacked else None,
         )
-    return [eig.vectors[:, i].copy() for i in np.nonzero(null_mask)[0]]
+    bases = [[v[:, j].copy() for j in np.flatnonzero(mask)]
+             for v, mask in zip(vectors, null_mask)]
+    return bases if stacked else bases[0]

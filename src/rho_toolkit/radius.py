@@ -8,8 +8,8 @@ is, so the membership threshold of T/gamma at z is the largest real
 eigenvalue of a companion matrix of Q_z (Tisseur and Meerbergen, SIAM Rev.
 43, 2001; ``kernel.companion_threshold``).
 
-* ``radius_bisect`` — any matrix: the largest threshold over the disc
-  samples, floored at max(spectral radius, norm/rho).
+* ``radius_bisect`` — any matrix: the largest threshold over the
+  unit-circle samples, floored at max(spectral radius, norm/rho).
 * ``shift_radius`` — the unit-weight truncated shift S of size n + 1: the
   threshold at z = 1.  Exact closed forms at rho = 1, n + 2.
 * ``determinant_radius`` — first positive root of the kernel determinant in
@@ -183,7 +183,8 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
 
 def radius_bisect(t, rho: float, grid: DiscGrid | None = None) -> RadiusResult:
     """w_rho(T) of any matrix: max(lo, largest ``companion_threshold`` over
-    the disc samples, torus included), lo = max(spectral radius, norm/rho).
+    the torus samples), lo = max(spectral radius, norm/rho).  No interior
+    threshold exceeds that value (minimum principle, ``grid_minimum``).
 
     lo >= norm (rho = 1, normal T, T = 0) is exact: ``closed_form``.  A largest
     threshold x > lo is certified by |lambda_min Q_w(x)| <= 1e-6 rho x^2 at its

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .radius import shift_radius
+
 
 def make_shift(n: int, b: float) -> np.ndarray:
     """Truncated shift of size n+1 with superdiagonal weight b (> 0), n >= 0."""
@@ -32,7 +34,5 @@ def normalized_shift(n: int, rho: float) -> np.ndarray:
         raise ValueError("normalized_shift requires n >= 1")
     if rho < 1:
         raise ValueError("rho must be >= 1")
-    from .radius import shift_radius  # local import: radius depends on shifts
-
     w = shift_radius(n, rho).value
     return make_shift(n, 1.0 / w)

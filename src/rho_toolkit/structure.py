@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapTooSmallError, NotUnitaryError
+from .harnack import nullspace_equality
 from .kernel import torus_nullspace
 from .linalg import as_cmatrix, spectral_norm
+from .radius import radius_bisect
 from .shifts import make_shift, normalized_shift
 
 
@@ -69,17 +71,16 @@ def null_profile(n: int, rho: float, tol: float = 1e-7) -> NullProfile:
 
 def rotation_family_check(n: int, rho: float, z_samples, tol: float = 1e-7) -> float:
     """Worst principal-angle residual between the null space at z and the
-    rotated profile diag(1, z, ..., z^n) v."""
+    rotated profile diag(1, z, ..., z^n) v, from one stacked null-space call."""
     profile = null_profile(n, rho, tol)
-    s = normalized_shift(n, rho)
+    zs = np.asarray(z_samples, dtype=complex)
     powers = np.arange(n + 1)
     worst = 0.0
-    for z in z_samples:
-        vecs = torus_nullspace(s, rho, z)
+    for z, vecs in zip(zs, torus_nullspace(normalized_shift(n, rho), rho, zs)):
         if len(vecs) != 1:
             raise GapTooSmallError(f"nullity {len(vecs)} != 1 at z = {z}")
         u = vecs[0]
-        w = (np.asarray(z, dtype=complex) ** powers) * profile.v
+        w = (z ** powers) * profile.v
         w = w / np.linalg.norm(w)
         worst = max(worst, float(1.0 - abs(np.vdot(u, w))))
     return worst
@@ -254,9 +255,6 @@ def c2_orbit_report(n: int, theta_samples, tol: float = 1e-7) -> list[C2OrbitEnt
     theta.  Even dimension: a phase twist at the middle coordinate must be
     equivalent only at theta = 0 (mod 2 pi).
     """
-    from .harnack import nullspace_equality
-    from .radius import radius_bisect
-
     a = 1.0 / math.cos(math.pi / (n + 2))
     s = make_shift(n, a)
     entries = []

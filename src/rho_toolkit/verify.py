@@ -26,7 +26,7 @@ from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            kernel_det_state, mixed_identity_residual,
                            oscillatory_closed_form, recurrence_roots)
 from .harnack import domination_constant
-from .kernel import DiscGrid, default_grid, rho_kernel
+from .kernel import DiscGrid, default_grid, rho_kernel, roots_of_unity
 from .linalg import spectral_norm
 from .radius import (critical_rho, determinant_radius, omega_of_rho_curve,
                      radius_bisect, shift_radius)
@@ -47,6 +47,10 @@ class CheckResult:
     note: str = ""
 
 
+# the fields of one check in the JSON and CSV reports, in order
+_COLUMNS = ("id", "paper_location", "expected", "computed", "tolerance", "pass", "note")
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     checks: tuple
@@ -65,28 +69,15 @@ class VerifyReport:
         return [c for c in self.checks if not c.passed]
 
     def to_json_dict(self) -> dict:
-        return {
-            "summary": self.summary,
-            "checks": [
-                {
-                    "id": c.id,
-                    "paper_location": c.paper_location,
-                    "expected": c.expected,
-                    "computed": c.computed,
-                    "tolerance": c.tolerance,
-                    "pass": c.passed,
-                    "note": c.note,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"summary": self.summary,
+                "checks": [dict(zip(_COLUMNS, (c.id, c.paper_location, c.expected, c.computed,
+                                               c.tolerance, c.passed, c.note)))
+                           for c in self.checks]}
 
     def to_csv_rows(self) -> list:
-        rows = [["id", "paper_location", "expected", "computed", "tolerance", "pass", "note"]]
-        for c in self.checks:
-            rows.append([c.id, c.paper_location, repr(c.expected), repr(c.computed),
-                         repr(c.tolerance), str(c.passed), c.note])
-        return rows
+        return [list(_COLUMNS)] + [
+            [c.id, c.paper_location, repr(c.expected), repr(c.computed), repr(c.tolerance),
+             str(c.passed), c.note] for c in self.checks]
 
     def to_text(self) -> str:
         lines = []
@@ -259,7 +250,7 @@ def _c05_null_profiles(n_max, seed):
 
 
 def _c06_rotation_family(n_max, seed):
-    roots = np.exp(2j * np.pi * np.arange(16) / 16)
+    roots = roots_of_unity(16)
     checks = []
     for n in range(1, _cap(12, n_max) + 1):
         worst = 0.0

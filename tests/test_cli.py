@@ -140,6 +140,12 @@ class TestNullspaceCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["nullity"] == 1
 
+    def test_shift_with_matrix_is_usage_error(self, tmp_path, capsys):
+        # as for radius and kernel: the two operands exclude each other
+        path = write_matrix(tmp_path, "s.json", normalized_shift(1, 2.0))
+        assert main(["nullspace", "--shift", "2", "--matrix", path, "--rho", "2"]) == 2
+        assert "exactly one of --shift or --matrix" in capsys.readouterr().err
+
 
 class TestHarnackCommand:
     def test_identical_operaands(self, tmp_path, capsys):

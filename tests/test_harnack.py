@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rho_toolkit import (DiscGrid, InteriorSingularError, TorusSpectrumError,
-                         are_harnack_equivalent, canonical_form_c2,
+from rho_toolkit import (DiscGrid, GapTooSmallError, InteriorSingularError,
+                         TorusSpectrumError, are_harnack_equivalent, canonical_form_c2,
                          domination_constant, make_shift, normalized_shift,
                          nullspace_equality, torus_spectrum_check)
 
@@ -113,8 +113,28 @@ class TestNullspaceEquality:
         assert all(r.dim1 == 0 and r.dim0 == 1 for r in report.records)
 
     def test_rejects_torus_spectrum(self):
-        with pytest.raises(TorusSpectrumError):
+        with pytest.raises(TorusSpectrumError, match="T1 has spectrum"):
             nullspace_equality(np.diag([1.0, 0.0]), make_shift(1, 1.0), 2.0)
+        with pytest.raises(TorusSpectrumError, match="T0 has spectrum"):
+            nullspace_equality(make_shift(1, 1.0), np.diag([1.0, 0.0]), 2.0)
+
+    def test_gap_failure_names_z(self):
+        # K_z of the 2x2 shift of weight a has eigenvalues 2 +- a on the
+        # circle at rho = 2: a = 2 (1 - 3e-8) leaves 6e-8, inside the gap
+        bad = make_shift(1, 2.0 * (1.0 - 3e-8))
+        with pytest.raises(GapTooSmallError, match=r"\(at z = \(1\+0j\)\)"):
+            nullspace_equality(normalized_shift(1, 2.0), bad, 2.0, torus_angles=8)
+
+    def test_one_spectrum_check_per_matrix(self, monkeypatch):
+        import rho_toolkit.kernel as kernel
+
+        calls = []
+        original = kernel.has_torus_spectrum
+        monkeypatch.setattr(kernel, "has_torus_spectrum",
+                            lambda t: calls.append(t) or original(t))
+        s = normalized_shift(2, 2.0)
+        nullspace_equality(s, s, 2.0, torus_angles=32)
+        assert len(calls) == 2
 
 
 class TestAreHarnackEquivalent:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rho_toolkit import (DiscGrid, SingularError, TorusSpectrumError,
-                         congruence_factor, is_rho_contraction, make_shift,
+from rho_toolkit import (DiscGrid, GapTooSmallError, SingularError,
+                         TorusSpectrumError, congruence_factor, is_rho_contraction, make_shift,
                          normalized_shift, nullspace, rho_kernel,
-                         spectral_norm, torus_nullspace)
-from rho_toolkit.kernel import companion_threshold, grid_minimum
+                         spectral_norm, spectral_radius, torus_nullspace)
+from rho_toolkit.kernel import (_resolvent_sum, companion_threshold, grid_minimum,
+                                roots_of_unity)
 
 
 class TestRhoKernel:
@@ -123,6 +124,28 @@ class TestDiscGrid:
         with pytest.raises(ValueError):
             DiscGrid(radii=(0.5, 1.0))
 
+    def test_roots_of_unity_match_the_former_builders(self):
+        # the disc rings and the null-space sweep built exp(i theta) from a
+        # real theta; the witness ring and c06 divided a complex array, which
+        # can differ by an ulp, but not at the power-of-two counts in use
+        for k in range(1, 300):
+            pts = roots_of_unity(k)
+            np.testing.assert_array_equal(pts, np.exp(1j * (2.0 * np.pi * np.arange(k) / k)))
+            np.testing.assert_array_equal(
+                pts, [complex(np.exp(2j * np.pi * j / k)) for j in range(k)])
+        for k in (4, 8, 16, 32, 64, 128, 256, 512):
+            np.testing.assert_array_equal(roots_of_unity(k),
+                                          np.exp(2j * np.pi * np.arange(k) / k))
+
+    def test_grid_minimum_scores_one_point_set(self):
+        grid = DiscGrid(radii=(0.3, 0.6), angles_per_radius=8, torus_angles=16)
+        for boundary, first, ring in ((True, grid.torus_points(), 32),
+                                      (False, grid.interior_points(), 16)):
+            seen = []
+            grid_minimum(lambda zs: seen.append(zs) or np.abs(zs - 0.5), grid, boundary)
+            np.testing.assert_array_equal(seen[0], first)
+            assert len(seen) == 2 and len(seen[1]) == ring
+
     def test_grid_minimum_refines_witness_ring(self):
         # the minimum sits midway between two samples; the doubled ring
         # anchored at the first of them lands on it
@@ -150,6 +173,34 @@ class TestCompanionThreshold:
         t = make_shift(4, 1.0)
         value = companion_threshold(t.real, np.ones(1), 2.0)[0]
         assert value == pytest.approx(math.cos(math.pi / 6), abs=1e-12)
+
+
+class TestMinimumPrinciple:
+    """Why one point set per sweep is enough (``grid_minimum``)."""
+
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(5150)
+        for d in range(2, 9):
+            for rho in (1.5, 2.0, 3.0, 5.0):
+                t = np.triu(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                yield t, rho
+
+    def test_interior_thresholds_stay_below_the_torus_bound(self):
+        grid = DiscGrid()
+        for t, rho in self.matrices():
+            lo = max(spectral_radius(t), spectral_norm(t) / rho)
+            torus = companion_threshold(t, grid.torus_points(), rho).max()
+            interior = companion_threshold(t, grid.interior_points(), rho).max()
+            assert interior <= max(lo, torus)
+
+    def test_interior_kernel_stays_above_the_torus_minimum(self):
+        grid = DiscGrid()
+        for t, rho in self.matrices():
+            t = 0.9 * t / spectral_radius(t)
+            torus = np.linalg.eigvalsh(_resolvent_sum(t, grid.torus_points(), rho))[:, 0]
+            interior = np.linalg.eigvalsh(_resolvent_sum(t, grid.interior_points(), rho))[:, 0]
+            assert interior.min() >= torus.min()
 
 
 class TestIsRhoContraction:
@@ -202,6 +253,33 @@ class TestTorusNullspace:
         rotated = z ** np.arange(n + 1) * v1
         rotated /= np.linalg.norm(rotated)
         assert abs(abs(np.vdot(vz, rotated)) - 1.0) < 1e-10
+
+    def test_array_call_matches_per_point_calls(self, rng):
+        zs = np.concatenate([roots_of_unity(16), np.exp(1j * rng.uniform(0, 2 * np.pi, 4))])
+        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        cases = [(normalized_shift(n, rho), rho) for n in range(1, 7) for rho in (1.5, 2.0, 3.0)]
+        cases.append((0.8 * t / spectral_radius(t), 2.0))
+        for s, rho in cases:
+            bases = torus_nullspace(s, rho, zs)
+            assert len(bases) == len(zs)
+            for z, got in zip(zs, bases):
+                want = torus_nullspace(s, rho, z)
+                assert len(got) == len(want)
+                if got:
+                    sigma = np.linalg.svd(np.conj(np.column_stack(got)).T
+                                          @ np.column_stack(want), compute_uv=False)
+                    assert 1.0 - sigma[-1] <= 1e-12
+
+    def test_gap_failure_names_z(self):
+        # eigenvalues 2 +- a on the circle at rho = 2; a just below 2 leaves
+        # 6e-8, between the null threshold and the gap floor
+        zs = roots_of_unity(4)
+        with pytest.raises(GapTooSmallError, match=r"at z = \(1\+0j\)"):
+            torus_nullspace(make_shift(1, 2.0 * (1.0 - 3e-8)), 2.0, zs)
+
+    def test_rejects_one_interior_point_of_an_array(self):
+        with pytest.raises(ValueError, match="unit circle"):
+            torus_nullspace(make_shift(1, 1.0), 2.0, np.array([1.0, 0.5, -1.0]))
 
     def test_strict_contraction_has_trivial_nullspace(self):
         assert torus_nullspace(make_shift(2, 0.9), 2.0, 1.0) == []

@@ -122,6 +122,34 @@ class TestNullspace:
         with pytest.raises(GapTooSmallError):
             nullspace(np.diag([0.0, 5e-8, 1.0]))
 
+    def test_stack_matches_per_matrix_calls(self, rng):
+        # nullities 0, 1, 2 and 3 at scales far apart, one eigh for the stack
+        d = 5
+        stack = []
+        for k, scale in ((0, 1.0), (1, 1e-6), (2, 3.0), (3, 1e4)):
+            values = np.concatenate([np.zeros(k), rng.uniform(0.5, 2.0, d - k)])
+            basis = random_unitary(rng, d)
+            stack.append(scale * (basis * values) @ basis.conj().T)
+        stack = np.array(stack)
+        bases = nullspace(stack)
+        assert len(bases) == len(stack)
+        for m, got in zip(stack, bases):
+            want = nullspace(m)
+            assert len(got) == len(want)
+            for u, v in zip(got, want):
+                np.testing.assert_array_equal(u, v)
+
+    def test_stack_with_one_non_hermitian_matrix(self):
+        stack = np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]], np.eye(2)])
+        with pytest.raises(NotHermitianError):
+            nullspace(stack)
+
+    def test_stack_gap_error_names_its_index(self):
+        stack = np.array([np.eye(3), np.diag([0.0, 1.0, 1.0]), np.diag([0.0, 5e-8, 1.0])])
+        with pytest.raises(GapTooSmallError) as info:
+            nullspace(stack)
+        assert info.value.index == 2
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(0, 2))
     def test_nullity_invariant_under_unitary_conjugation(self, seed, d, k):
