@@ -5,8 +5,10 @@ The toolkit offers three routes to w_rho(S_{n+1}(1)):
   1. the companion eigenvalue (the largest real eigenvalue of a 2(n+1) x
      2(n+1) linearization of the kernel at z = 1; ``shift_radius``, which
      also returns the auxiliary angle omega for 1 < rho < n+2),
-  2. the first root of the kernel determinant in the weight (recurrence plus
-     smallest-eigenvalue bisection, works for every rho > 1),
+  2. the first weight where the kernel at z = 1 stops being positive definite
+     (``determinant_radius``: a bisection on Sylvester's pivots of the
+     determinant recurrence, cross-checked by one on the smallest eigenvalue;
+     works for every rho > 1),
   3. the grid route: the largest membership threshold of T/gamma over the
      disc samples, each the largest real eigenvalue of the same companion
      built at that point (``radius_bisect``; works for ANY matrix, so it

@@ -4,7 +4,7 @@ Harnack domination of finite complex matrices."""
 from .determinants import (AngleSystemReport, RecurrenceState, angle_system_report,
                            capped_kernel_det, capped_kernel_det_matrix,
                            critical_closed_form, discriminant, kernel_det,
-                           kernel_det_matrix, kernel_det_state,
+                           kernel_det_matrix, kernel_det_state, kernel_is_positive,
                            mixed_identity_residual, oscillatory_closed_form,
                            recurrence_roots)
 from .errors import (BracketInvalidError, GapTooSmallError, InteriorSingularError,

@@ -84,6 +84,22 @@ def kernel_det(k: int, a: float, rho: float) -> float:
     return _unscale(state.values[k], state.scale_pow10)
 
 
+def kernel_is_positive(k: int, a: float, rho: float) -> bool:
+    """Whether the (k+1)x(k+1) shift-kernel matrix is positive definite, by
+    Sylvester's criterion on the pivots q_j = D_j/D_{j-1}: q_0 = rho,
+    q_1 = (rho^2 - a^2)/rho, q_j = alpha - beta/q_{j-1} (Barth, Martin &
+    Wilkinson, Numer. Math. 9, 1967).  A positive pivot never exceeds alpha."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    alpha, beta = RecurrenceState.coefficients(a, rho)
+    q = rho
+    for j in range(k):
+        if not q > 0:
+            return False
+        q = (rho * rho - a * a) / rho if j == 0 else alpha - beta / q
+    return q > 0
+
+
 def capped_kernel_det(m: int, a: float, rho: float) -> float:
     """Same determinant but with the last diagonal entry replaced by 1."""
     if m < 0:

@@ -12,9 +12,9 @@ eigenvalue of a companion matrix of Q_z (Tisseur and Meerbergen, SIAM Rev.
   unit-circle samples, floored at max(spectral radius, norm/rho).
 * ``shift_radius`` — the unit-weight truncated shift S of size n + 1: the
   threshold at z = 1.  Exact closed forms at rho = 1, n + 2.
-* ``determinant_radius`` — first positive root of the kernel determinant in
-  the weight, computed twice (recurrence and smallest-eigenvalue bisection)
-  and required to agree; the independent oracle for ``shift_radius``.
+* ``determinant_radius`` — the first weight where the z = 1 kernel stops
+  being positive definite, by two bisections on [1, rho] that must agree
+  (Sylvester's pivots, smallest eigenvalue); the oracle for ``shift_radius``.
 
 For 1 < rho < n + 2 and n >= 2, x = w_rho and an angle w solve
 
@@ -31,13 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinants import kernel_det, kernel_det_matrix
+from .determinants import kernel_det, kernel_det_matrix, kernel_is_positive
 from .errors import BracketInvalidError, NoRootError, NotNilpotentError
 from .kernel import DEFAULT_PSD_TOL, DiscGrid, companion_threshold, default_grid, grid_minimum
 from .kernel import is_rho_contraction  # noqa: F401, bound by perfbench/test_bench.py
 from .linalg import as_cmatrix, spectral_norm, spectral_radius
 
 BISECT_MAX_ITER = 200
+CERTIFICATE_TOL = 1e-6  # |lambda_min| at a radius, relative to the kernel's scale
+ROUTE_AGREEMENT = 100.0  # tol units by which determinant_radius's bisections may part
 
 
 @dataclass(frozen=True)
@@ -72,58 +74,45 @@ def _boundary_min_eig(n: int, a: float, rho: float) -> float:
 
 
 def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
-    """w_rho of the unit-weight shift via the first kernel singularity.
+    """w_rho = 1/a* of the unit-weight shift, a* > 1 the first weight with a
+    singular kernel at z = 1.
 
-    The reciprocal weight a* is the smallest a > 1 with a singular kernel at
-    z = 1; it is computed both as the first sign change of the determinant
-    recurrence and by bisection on the smallest eigenvalue, and the two must
-    agree (NoRootError otherwise).  The bracket [1, rho] is guaranteed: the
-    order-2 leading principal minor rho^2 - a^2 goes negative beyond a = rho.
+    The kernel is positive definite at a = 1 (BracketInvalidError if not) and
+    not at a = rho (minor rho^2 - a^2).  Assuming the positive definite weights
+    form the interval [1, a*), which no sampled (n, rho) contradicts, a* is
+    bisected on [1, rho] twice: on Sylvester's criterion (``kernel_is_positive``)
+    and on the smallest eigenvalue, which must agree to ROUTE_AGREEMENT * tol
+    (NoRootError).  ``bracket`` is the last Sylvester interval as radii.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not rho > 1:
         raise ValueError("determinant route requires rho > 1")
+    if not kernel_is_positive(n, 1.0, rho):
+        raise BracketInvalidError("kernel not positive definite at a = 1")
 
-    # locate the first sign change of the determinant on [1, rho]; the root
-    # spacing shrinks roughly like 1/n^2 near weight 1 for large rho, so the
-    # scan densifies with n (a missed first root would be caught loudly by
-    # the eigenvalue cross-check below, which then sees no sign change)
-    samples = np.linspace(1.0, rho, max(2001, 400 * n + 1))
-    vals = np.array([kernel_det(n, a, rho) for a in samples])
-    if vals[0] <= 0:
-        raise BracketInvalidError("kernel determinant not positive at a = 1")
-    crossings = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-    if crossings.size == 0:
-        raise BracketInvalidError(
-            f"kernel determinant has no sign change on [1, {rho}]; "
-            "the weight bound a <= rho is violated"
-        )
-    i = int(crossings[0])
-
-    def bisect(f, lo: float, hi: float) -> float:
-        flo = f(lo)
+    def bisect(positive) -> tuple[float, float]:
+        lo, hi = 1.0, float(rho)
         for _ in range(BISECT_MAX_ITER):
             if hi - lo < tol * max(1.0, hi):
                 break
             mid = 0.5 * (lo + hi)
-            if np.sign(f(mid)) == np.sign(flo):
+            if positive(mid):
                 lo = mid
             else:
                 hi = mid
-        return 0.5 * (lo + hi)
+        return lo, hi
 
-    a_rec = bisect(lambda a: kernel_det(n, a, rho), samples[i], samples[i + 1])
-    a_eig = bisect(lambda a: _boundary_min_eig(n, a, rho), samples[i], samples[i + 1])
-    if abs(a_rec - a_eig) > 100.0 * tol * max(1.0, a_rec):
+    lo, hi = bisect(lambda a: kernel_is_positive(n, a, rho))
+    a_star = 0.5 * (lo + hi)
+    a_eig = 0.5 * sum(bisect(lambda a: _boundary_min_eig(n, a, rho) > 0))
+    if abs(a_star - a_eig) > ROUTE_AGREEMENT * tol * max(1.0, a_star):
         raise NoRootError(
-            f"determinant and eigenvalue routes disagree: {a_rec!r} vs {a_eig!r}"
+            f"Sylvester and eigenvalue routes disagree: {a_star!r} vs {a_eig!r}"
         )
-    a_star = float(a_rec)
     resid = abs(_boundary_min_eig(n, a_star, rho))
     return RadiusResult(value=1.0 / a_star, method="determinant_oracle", omega=None,
-                        residual=resid,
-                        bracket=(float(1.0 / samples[i + 1]), float(1.0 / samples[i])))
+                        residual=resid, bracket=(1.0 / hi, 1.0 / lo))
 
 
 def _system_residual(n: int, rho: float, x: float, w: float) -> float:
@@ -138,9 +127,9 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
 
     Exact at rho = 1 (norm 1) and rho = n + 2 (n/(n+2)); otherwise the
     companion threshold x of S at z = 1 (module docstring).  NoRootError
-    when the z = 1 kernel at weight 1/x is not singular to 1e-6 rho (x = -inf,
-    no real eigenvalue, included) or the radius system misses ``tol`` at
-    (x, omega).
+    when the z = 1 kernel at weight 1/x is not singular to CERTIFICATE_TOL rho
+    (x = -inf, no real eigenvalue, included) or the radius system misses
+    ``tol`` at (x, omega).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -158,7 +147,7 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
 
     x = float(companion_threshold(np.eye(n + 1, k=1), np.ones(1), rho)[0])
     certificate = abs(_boundary_min_eig(n, 1.0 / x, rho))
-    if certificate > 1e-6 * rho:
+    if certificate > CERTIFICATE_TOL * rho:
         raise NoRootError(
             f"companion eigenvalue {x!r} is off the kernel positivity boundary "
             f"(certificate {certificate:.3e}) for n={n}, rho={rho}"
@@ -187,8 +176,9 @@ def radius_bisect(t, rho: float, grid: DiscGrid | None = None) -> RadiusResult:
     threshold exceeds that value (minimum principle, ``grid_minimum``).
 
     lo >= norm (rho = 1, normal T, T = 0) is exact: ``closed_form``.  A largest
-    threshold x > lo is certified by |lambda_min Q_w(x)| <= 1e-6 rho x^2 at its
-    witness w (NoRootError if not); x above the norm is a bug (BracketInvalidError).
+    threshold x > lo is certified by |lambda_min Q_w(x)| <= CERTIFICATE_TOL rho
+    x^2 at its witness w (NoRootError if not); x above the norm is a bug
+    (BracketInvalidError).
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
@@ -212,7 +202,7 @@ def radius_bisect(t, rho: float, grid: DiscGrid | None = None) -> RadiusResult:
     q = (rho * x * x * np.eye(a.shape[0]) - (rho - 1.0) * x * (np.conj(w) * a + w * astar)
          + (rho - 2.0) * abs(w) ** 2 * (astar @ a))
     certificate = abs(float(np.linalg.eigvalsh(q)[0]))
-    if certificate > 1e-6 * rho * x * x:
+    if certificate > CERTIFICATE_TOL * rho * x * x:
         raise NoRootError(f"grid value {x!r} is off the positivity boundary at "
                           f"z={w!r} (certificate {certificate:.3e}), rho={rho}")
     return RadiusResult(value=x, method="grid_companion", omega=None,

@@ -49,11 +49,14 @@ class NullProfile:
 
 def null_profile(n: int, rho: float, tol: float = 1e-7) -> NullProfile:
     """Extract the kernel null vector of the normalized shift at z = 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    return _profile(normalized_shift(n, rho), rho, tol)
+
+
+def _profile(s: np.ndarray, rho: float, tol: float) -> NullProfile:
+    """``null_profile`` of the normalized shift s, already built."""
     if not rho > 1:
         raise ValueError("rho must be > 1")
-    s = normalized_shift(n, rho)
+    n = s.shape[0] - 1
     vecs = torus_nullspace(s, rho, 1.0, tol)
     if len(vecs) != 1:
         raise GapTooSmallError(
@@ -71,12 +74,14 @@ def null_profile(n: int, rho: float, tol: float = 1e-7) -> NullProfile:
 
 def rotation_family_check(n: int, rho: float, z_samples, tol: float = 1e-7) -> float:
     """Worst principal-angle residual between the null space at z and the
-    rotated profile diag(1, z, ..., z^n) v, from one stacked null-space call."""
-    profile = null_profile(n, rho, tol)
+    rotated profile diag(1, z, ..., z^n) v, from one normalized shift and one
+    stacked null-space call."""
+    s = normalized_shift(n, rho)
+    profile = _profile(s, rho, tol)
     zs = np.asarray(z_samples, dtype=complex)
     powers = np.arange(n + 1)
     worst = 0.0
-    for z, vecs in zip(zs, torus_nullspace(normalized_shift(n, rho), rho, zs)):
+    for z, vecs in zip(zs, torus_nullspace(s, rho, zs)):
         if len(vecs) != 1:
             raise GapTooSmallError(f"nullity {len(vecs)} != 1 at z = {z}")
         u = vecs[0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -36,7 +37,7 @@ from .structure import (c2_orbit_report, canonical_form_c2, commutant_dimension,
                         rotation_family_check)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     id: str
     paper_location: str
@@ -45,6 +46,12 @@ class CheckResult:
     tolerance: float
     passed: bool
     note: str = ""
+
+    def __post_init__(self):
+        # every pass of the battery rebuilds equal ids and notes; interned,
+        # the reports a caller keeps share one copy of each
+        object.__setattr__(self, "id", sys.intern(self.id))
+        object.__setattr__(self, "note", sys.intern(self.note))
 
 
 # the fields of one check in the JSON and CSV reports, in order

@@ -87,12 +87,22 @@ class TestRadiusCommand:
             main(["radius", "--shift", "2", "--rho", "2", "--method", "nope"])
         assert err.value.code == 2
 
-    def test_det_routes_disagreeing_is_numeric_error(self, capsys):
-        # just past the critical point the determinant's first root is nearly
-        # double and its two routes part ways
+    def test_det_routes_disagreeing_is_numeric_error(self, capsys, monkeypatch):
+        # both bisections agree on every shipped input, so the eigenvalue
+        # route is substituted by one whose first root sits at a = rho
+        import rho_toolkit.radius as radius
+
+        monkeypatch.setattr(radius, "_boundary_min_eig", lambda n, a, rho: rho - a)
         assert main(["radius", "--shift", "24", "--rho", "26.00000000000001",
                      "--method", "det"]) == 3
         assert "NoRootError" in capsys.readouterr().err
+
+    def test_det_near_double_root(self, capsys):
+        # just past the critical point the first root is nearly double
+        assert main(["radius", "--shift", "24", "--rho", "26.00000000000001",
+                     "--method", "det", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == pytest.approx(24 / 26, abs=1e-8)
 
     def test_missing_file_is_usage_error(self):
         assert main(["radius", "--matrix", "/no/such/file.json", "--rho", "2"]) == 2
@@ -217,6 +227,12 @@ class TestVerifyCommand:
         assert all(c["paper_location"] for c in payload["checks"])
         ids = [c["id"] for c in payload["checks"]]
         assert len(ids) == len(set(ids))
+
+    def test_kept_reports_share_ids_and_notes(self):
+        first, second = (verify.run_battery(n_max=3, criteria={"c03"}) for _ in range(2))
+        assert first == second
+        assert all(a.id is b.id and a.note is b.note
+                   for a, b in zip(first.checks, second.checks))
 
     def test_known_red_family_exits_one(self, capsys, monkeypatch):
         # every shipped criterion passes, so a failing one is substituted;

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rho_toolkit import (RecurrenceState, angle_system_report, capped_kernel_det,
                          capped_kernel_det_matrix, critical_closed_form,
                          determinant_radius, discriminant, kernel_det,
-                         kernel_det_matrix, kernel_det_state,
+                         kernel_det_matrix, kernel_det_state, kernel_is_positive,
                          mixed_identity_residual, oscillatory_closed_form,
                          recurrence_roots, rho_kernel, make_shift)
 
@@ -50,6 +50,44 @@ def test_kernel_det_is_boundary_kernel_determinant():
         np.testing.assert_allclose(ev.matrix.real, kernel_det_matrix(k, a, rho), atol=1e-12)
         assert np.linalg.det(ev.matrix).real == pytest.approx(
             kernel_det(k, a, rho), rel=1e-10)
+
+
+@st.composite
+def shift_kernels(draw):
+    """(n, rho) with n in 1..24 and rho in (1, 3n + 7]."""
+    n = draw(st.integers(1, 24))
+    return n, draw(st.floats(1.0, 3.0 * n + 7.0, exclude_min=True))
+
+
+class TestKernelIsPositive:
+    @settings(max_examples=40, deadline=None)
+    @given(shift_kernels())
+    def test_positive_on_a_prefix_of_the_weights(self, kernel):
+        # the interval [1, a*) that determinant_radius bisects on
+        n, rho = kernel
+        verdicts = [kernel_is_positive(n, a, rho) for a in np.linspace(1.0, rho, 1000)]
+        first_false = verdicts.index(False)
+        assert first_false >= 1
+        assert not any(verdicts[first_false:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(shift_kernels())
+    def test_matches_smallest_eigenvalue(self, kernel):
+        # past a = rho as well, where the first pivot is the negative one
+        n, rho = kernel
+        weights = np.linspace(1.0, 2.0 * rho, 1000)
+        lam = np.linalg.eigvalsh(np.stack([kernel_det_matrix(n, a, rho)
+                                           for a in weights]))[:, 0]
+        for a, lam_min in zip(weights, lam):
+            if abs(lam_min) > 1e-9 * rho:
+                assert kernel_is_positive(n, a, rho) == (lam_min > 0)
+
+    def test_small_orders(self):
+        assert kernel_is_positive(0, 5.0, 2.0)
+        assert not kernel_is_positive(0, 0.5, -1.0)
+        assert kernel_is_positive(1, 1.9, 2.0) and not kernel_is_positive(1, 2.0, 2.0)
+        with pytest.raises(ValueError):
+            kernel_is_positive(-1, 1.0, 2.0)
 
 
 class TestDiscriminant:

@@ -92,6 +92,15 @@ class TestDeterminantRadius:
         with pytest.raises(ValueError):
             determinant_radius(3, 1.0)
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_bracket_holds_the_value(self, tol):
+        for n in (1, 2, 5, 12, 24):
+            for rho in (1.001, 2.0, (n + 3) / 2.0, n + 2.0, 3.0 * n + 7.0):
+                res = determinant_radius(n, rho, tol=tol)
+                lo, hi = res.bracket
+                assert lo <= res.value <= hi
+                assert hi - lo <= tol * hi
+
 
 class TestRadiusBisect:
     def test_unimodular_scalar(self):

@@ -75,6 +75,16 @@ class TestRotationFamily:
     def test_negative_point_dim3(self):
         assert rotation_family_check(2, 2.0, [-1.0]) <= 1e-9
 
+    def test_one_shift_radius_per_check(self, monkeypatch):
+        import rho_toolkit.shifts as shifts
+
+        calls = []
+        original = shifts.shift_radius
+        monkeypatch.setattr(shifts, "shift_radius",
+                            lambda n, rho: calls.append((n, rho)) or original(n, rho))
+        rotation_family_check(5, 2.0, np.exp(2j * np.pi * np.arange(8) / 8))
+        assert calls == [(5, 2.0)]
+
 
 class TestReversalSymmetry:
     @pytest.mark.parametrize("n,rho", [(1, 1.5), (1, 3.5), (2, 2.0), (5, 2.0),
