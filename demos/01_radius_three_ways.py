@@ -9,9 +9,11 @@ The toolkit offers three routes to w_rho(S_{n+1}(1)):
      (``determinant_radius``: a bisection on Sylvester's pivots of the
      determinant recurrence, cross-checked by one on the smallest eigenvalue;
      works for every rho > 1),
-  3. the grid route: the largest membership threshold of T/gamma over the
-     disc samples, each the largest real eigenvalue of the same companion
-     built at that point (``radius_bisect``; works for ANY matrix, so it
+  3. the level-set route: the largest membership threshold of T/gamma on
+     the unit circle, each the largest real eigenvalue of the same companion
+     built at that point, found by a criss-cross iteration that locates every
+     crossing of the current level from one eigenproblem and stops when no
+     crossing is left (``radius_bisect``; works for ANY matrix, so it
      cross-checks the shift-specific routes).
 
 They must agree; this script prints the comparison table plus the closed
@@ -28,13 +30,13 @@ from rho_toolkit import (critical_rho, determinant_radius, make_shift,
 print("=" * 72)
 print("three-way agreement, n = 4")
 print("=" * 72)
-print(f"{'rho':>6} | {'companion':>16} | {'determinant':>16} | {'grid':>16}")
+print(f"{'rho':>6} | {'companion':>16} | {'determinant':>16} | {'level set':>16}")
 n = 4
 for rho in (1.3, 2.0, 3.5, 6.0, 9.0):
     w_comp = shift_radius(n, rho).value
     w_det = determinant_radius(n, rho).value
-    w_grid = radius_bisect(make_shift(n, 1.0), rho).value
-    print(f"{rho:6.2f} | {w_comp:16.12f} | {w_det:16.12f} | {w_grid:16.12f}")
+    w_level = radius_bisect(make_shift(n, 1.0), rho).value
+    print(f"{rho:6.2f} | {w_comp:16.12f} | {w_det:16.12f} | {w_level:16.12f}")
 
 print()
 print("closed form at rho = 2: w_2(S_{n+1}) = cos(pi/(n+2))")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -118,8 +119,10 @@ def _cmd_radius(args) -> int:
         if args.method == "det":
             raise UsageError("method 'det' applies to shifts only")
         res = radius_bisect(t, args.rho)
+    stats = {k: [v.real, v.imag] if isinstance(v, complex) else v
+             for k, v in res.stats.items()}
     payload = {"value": res.value, "method": res.method, "omega": res.omega,
-               "residual": res.residual, "bracket": list(res.bracket)}
+               "residual": res.residual, "bracket": list(res.bracket), "stats": stats}
     omega = "" if res.omega is None else f" omega={_fmt(res.omega)}"
     _emit(payload, args.json,
           [f"value={_fmt(res.value)} method={res.method}{omega} residual={res.residual:.3e}"])
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=float, default=1.0, help="shift weight (B > 0)")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--method", choices=("auto", "bisect", "det"), default="auto",
-                   help="bisect: the grid companion route, any matrix")
+                   help="bisect: the level-set route, any matrix")
     p.add_argument("--tol", type=float, default=1e-8, help="auto and det only")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_radius)
@@ -390,9 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: the tree costs more than a radius solve
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -168,9 +168,7 @@ def grid_minimum(score, grid: DiscGrid, boundary: bool) -> tuple[complex, float]
     # One point set is enough.  If T has no unit-circle spectrum and spectral
     # radius below 1, K_z is harmonic on a neighbourhood of the closed disc,
     # so lambda_min K_z (a minimum of harmonic <K_z x, x>) is superharmonic
-    # and smallest on the circle.  For the radius route, any gamma above
-    # max(lo, torus maximum threshold) makes Q_z(gamma) > 0 on the circle, so
-    # K_z(T/gamma) >= 0 on the whole disc: no interior threshold exceeds gamma.
+    # and smallest on the circle.
     zs = grid.torus_points() if boundary else grid.interior_points()
     worst_z, worst = _first_min(zs, score(zs))
     count = 2 * (grid.torus_angles if boundary else grid.angles_per_radius)

@@ -8,8 +8,12 @@ is, so the membership threshold of T/gamma at z is the largest real
 eigenvalue of a companion matrix of Q_z (Tisseur and Meerbergen, SIAM Rev.
 43, 2001; ``kernel.companion_threshold``).
 
-* ``radius_bisect`` — any matrix: the largest threshold over the
-  unit-circle samples, floored at max(spectral radius, norm/rho).
+* ``radius_bisect`` — any matrix: the largest threshold on the unit
+  circle, floored at max(spectral radius, norm/rho), by the level-set
+  (criss-cross) iteration of Boyd and Balakrishnan (Systems Control Lett.
+  15, 1990) and Mengi and Overton (IMA J. Numer. Anal. 25, 2005): each step
+  finds every point where Q_z(gamma) is singular from one 2d x 2d
+  eigenproblem and moves gamma to the best midpoint threshold.
 * ``shift_radius`` — the unit-weight truncated shift S of size n + 1: the
   threshold at z = 1.  Exact closed forms at rho = 1, n + 2.
 * ``determinant_radius`` — the first weight where the z = 1 kernel stops
@@ -27,18 +31,20 @@ For 1 < rho < n + 2 and n >= 2, x = w_rho and an angle w solve
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .determinants import kernel_det, kernel_det_matrix, kernel_is_positive
 from .errors import BracketInvalidError, NoRootError, NotNilpotentError
-from .kernel import DEFAULT_PSD_TOL, DiscGrid, companion_threshold, default_grid, grid_minimum
+from .kernel import DEFAULT_PSD_TOL, companion_threshold, roots_of_unity
 from .kernel import is_rho_contraction  # noqa: F401, bound by perfbench/test_bench.py
 from .linalg import as_cmatrix, spectral_norm, spectral_radius
 
 BISECT_MAX_ITER = 200
 CERTIFICATE_TOL = 1e-6  # |lambda_min| at a radius, relative to the kernel's scale
+LEVEL_GAP = 1e-10  # relative height above the level set's value that no threshold reaches
+CROSSING_TOL = 1e-4  # |Im s| cut-off, relative to max(1, |s|), of a candidate crossing
 ROUTE_AGREEMENT = 100.0  # tol units by which determinant_radius's bisections may part
 
 
@@ -47,10 +53,14 @@ class RadiusResult:
     """A computed radius with its provenance.
 
     value     -- the computed w_rho
-    method    -- one of grid_companion | companion | determinant_oracle | closed_form
+    method    -- one of level_set | companion | determinant_oracle | closed_form
     omega     -- auxiliary angle of the radius system when it exists, else None
     residual  -- defining-equation residual of the returned value
     bracket   -- final enclosing interval for the value
+    stats     -- how the value was found; filled by ``radius_bisect``'s level
+                 set (iterations, threshold_points, crossing_tol, witness),
+                 empty for ``shift_radius``, ``determinant_radius`` and the
+                 closed forms
     """
 
     value: float
@@ -58,6 +68,7 @@ class RadiusResult:
     omega: float | None
     residual: float
     bracket: tuple[float, float]
+    stats: dict = field(default_factory=dict)
 
 
 def critical_rho(n: int) -> tuple[float, float]:
@@ -170,15 +181,65 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
                         residual=max(certificate, resid), bracket=(x, x))
 
 
-def radius_bisect(t, rho: float, grid: DiscGrid | None = None) -> RadiusResult:
-    """w_rho(T) of any matrix: max(lo, largest ``companion_threshold`` over
-    the torus samples), lo = max(spectral radius, norm/rho).  No interior
-    threshold exceeds that value (minimum principle, ``grid_minimum``).
+def _q(a: np.ndarray, rho: float, g: float, z: complex) -> np.ndarray:
+    """Q_z(g) at a unit-circle point z (module docstring)."""
+    astar = np.conj(a.T)
+    return (rho * g * g * np.eye(a.shape[0]) - (rho - 1.0) * g * (np.conj(z) * a + z * astar)
+            + (rho - 2.0) * (astar @ a))
 
-    lo >= norm (rho = 1, normal T, T = 0) is exact: ``closed_form``.  A largest
-    threshold x > lo is certified by |lambda_min Q_w(x)| <= CERTIFICATE_TOL rho
-    x^2 at its witness w (NoRootError if not); x above the norm is a bug
-    (BracketInvalidError).
+
+def _crossing_angles(a: np.ndarray, rho: float, g: float, z0: complex) -> np.ndarray:
+    """Angles psi in (0, 2 pi), increasing, of the candidate points z0 e^{i psi}
+    where Q_z(g) is singular.
+
+    z = z0 (s + i)/(s - i) turns (s^2 + 1) Q_z(g) into s^2 Q_z0(g) + s B +
+    Q_-z0(g), B = 2 i (rho - 1) g (conj(z0) T - z0 T*), whose real roots s
+    give psi = 2 atan2(1, s).  With Q_z0(g) = L L* the roots are those of the
+    monic Hermitian L^-1 (...) L^-*, read off its companion scaled by
+    s = alpha mu, alpha^2 = ||L^-1 Q_-z0(g) L^-*|| (Fan, Lin and Van Dooren,
+    SIAM J. Matrix Anal. Appl. 26, 2004).  Roundoff moves a real root off the
+    axis by up to a few 1e-6 on ill-conditioned inputs, farther than some
+    complex pairs near a peak lie, so no cut-off tells them apart: every root
+    within CROSSING_TOL is a candidate and the caller judges each arc at its
+    midpoint.  NoRootError unless Q_z0(g) is positive definite.
+    """
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(_q(a, rho, g, z0)))
+    except np.linalg.LinAlgError as exc:
+        raise NoRootError(f"Q_z0 is not positive definite at z0={z0!r}, level {g!r}") from exc
+    d = a.shape[0]
+    mid = inv @ (2j * (rho - 1.0) * g * (np.conj(z0) * a - z0 * np.conj(a.T))) @ np.conj(inv.T)
+    low = inv @ _q(a, rho, g, -z0) @ np.conj(inv.T)
+    alpha = math.sqrt(np.linalg.norm(low))
+    c = np.zeros((2 * d, 2 * d), dtype=complex)
+    c[:d, :d], c[:d, d:], c[d:, :d] = -mid / alpha, -low / alpha ** 2, np.eye(d)
+    s = alpha * np.linalg.eigvals(c)
+    s = s[np.abs(s.imag) <= CROSSING_TOL * np.maximum(1.0, np.abs(s))].real
+    return np.sort(2.0 * np.arctan2(1.0, s))
+
+
+def radius_bisect(t, rho: float) -> RadiusResult:
+    """w_rho(T) of any matrix: max(lo, largest threshold on the unit circle),
+    lo = max(spectral radius, norm/rho), by a level-set iteration.  No
+    interior threshold exceeds that value: above it Q_z > 0 on the circle, so
+    K_z(T/gamma) >= 0 on the whole disc (minimum principle, ``grid_minimum``).
+
+    lo >= norm (rho = 1, normal T, T = 0) is exact: ``closed_form``.
+    Otherwise g starts at max(lo, largest ``companion_threshold`` over 8
+    roots of unity), anchored at z0, the sample of least threshold.  Each
+    step finds the candidate crossings of the level g (1 + LEVEL_GAP)
+    (``_crossing_angles``) and the thresholds at the midpoints of consecutive
+    ones; g becomes the largest of them while it exceeds the level, and the
+    iteration stops when none does (NoRootError after BISECT_MAX_ITER
+    steps).  An arc above the level lies between two crossings, so its
+    midpoint would exceed the level: the result is ``level_set`` with
+    bracket (x, x (1 + LEVEL_GAP)), x attained (or lo) and no circle
+    threshold above the upper end, to the accuracy of ``companion_threshold``
+    (about 3e-10 relative at rho = 300).  A threshold x > lo is certified by
+    |lambda_min Q_w(x)| <= CERTIFICATE_TOL rho x^2 at its witness w
+    (NoRootError if not); x above the norm is a bug (BracketInvalidError).
+    ``stats`` holds the steps, the threshold points, the crossing cut-off and
+    the witness; the other routes leave it empty.
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
@@ -188,25 +249,36 @@ def radius_bisect(t, rho: float, grid: DiscGrid | None = None) -> RadiusResult:
     if lo >= norm:
         return RadiusResult(value=lo, method="closed_form", omega=None,
                             residual=0.0, bracket=(lo, lo))
-    w, neg = grid_minimum(lambda zs: -companion_threshold(a, zs, rho),
-                          grid or default_grid(), True)
-    if -neg <= lo:
-        # T/lo is a member at every sample; w need not be on its boundary
-        return RadiusResult(value=lo, method="grid_companion", omega=None,
-                            residual=0.0, bracket=(lo, lo))
-    x = -neg
+    zs = roots_of_unity(8)
+    values = companion_threshold(a, zs, rho)
+    z0, i = complex(zs[np.argmin(values)]), int(np.argmax(values))
+    x, w = (float(values[i]), complex(zs[i])) if values[i] > lo else (lo, None)
+    points = len(zs)
+    for step in range(1, BISECT_MAX_ITER + 1):
+        level = x * (1.0 + LEVEL_GAP)
+        psi = _crossing_angles(a, rho, level, z0)
+        zs = z0 * np.exp(0.5j * (psi[:-1] + psi[1:]))
+        values = companion_threshold(a, zs, rho)
+        points += len(zs)
+        if not (len(zs) and values.max() > level):
+            break
+        i = int(np.argmax(values))
+        x, w = float(values[i]), complex(zs[i])
+    else:
+        raise NoRootError(f"level set not settled after {BISECT_MAX_ITER} steps, rho={rho}")
     if x > norm * (1.0 + DEFAULT_PSD_TOL):
-        raise BracketInvalidError(f"grid value {x!r} exceeds ||T|| = {norm!r} at "
+        raise BracketInvalidError(f"level-set value {x!r} exceeds ||T|| = {norm!r} at "
                                   f"rho={rho}: w_rho <= ||T|| fails, a bug")
-    astar = np.conj(a.T)
-    q = (rho * x * x * np.eye(a.shape[0]) - (rho - 1.0) * x * (np.conj(w) * a + w * astar)
-         + (rho - 2.0) * abs(w) ** 2 * (astar @ a))
-    certificate = abs(float(np.linalg.eigvalsh(q)[0]))
-    if certificate > CERTIFICATE_TOL * rho * x * x:
-        raise NoRootError(f"grid value {x!r} is off the positivity boundary at "
-                          f"z={w!r} (certificate {certificate:.3e}), rho={rho}")
-    return RadiusResult(value=x, method="grid_companion", omega=None,
-                        residual=certificate, bracket=(x, x))
+    certificate = 0.0  # the floor lo needs none: w_rho >= lo always
+    if w is not None:
+        certificate = abs(float(np.linalg.eigvalsh(_q(a, rho, x, w))[0]))
+        if certificate > CERTIFICATE_TOL * rho * x * x:
+            raise NoRootError(f"level-set value {x!r} is off the positivity boundary "
+                              f"at z={w!r} (certificate {certificate:.3e}), rho={rho}")
+    stats = {"iterations": step, "threshold_points": points,
+             "crossing_tol": CROSSING_TOL, "witness": w}
+    return RadiusResult(value=x, method="level_set", omega=None, residual=certificate,
+                        bracket=(x, x * (1.0 + LEVEL_GAP)), stats=stats)
 
 
 def nilpotent_bound(m: int, t, tol: float = 1e-5) -> bool:

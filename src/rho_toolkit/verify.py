@@ -139,7 +139,7 @@ def _c01_closed_form_rho2(n_max, seed):
         bis = radius_bisect(make_shift(n, 1.0), 2.0)
         checks.append(CheckResult(
             id=f"c01-closed-form-bisect-n{n:02d}",
-            paper_location="closed form of the rho=2 shift radius (grid route)",
+            paper_location="closed form of the rho=2 shift radius (level-set route)",
             expected=expected, computed=bis.value, tolerance=1e-5,
             passed=abs(bis.value - expected) <= 1e-5,
         ))

@@ -8,6 +8,7 @@ import pytest
 
 from rho_toolkit import make_shift, normalized_shift, verify
 from rho_toolkit.cli import MatrixDocument, load_matrix, main, save_matrix
+from rho_toolkit.radius import CROSSING_TOL
 
 
 def write_matrix(tmp_path, name, matrix, label=None):
@@ -58,7 +59,7 @@ class TestRadiusCommand:
         assert main(["radius", "--matrix", path, "--rho", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(1 / 3, abs=1e-6)
-        assert payload["method"] == "grid_companion"
+        assert payload["method"] == "level_set"
 
     def test_weight_scales_every_method(self, capsys):
         # w_rho(B S) = B w_rho(S) = 2 cos(pi/5) for N = 3, B = 2, rho = 2
@@ -77,6 +78,36 @@ class TestRadiusCommand:
         first = capsys.readouterr().out
         main(["radius", "--shift", "3", "--rho", "2.5", "--json"])
         assert capsys.readouterr().out == first
+
+    def test_parsed_state_does_not_leak_between_calls(self, capsys):
+        assert main(["radius", "--shift", "2", "--rho", "2", "--weight", "3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(
+            3 * math.cos(math.pi / 4), abs=1e-12)
+        assert main(["radius", "--shift", "2", "--rho", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(
+            math.cos(math.pi / 4), abs=1e-12)
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        from rho_toolkit import cli
+
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda real=cli.build_parser: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["radius", "--shift", "2", "--rho", "2"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_matrix_json_reports_stats(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "s.json", make_shift(3, 1.0))
+        assert main(["radius", "--matrix", path, "--rho", "2", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["iterations"] >= 1 and stats["threshold_points"] >= 8
+        assert stats["crossing_tol"] == CROSSING_TOL
+        assert abs(complex(*stats["witness"])) == pytest.approx(1.0, abs=1e-12)
 
     def test_usage_error_both_sources(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "s.json", make_shift(1, 1.0))

@@ -109,12 +109,12 @@ class TestRadiusBisect:
             assert res.value == 1.0
             assert res.bracket == (1.0, 1.0)
 
-    def test_dim2_critical(self, quick_grid):
-        res = radius_bisect(make_shift(1, 1.0), 3.0, quick_grid)
+    def test_dim2_critical(self):
+        res = radius_bisect(make_shift(1, 1.0), 3.0)
         assert res.value == pytest.approx(1.0 / 3.0, abs=1e-6)
 
-    def test_rho2_closed_form(self, quick_grid):
-        res = radius_bisect(make_shift(2, 1.0), 2.0, quick_grid)
+    def test_rho2_closed_form(self):
+        res = radius_bisect(make_shift(2, 1.0), 2.0)
         assert res.value == pytest.approx(math.cos(math.pi / 4), abs=1e-5)
 
     def test_normal_matrix_returns_lower_endpoint(self):
@@ -150,20 +150,156 @@ class TestRadiusBisect:
         res = radius_bisect(u @ make_shift(20, b) @ u.conj().T, 22.0)
         assert res.value == pytest.approx(b * 20 / 22, abs=1e-5)
 
-    def test_general_bracket_on_random_matrices(self, rng, quick_grid):
+    def test_general_bracket_on_random_matrices(self, rng):
         # norm/rho <= w_rho <= norm, and the membership predicate flips
-        # across the computed value
+        # across the computed value; the flip below it needs a grid fine
+        # enough to see the exact witness
         from rho_toolkit import is_rho_contraction, spectral_radius
 
         for _ in range(5):
             t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             rho = float(rng.uniform(1.0, 4.0))
-            res = radius_bisect(t, rho, quick_grid)
+            res = radius_bisect(t, rho)
             norm = spectral_norm(t)
             assert max(spectral_radius(t), norm / rho) - 1e-12 <= res.value <= norm + 1e-12
             if res.value > max(spectral_radius(t), norm / rho):
-                assert is_rho_contraction(t / (res.value * (1 + 1e-4)), rho, quick_grid)
-                assert not is_rho_contraction(t / (res.value * (1 - 1e-4)), rho, quick_grid)
+                assert is_rho_contraction(t / (res.value * (1 + 1e-4)), rho)
+                assert not is_rho_contraction(t / (res.value * (1 - 1e-4)), rho)
+
+
+def _numerical_radius(t: np.ndarray) -> float:
+    """max over theta of lambda_max Re(e^{-i theta} T) (w_2), on 2048 angles
+    and then by golden-section search around every sampled local maximum."""
+    tstar = t.conj().T
+
+    def f_many(thetas):
+        e = np.exp(-1j * thetas)[:, None, None]
+        return np.linalg.eigvalsh(0.5 * (e * t + np.conj(e) * tstar))[:, -1]
+
+    return _golden_max(lambda theta: float(f_many(np.atleast_1d(theta))[0]), f_many)
+
+
+def _threshold_max(t: np.ndarray, rho: float) -> float:
+    """Largest ``companion_threshold`` on the unit circle: 2048 angles, then
+    golden-section search around every sampled local maximum."""
+    from rho_toolkit.kernel import companion_threshold
+
+    def f(theta):
+        return float(companion_threshold(t, np.exp(1j * np.atleast_1d(theta)), rho)[0])
+
+    return _golden_max(f, lambda thetas: companion_threshold(t, np.exp(1j * thetas), rho))
+
+
+def _golden_max(f, f_many, k: int = 2048) -> float:
+    thetas = 2 * np.pi * np.arange(k) / k
+    v = f_many(thetas)
+    best = float(v.max())
+    g = (math.sqrt(5) - 1) / 2
+    for i in np.flatnonzero((v >= np.roll(v, 1)) & (v >= np.roll(v, -1))):
+        a, b = thetas[i] - 2 * np.pi / k, thetas[i] + 2 * np.pi / k
+        for _ in range(60):
+            c, d = b - g * (b - a), a + g * (b - a)
+            if f(c) >= f(d):
+                b = d
+            else:
+                a = c
+        best = max(best, f(0.5 * (a + b)))
+    return best
+
+
+class TestLevelSet:
+    @pytest.fixture(scope="class")
+    def rho2_inputs(self):
+        rng = np.random.default_rng(909)
+        return [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                for d in (3, 4, 5, 6, 7, 8) for _ in range(4)][:20]
+
+    def test_rho2_matches_dense_numerical_radius(self, rho2_inputs):
+        for t in rho2_inputs:
+            res = radius_bisect(t, 2.0)
+            ref = _numerical_radius(t)
+            assert abs(res.value - ref) <= 1e-9 * ref
+            assert res.method == "level_set"
+
+    def test_never_below_the_sampled_maximum(self, rho2_inputs):
+        from rho_toolkit.kernel import companion_threshold, roots_of_unity
+
+        for t in rho2_inputs:
+            sampled = float(companion_threshold(t, roots_of_unity(512), 2.0).max())
+            assert radius_bisect(t, 2.0).value >= sampled * (1 - 1e-12)
+
+    def test_bracket_and_certificate(self, rng):
+        from rho_toolkit.radius import CERTIFICATE_TOL, CROSSING_TOL, LEVEL_GAP
+
+        for rho in (1.01, 1.5, 3.0, 7.0, 30.0):
+            t = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+            res = radius_bisect(t, rho)
+            lo, hi = res.bracket
+            assert lo <= res.value <= hi
+            assert hi - lo == pytest.approx(LEVEL_GAP * res.value, rel=1e-6)
+            assert res.residual <= CERTIFICATE_TOL * rho * res.value ** 2
+            stats = res.stats
+            assert stats["crossing_tol"] == CROSSING_TOL
+            assert 1 <= stats["iterations"] <= 6
+            assert stats["threshold_points"] >= 8
+            assert abs(stats["witness"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rotation_invariant_shift_stops_after_one_step(self):
+        rng = np.random.default_rng(3)
+        u = random_unitary(rng, 8)
+        for t in (make_shift(7, 1.3), u @ make_shift(7, 1.3) @ u.conj().T):
+            res = radius_bisect(t, 4.0)
+            assert res.stats["iterations"] == 1
+            assert res.stats["threshold_points"] == 8
+            assert res.value == pytest.approx(1.3 * shift_radius(7, 4.0).value, rel=1e-10)
+
+    def test_twin_peaks(self, rng):
+        # w_rho(A (+) e^{i phi} A) = w_rho(A): two equal maxima, apart on the circle
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        t = np.zeros((6, 6), dtype=complex)
+        t[:3, :3], t[3:, 3:] = a, np.exp(2.1j) * a
+        for rho in (1.5, 2.0, 5.0):
+            single = radius_bisect(a, rho).value
+            assert radius_bisect(t, rho).value == pytest.approx(single, rel=1e-10)
+        assert radius_bisect(t, 2.0).value == pytest.approx(_numerical_radius(a), rel=1e-9)
+
+    def test_spurious_candidates_end_the_iteration(self, rng, monkeypatch):
+        # candidates whose arcs stay below the level cost a threshold each and
+        # leave the value as it is
+        from rho_toolkit import radius
+
+        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        clean = radius_bisect(t, 3.0)
+        real = radius._crossing_angles
+        monkeypatch.setattr(radius, "_crossing_angles", lambda *args: np.sort(
+            np.concatenate([real(*args), [0.1, 0.2, 6.2]])))
+        noisy = radius_bisect(t, 3.0)
+        assert noisy.value == pytest.approx(clean.value, rel=1e-12)
+        assert noisy.stats["threshold_points"] > clean.stats["threshold_points"]
+
+    def test_refuses_when_the_level_does_not_settle(self, rng, monkeypatch):
+        from rho_toolkit import NoRootError, radius
+
+        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        assert radius_bisect(t, 2.0).stats["iterations"] > 1
+        monkeypatch.setattr(radius, "BISECT_MAX_ITER", 1)
+        with pytest.raises(NoRootError, match="not settled"):
+            radius_bisect(t, 2.0)
+
+    @pytest.mark.parametrize("rho", [15.0, 30.0, 60.0])
+    def test_nilpotent_at_large_rho(self, rho):
+        # Q_z is ill-conditioned here (norm / w_rho up to 17): roundoff moves
+        # real crossings off the axis by up to 1e-4 of the plain companion
+        rng = np.random.default_rng([5, int(rho)])
+        for d in (3, 4, 5, 6, 7):
+            t = np.triu(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), 1)
+            ref = max(_threshold_max(t, rho), spectral_norm(t) / rho)
+            assert abs(radius_bisect(t, rho).value - ref) <= 1e-9 * ref
+
+    def test_other_routes_leave_stats_empty(self):
+        assert shift_radius(4, 2.5).stats == {}
+        assert determinant_radius(4, 2.5).stats == {}
+        assert radius_bisect(np.zeros((2, 2)), 2.0).stats == {}
 
 
 class TestThreeWayAgreement:
