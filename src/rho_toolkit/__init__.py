@@ -15,10 +15,9 @@ from .harnack import (HarnackCertificate, HarnackEvidence, NullspaceComparison,
                       are_harnack_equivalent, domination_constant,
                       nullspace_equality, torus_spectrum_check)
 from .kernel import (ContractionReport, DiscGrid, KernelEval, congruence_factor,
-                     default_grid, has_torus_spectrum, is_rho_contraction,
-                     rho_kernel, torus_nullspace)
-from .linalg import (EigenResult, as_cmatrix, hermitian_eigen, inverse, min_eig,
-                     nullspace, spectral_norm, spectral_radius)
+                     has_torus_spectrum, is_rho_contraction, rho_kernel,
+                     torus_nullspace)
+from .linalg import as_cmatrix, nullspace, spectral_norm, spectral_radius
 from .radius import (RadiusResult, critical_rho, determinant_radius,
                      nilpotent_bound, omega_of_rho_curve, radius_bisect,
                      shift_radius)

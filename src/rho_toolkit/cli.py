@@ -187,7 +187,7 @@ def _cmd_harnack(args) -> int:
     t1 = load_matrix(args.t1)
     t0 = load_matrix(args.t0)
     grid = DiscGrid(radii=tuple(float(r) for r in args.grid_radii.split(",")),
-                    angles_per_radius=args.angles, torus_angles=args.torus)
+                    angles_per_radius=args.angles)
     verdict, evidence = are_harnack_equivalent(t1, t0, args.rho, grid,
                                                torus_angles=args.torus)
     dims1, dims0 = evidence.nullspaces.nullities()

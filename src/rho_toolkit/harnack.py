@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InteriorSingularError, TorusSpectrumError
-from .kernel import (DiscGrid, _resolvent_sum, default_grid, near_torus, roots_of_unity,
-                     torus_nullspace)
+from .kernel import DiscGrid, _resolvent_sum, near_torus, roots_of_unity, torus_nullspace
 from .linalg import NULLSPACE_TOL, as_cmatrix
 
 # relative floor under which K(T0) counts as not positive definite
@@ -43,7 +42,7 @@ class HarnackCertificate:
     worst_z: complex
     direction: tuple[str, str]
     tol: float
-    grid: DiscGrid = field(repr=False, default_factory=default_grid)
+    grid: DiscGrid = field(repr=False, default_factory=DiscGrid)
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -62,7 +61,7 @@ def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
     a1, a0 = as_cmatrix(t1), as_cmatrix(t0)
     if a1.shape != a0.shape:
         raise ValueError("matrices must have equal dimensions")
-    grid = grid or default_grid()
+    grid = grid or DiscGrid()
     zs = grid.interior_points()
     k1 = _resolvent_sum(a1, zs, rho)
     k0 = _resolvent_sum(a0, zs, rho)
@@ -179,7 +178,7 @@ def are_harnack_equivalent(t1, t0, rho: float, grid: DiscGrid | None = None,
     directed grid domination constants are attached as corroboration, never
     as the verdict.
     """
-    grid = grid or default_grid()
+    grid = grid or DiscGrid()
     comparison = nullspace_equality(t1, t0, rho, torus_angles=torus_angles, tol=tol)
     dims1, dims0 = comparison.nullities()
     constant = len(dims1) == 1 and len(dims0) == 1

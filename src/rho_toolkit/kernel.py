@@ -1,25 +1,28 @@
-"""Operatorial rho-kernels and disc positivity tests.
+"""Operatorial rho-kernels and the rho-contraction test.
 
 The kernel of a matrix T at a point z of the closed unit disc is
 
     K_z^rho(T) = (I - conj(z) T)^-1 + (I - z T*)^-1 + (rho - 2) I,
 
-Hermitian by construction.  Membership of T in the class of rho-contractions
-is equivalent to sigma(T) inside the closed disc together with positivity of
-the kernel on the open disc; positivity is sampled on a DiscGrid, one point
-set per sweep: the unit circle when T has no spectrum there (the minimum
-principle puts the least positive samples there, ``grid_minimum``), else the
-interior circles.
+Hermitian by construction.  T is a rho-contraction exactly when its
+spectrum lies in the closed disc and the kernel is positive on the open
+disc, that is, when w_rho(T) <= 1; ``is_rho_contraction`` decides it from
+the level-set radius (``radius.radius_bisect``), not from kernel samples.
+DiscGrid samples the disc for the Harnack constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GapTooSmallError, SingularError, TorusSpectrumError
 from .linalg import NULLSPACE_TOL, as_cmatrix, nullspace
+
+if TYPE_CHECKING:
+    from .radius import RadiusResult
 
 # An eigenvalue this close (absolutely) to the unit circle counts as torus
 # spectrum; boundary kernel evaluation is then refused.
@@ -41,8 +44,9 @@ class DiscGrid:
     """Sampling grid for "for all z in the disc" statements.
 
     radii are the interior circles (increasing, inside (0, 1)), each with
-    angles_per_radius equispaced angles; torus_angles unit-circle points.  A
-    sweep samples one of the two sets, never both (``grid_minimum``).
+    angles_per_radius equispaced angles.  Nothing in the package reads
+    torus_angles; the field is kept, validated, for callers that still pass
+    it (the harnack-part workload of perfbench/workloads.py).
     """
 
     radii: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
@@ -60,13 +64,6 @@ class DiscGrid:
         """All interior samples, radius-major, angle 0 first on each ring."""
         ring = roots_of_unity(self.angles_per_radius)
         return np.concatenate([r * ring for r in self.radii])
-
-    def torus_points(self) -> np.ndarray:
-        return roots_of_unity(self.torus_angles)
-
-
-def default_grid() -> DiscGrid:
-    return DiscGrid()
 
 
 @dataclass(frozen=True)
@@ -152,71 +149,34 @@ def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray
     return out
 
 
-def _first_min(points: np.ndarray, values: np.ndarray) -> tuple[complex, float]:
-    # roundoff ties go to the earliest sample: rotation-invariant T gets z > 0
-    vmin = float(np.min(values))
-    tie = vmin + 1e-12 * max(1.0, abs(vmin))
-    i = int(np.argmax(values <= tie))
-    return complex(points[i]), float(values[i])
-
-
-def grid_minimum(score, grid: DiscGrid, boundary: bool) -> tuple[complex, float]:
-    """Smallest value of ``score`` (points -> values) over the torus samples
-    when ``boundary``, else over the interior ones, and its witness; one
-    refinement pass re-samples the witness ring at doubled angular resolution
-    from the witness angle."""
-    # One point set is enough.  If T has no unit-circle spectrum and spectral
-    # radius below 1, K_z is harmonic on a neighbourhood of the closed disc,
-    # so lambda_min K_z (a minimum of harmonic <K_z x, x>) is superharmonic
-    # and smallest on the circle.
-    zs = grid.torus_points() if boundary else grid.interior_points()
-    worst_z, worst = _first_min(zs, score(zs))
-    count = 2 * (grid.torus_angles if boundary else grid.angles_per_radius)
-    ring = worst_z * roots_of_unity(count)
-    ring_z, ring_min = _first_min(ring, score(ring))
-    if ring_min < worst - 1e-12 * max(1.0, abs(worst)):
-        worst_z, worst = ring_z, ring_min
-    return worst_z, worst
-
-
 @dataclass(frozen=True)
 class ContractionReport:
-    """Outcome of a grid positivity test, with the worst sample as witness."""
+    """Outcome of the rho-contraction test: ok is w_rho(T) <= 1 + tol, and
+    radius is the ``radius_bisect`` result it was read from (method, bracket
+    and, for ``level_set``, the witness in ``stats``)."""
 
     ok: bool
-    witness_z: complex
-    witness_min_eig: float
-    spectral_radius: float
     rho: float
     tol: float
-    boundary_sampled: bool
-    grid: DiscGrid = field(repr=False, default_factory=default_grid)
+    radius: RadiusResult
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def is_rho_contraction(t, rho: float, grid: DiscGrid | None = None,
-                       tol: float = DEFAULT_PSD_TOL) -> ContractionReport:
-    """Grid-certified membership test for the class of rho-contractions.
+def is_rho_contraction(t, rho: float, tol: float = DEFAULT_PSD_TOL) -> ContractionReport:
+    """Membership test for the class of rho-contractions: w_rho(T) <= 1 + tol.
 
-    True iff the spectral radius is at most 1 + tol and the smallest kernel
-    eigenvalue over the samples of ``grid_minimum`` is at least -tol: the
-    torus when T has no unit-circle spectrum, else the interior circles.
+    tol is relative slack on w_rho: T passes when T/(1 + tol) is a member.
+    It is not slack on a kernel eigenvalue, whose size follows the scale of
+    T.  w_rho(T) is at least the spectral radius, so no separate spectral
+    test is needed.  Errors of ``radius_bisect`` propagate.
     """
-    if rho < 1:
-        raise ValueError("rho must be >= 1")
-    a = as_cmatrix(t)
-    grid = grid or default_grid()
-    eigs = np.linalg.eigvals(a)
-    srad = float(np.max(np.abs(eigs))) if a.size else 0.0
-    boundary = not np.any(near_torus(eigs))
-    worst_z, worst = grid_minimum(
-        lambda zs: np.linalg.eigvalsh(_resolvent_sum(a, zs, rho))[:, 0], grid, boundary)
-    ok = srad <= 1.0 + tol and worst >= -tol
-    return ContractionReport(ok=ok, witness_z=worst_z, witness_min_eig=worst,
-                             spectral_radius=srad, rho=float(rho), tol=float(tol),
-                             boundary_sampled=boundary, grid=grid)
+    from .radius import radius_bisect  # radius imports this module
+
+    res = radius_bisect(t, rho)
+    return ContractionReport(ok=bool(res.value <= 1.0 + tol), rho=float(rho), tol=float(tol),
+                             radius=res)
 
 
 def torus_nullspace(t, rho: float, z, tol: float = NULLSPACE_TOL) -> list:

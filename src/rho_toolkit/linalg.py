@@ -1,8 +1,8 @@
 """Dense complex linear-algebra substrate.
 
 All operations work on square complex numpy arrays ("CMatrix" values) and are
-pure functions; nothing here mutates its inputs.  Eigen/inverse work is
-delegated to LAPACK through numpy, behind the contracts below:
+pure functions; nothing here mutates its inputs.  Eigen work is delegated
+to LAPACK through numpy, behind the contracts below:
 
 * Hermitian input is required (and checked) wherever the operation only makes
   sense for Hermitian matrices; after the check the matrix is symmetrized to
@@ -13,19 +13,15 @@ delegated to LAPACK through numpy, behind the contracts below:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import GapTooSmallError, NotHermitianError, SingularError
+from .errors import GapTooSmallError, NotHermitianError
 
-# Default tolerances (relative): eigen residual, Hermitian symmetry check,
-# null-space threshold.  The null-space default matches the conditioning of
-# the shift kernels up to dimension ~24 in double precision.
-EIGEN_RESIDUAL_RTOL = 1e-10
+# Default tolerances (relative): Hermitian symmetry check, null-space
+# threshold.  The null-space default matches the conditioning of the shift
+# kernels up to dimension ~24 in double precision.
 HERMITIAN_RTOL = 1e-12
 NULLSPACE_TOL = 1e-8
-MAX_CONDITION = 1e12
 
 
 def as_cmatrix(m) -> np.ndarray:
@@ -66,47 +62,6 @@ def _require_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarra
         raise NotHermitianError(f"matrix is not Hermitian: residual {np.ravel(resid)[i]:.3e} "
                                 f"exceeds {rtol:.1e} * {np.ravel(scale)[i]:.3e}")
     return 0.5 * (a + ah)
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Full spectral decomposition of a Hermitian matrix.
-
-    values are real and ascending; vectors holds the matching orthonormal
-    eigenvectors as columns.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eigen(m, rtol: float = HERMITIAN_RTOL) -> EigenResult:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues ascending."""
-    return EigenResult(*np.linalg.eigh(_require_hermitian(as_cmatrix(m), rtol)))
-
-
-def min_eig(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(_require_hermitian(as_cmatrix(m)))[0])
-
-
-def inverse(m) -> np.ndarray:
-    """Matrix inverse, guarded by a condition-number ceiling.
-
-    Raises SingularError when the condition number exceeds 1e12 or the
-    inversion residual ||M M^-1 - I|| is above 1e-10 (relative).
-    """
-    a = as_cmatrix(m)
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] == 0.0 or svals[0] / svals[-1] > MAX_CONDITION:
-        raise SingularError(
-            f"condition number {svals[0] / max(svals[-1], 1e-300):.3e} exceeds {MAX_CONDITION:.1e}"
-        )
-    inv = np.linalg.inv(a)
-    resid = spectral_norm(a @ inv - np.eye(a.shape[0]))
-    if resid > EIGEN_RESIDUAL_RTOL:
-        raise SingularError(f"inversion residual {resid:.3e} exceeds {EIGEN_RESIDUAL_RTOL:.1e}")
-    return inv
 
 
 def nullspace(m, tol: float = NULLSPACE_TOL) -> list:

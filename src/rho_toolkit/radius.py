@@ -222,7 +222,8 @@ def radius_bisect(t, rho: float) -> RadiusResult:
     """w_rho(T) of any matrix: max(lo, largest threshold on the unit circle),
     lo = max(spectral radius, norm/rho), by a level-set iteration.  No
     interior threshold exceeds that value: above it Q_z > 0 on the circle, so
-    K_z(T/gamma) >= 0 on the whole disc (minimum principle, ``grid_minimum``).
+    K_z(T/gamma) >= 0 on the whole disc (minimum principle: K_z is harmonic
+    in z there, so lambda_min K_z is least on the circle).
 
     lo >= norm (rho = 1, normal T, T = 0) is exact: ``closed_form``.
     Otherwise g starts at max(lo, largest ``companion_threshold`` over 8

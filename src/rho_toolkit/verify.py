@@ -27,7 +27,7 @@ from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            kernel_det_state, mixed_identity_residual,
                            oscillatory_closed_form, recurrence_roots)
 from .harnack import domination_constant
-from .kernel import DiscGrid, default_grid, rho_kernel, roots_of_unity
+from .kernel import DiscGrid, rho_kernel, roots_of_unity
 from .linalg import spectral_norm
 from .radius import (critical_rho, determinant_radius, omega_of_rho_curve,
                      radius_bisect, shift_radius)
@@ -355,7 +355,7 @@ _THETAS_C9 = (0.0, 0.7, math.pi / 2, math.pi, 4.0)
 def _c09_harnack_part(n_max, seed):
     checks = []
     coarse = DiscGrid(radii=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99))
-    fine = default_grid()
+    fine = DiscGrid()
     for n in (2, 4):
         entries = c2_orbit_report(n, _THETAS_C9)
         for theta, entry in zip(_THETAS_C9, entries):

@@ -4,11 +4,6 @@ import pytest
 from rho_toolkit import DiscGrid
 
 
-def random_hermitian(rng, d):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return 0.5 * (a + a.conj().T)
-
-
 def random_unitary(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(a)
@@ -24,5 +19,4 @@ def rng():
 def quick_grid():
     """Coarser grid than the default, for tests where speed matters more
     than certification strength."""
-    return DiscGrid(radii=(0.2, 0.5, 0.8, 0.95, 0.999), angles_per_radius=16,
-                    torus_angles=32)
+    return DiscGrid(radii=(0.2, 0.5, 0.8, 0.95, 0.999), angles_per_radius=16)

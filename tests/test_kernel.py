@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from rho_toolkit import (DiscGrid, GapTooSmallError, SingularError,
                          TorusSpectrumError, congruence_factor, is_rho_contraction, make_shift,
-                         normalized_shift, nullspace, rho_kernel,
+                         normalized_shift, nullspace, radius_bisect, rho_kernel,
                          spectral_norm, spectral_radius, torus_nullspace)
-from rho_toolkit.kernel import (_resolvent_sum, companion_threshold, grid_minimum,
-                                roots_of_unity)
+from rho_toolkit.kernel import _resolvent_sum, companion_threshold, roots_of_unity
 
 
 class TestRhoKernel:
@@ -116,7 +115,7 @@ class TestDiscGrid:
         pts = grid.interior_points()
         assert pts.shape == (11 * 64,)
         assert np.max(np.abs(pts)) < 1.0
-        assert grid.torus_points().shape == (256,)
+        assert roots_of_unity(256).shape == (256,)
 
     def test_rejects_bad_radii(self):
         with pytest.raises(ValueError):
@@ -136,25 +135,6 @@ class TestDiscGrid:
         for k in (4, 8, 16, 32, 64, 128, 256, 512):
             np.testing.assert_array_equal(roots_of_unity(k),
                                           np.exp(2j * np.pi * np.arange(k) / k))
-
-    def test_grid_minimum_scores_one_point_set(self):
-        grid = DiscGrid(radii=(0.3, 0.6), angles_per_radius=8, torus_angles=16)
-        for boundary, first, ring in ((True, grid.torus_points(), 32),
-                                      (False, grid.interior_points(), 16)):
-            seen = []
-            grid_minimum(lambda zs: seen.append(zs) or np.abs(zs - 0.5), grid, boundary)
-            np.testing.assert_array_equal(seen[0], first)
-            assert len(seen) == 2 and len(seen[1]) == ring
-
-    def test_grid_minimum_refines_witness_ring(self):
-        # the minimum sits midway between two samples; the doubled ring
-        # anchored at the first of them lands on it
-        grid = DiscGrid(radii=(0.1,), angles_per_radius=4, torus_angles=4)
-        cases = ((True, np.exp(0.25j * np.pi)), (False, 0.1 * np.exp(0.75j * np.pi)))
-        for boundary, target in cases:
-            z, value = grid_minimum(lambda zs: np.abs(zs - target), grid, boundary)
-            assert z == pytest.approx(target, abs=1e-12)
-            assert value == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCompanionThreshold:
@@ -176,7 +156,7 @@ class TestCompanionThreshold:
 
 
 class TestMinimumPrinciple:
-    """Why one point set per sweep is enough (``grid_minimum``)."""
+    """Why the unit circle bounds the disc (``radius_bisect``)."""
 
     @staticmethod
     def matrices():
@@ -190,7 +170,7 @@ class TestMinimumPrinciple:
         grid = DiscGrid()
         for t, rho in self.matrices():
             lo = max(spectral_radius(t), spectral_norm(t) / rho)
-            torus = companion_threshold(t, grid.torus_points(), rho).max()
+            torus = companion_threshold(t, roots_of_unity(256), rho).max()
             interior = companion_threshold(t, grid.interior_points(), rho).max()
             assert interior <= max(lo, torus)
 
@@ -198,37 +178,63 @@ class TestMinimumPrinciple:
         grid = DiscGrid()
         for t, rho in self.matrices():
             t = 0.9 * t / spectral_radius(t)
-            torus = np.linalg.eigvalsh(_resolvent_sum(t, grid.torus_points(), rho))[:, 0]
+            torus = np.linalg.eigvalsh(_resolvent_sum(t, roots_of_unity(256), rho))[:, 0]
             interior = np.linalg.eigvalsh(_resolvent_sum(t, grid.interior_points(), rho))[:, 0]
             assert interior.min() >= torus.min()
 
 
 class TestIsRhoContraction:
-    def test_zero_matrix(self, quick_grid):
-        assert is_rho_contraction(np.zeros((3, 3)), 2.0, quick_grid)
+    def test_zero_matrix(self):
+        assert is_rho_contraction(np.zeros((3, 3)), 2.0)
 
-    def test_oversized_shift_fails_with_real_witness(self, quick_grid):
+    def test_oversized_shift_fails_at_its_radius(self):
+        # the 2x2 shift of weight b has w_rho = b/rho
         rho = 3.0
-        report = is_rho_contraction(make_shift(1, rho + 0.1), rho, quick_grid)
+        report = is_rho_contraction(make_shift(1, rho + 0.1), rho)
         assert not report
-        assert report.witness_z.imag == pytest.approx(0.0, abs=1e-12)
-        assert report.witness_z.real > 0.9
-        assert report.witness_min_eig == pytest.approx(-0.1, abs=1e-6)
+        assert report.radius.value == pytest.approx(3.1 / 3, rel=1e-12)
 
-    def test_normalized_shift_is_member(self, quick_grid):
+    def test_normalized_shift_is_member(self):
         for n, rho in ((1, 1.5), (2, 2.0), (4, 3.5)):
-            assert is_rho_contraction(normalized_shift(n, rho), rho, quick_grid)
+            assert is_rho_contraction(normalized_shift(n, rho), rho)
 
-    def test_spectral_radius_gate(self, quick_grid):
-        assert not is_rho_contraction(1.1 * np.eye(2), 2.0, quick_grid)
+    def test_spectral_radius_gate(self):
+        assert not is_rho_contraction(1.1 * np.eye(2), 2.0)
 
-    def test_boundary_skipped_for_torus_spectrum(self, quick_grid):
-        # a unitary has kernel spectrum on the circle; only interior samples
-        # are used and the matrix still certifies
+    def test_boundary_skipped_for_torus_spectrum(self):
+        # a unitary has kernel spectrum on the circle; it is normal, so its
+        # radius is the spectral radius, in closed form, and it is a member
         u = np.diag([np.exp(0.3j), np.exp(-1.1j)])
-        report = is_rho_contraction(u, 2.0, quick_grid)
+        report = is_rho_contraction(u, 2.0)
         assert report
-        assert not report.boundary_sampled
+        assert report.radius.method == "closed_form"
+
+    @staticmethod
+    def flip_inputs():
+        rng = np.random.default_rng(1912)
+        for d in range(2, 9):
+            for rho in (1.5, 2.0, 6.0, 30.0):
+                t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                yield t, rho
+                yield np.triu(t, 1), rho
+
+    def test_exact_flip_at_the_radius(self):
+        # 56 inputs, scaled to w_rho = 1 -+ 1e-6: the verdict flips exactly
+        for t, rho in self.flip_inputs():
+            w = radius_bisect(t, rho).value
+            assert is_rho_contraction(t / (w * (1 + 1e-6)), rho)
+            assert not is_rho_contraction(t / (w * (1 - 1e-6)), rho)
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
+    def test_unit_circle_eigenvalue_non_member(self, rho):
+        # spectrum on the circle, w_rho = 1 + O(1e-4 / rho): not a member
+        t = np.array([[np.exp(0.3j), 1e-2], [0.0, 0.0]])
+        report = is_rho_contraction(t, rho)
+        assert not report
+        assert report.radius.value > 1.0 + 1e-5
+        if rho == 2.0:  # the numerical radius of [[l, b], [0, 0]], |l| = 1
+            assert report.radius.value == pytest.approx((1 + math.sqrt(1 + 1e-4)) / 2,
+                                                        rel=1e-9)
 
 
 class TestTorusNullspace:

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rho_toolkit import (GapTooSmallError, NotHermitianError, SingularError,
-                         hermitian_eigen, inverse, min_eig, nullspace,
-                         spectral_norm, spectral_radius)
+from rho_toolkit import (GapTooSmallError, NotHermitianError, nullspace, spectral_norm,
+                         spectral_radius)
 from rho_toolkit.linalg import as_cmatrix
 
-from conftest import random_hermitian, random_unitary
+from conftest import random_unitary
 
 
 class TestValidation:
@@ -23,81 +22,6 @@ class TestValidation:
     def test_rejects_inf_imaginary(self):
         with pytest.raises(ValueError, match="finite"):
             as_cmatrix(np.array([[1j * np.inf, 0], [0, 1]]))
-
-
-class TestHermitianEigen:
-    def test_identity(self):
-        res = hermitian_eigen(np.eye(3))
-        np.testing.assert_allclose(res.values, [1, 1, 1])
-
-    def test_classic_2x2(self):
-        res = hermitian_eigen([[2, 1], [1, 2]])
-        np.testing.assert_allclose(res.values, [1, 3])
-
-    def test_rho_a_2x2(self):
-        res = hermitian_eigen([[2, 1.5], [1.5, 2]])
-        np.testing.assert_allclose(res.values, [0.5, 3.5])
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_eigen([[0, 1], [0, 0]])
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
-    def test_reconstruction(self, seed, d):
-        m = random_hermitian(np.random.default_rng(seed), d)
-        res = hermitian_eigen(m)
-        recon = (res.vectors * res.values) @ res.vectors.conj().T
-        assert spectral_norm(recon - m) <= 1e-10 * max(spectral_norm(m), 1e-30)
-        gram = res.vectors.conj().T @ res.vectors
-        assert spectral_norm(gram - np.eye(d)) <= 1e-10
-        assert np.all(np.diff(res.values) >= 0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 32))
-    def test_rayleigh_sandwich(self, seed, d):
-        rng = np.random.default_rng(seed)
-        m = random_hermitian(rng, d)
-        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        x /= np.linalg.norm(x)
-        quotient = float(np.real(np.vdot(x, m @ x)))
-        values = hermitian_eigen(m).values
-        assert values[0] - 1e-10 <= quotient <= values[-1] + 1e-10
-
-
-class TestMinEig:
-    def test_scaled_identity(self):
-        assert min_eig(2.0 * np.eye(4)) == pytest.approx(2.0)
-
-    def test_classic_2x2(self):
-        assert min_eig([[2, 1], [1, 2]]) == pytest.approx(1.0)
-
-    def test_boundary_shift_kernel(self):
-        # kernel of the weight-2 shift at the critical parameter: eigenvalues
-        # rho -+ a = 0 and 4
-        assert min_eig([[2, 2], [2, 2]]) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestInverse:
-    def test_nilpotent_resolvent(self):
-        s = np.array([[0, 1], [0, 0]], dtype=complex)
-        np.testing.assert_allclose(inverse(np.eye(2) - s), np.eye(2) + s)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
-
-    def test_residual_random(self, rng):
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)) + 3 * np.eye(5)
-        inv = inverse(m)
-        assert spectral_norm(m @ inv - np.eye(5)) < 1e-10
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularError):
-            inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_ill_conditioned_raises(self):
-        with pytest.raises(SingularError):
-            inverse(np.diag([1.0, 1e-13]))
 
 
 class TestNullspace:
@@ -138,6 +62,10 @@ class TestNullspace:
             assert len(got) == len(want)
             for u, v in zip(got, want):
                 np.testing.assert_array_equal(u, v)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitianError):
+            nullspace([[0, 1], [0, 0]])
 
     def test_stack_with_one_non_hermitian_matrix(self):
         stack = np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]], np.eye(2)])

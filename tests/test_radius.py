@@ -151,10 +151,11 @@ class TestRadiusBisect:
         assert res.value == pytest.approx(b * 20 / 22, abs=1e-5)
 
     def test_general_bracket_on_random_matrices(self, rng):
-        # norm/rho <= w_rho <= norm, and the membership predicate flips
-        # across the computed value; the flip below it needs a grid fine
-        # enough to see the exact witness
-        from rho_toolkit import is_rho_contraction, spectral_radius
+        # norm/rho <= w_rho <= norm, and kernel positivity flips across the
+        # computed value: above it the kernel is positive on 2048 circle
+        # points, below it negative at the witness
+        from rho_toolkit import rho_kernel, spectral_radius
+        from rho_toolkit.kernel import _resolvent_sum, roots_of_unity
 
         for _ in range(5):
             t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -163,8 +164,10 @@ class TestRadiusBisect:
             norm = spectral_norm(t)
             assert max(spectral_radius(t), norm / rho) - 1e-12 <= res.value <= norm + 1e-12
             if res.value > max(spectral_radius(t), norm / rho):
-                assert is_rho_contraction(t / (res.value * (1 + 1e-4)), rho)
-                assert not is_rho_contraction(t / (res.value * (1 - 1e-4)), rho)
+                above = _resolvent_sum(t / (res.value * (1 + 1e-4)), roots_of_unity(2048), rho)
+                assert np.linalg.eigvalsh(above)[:, 0].min() >= -1e-9
+                below = t / (res.value * (1 - 1e-4))
+                assert rho_kernel(below, res.stats["witness"], rho).min_eigenvalue < 0
 
 
 def _numerical_radius(t: np.ndarray) -> float:

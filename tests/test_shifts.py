@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rho_toolkit import is_rho_contraction, make_shift, normalized_shift, spectral_norm
+from rho_toolkit import (is_rho_contraction, make_shift, normalized_shift, rho_kernel,
+                         spectral_norm)
 
 
 def test_basic_2x2():
@@ -74,7 +75,10 @@ class TestNormalizedShift:
         np.testing.assert_allclose(normalized_shift(2, 4.0), make_shift(2, 2.0),
                                    atol=1e-9)
 
-    def test_normalized_shift_is_boundary_member(self, quick_grid):
-        report = is_rho_contraction(normalized_shift(3, 2.5), 2.5, quick_grid)
+    def test_normalized_shift_is_boundary_member(self):
+        s = normalized_shift(3, 2.5)
+        report = is_rho_contraction(s, 2.5)
         assert report
-        assert report.witness_min_eig == pytest.approx(0.0, abs=1e-8)
+        assert report.radius.value == pytest.approx(1.0, abs=1e-12)
+        witness = report.radius.stats["witness"]
+        assert rho_kernel(s, witness, 2.5).min_eigenvalue == pytest.approx(0.0, abs=1e-8)
