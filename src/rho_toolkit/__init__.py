@@ -25,8 +25,8 @@ from .shifts import make_shift, normalized_shift
 from .structure import (C2OrbitEntry, MembershipReport, NullProfile,
                         c2_orbit_report, canonical_form_c2, commutant_dimension,
                         irreducibility_check, membership_necessary_conditions,
-                        null_profile, reversal_symmetry_check,
-                        rotation_family_check, unitary_orbit_predicate)
+                        null_profile, rotation_family_check,
+                        unitary_orbit_predicate)
 from .verify import CheckResult, VerifyReport, run_battery
 
 __version__ = "0.1.0"

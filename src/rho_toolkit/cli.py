@@ -31,7 +31,7 @@ from .kernel import (UNIT_CIRCLE_TOL, DiscGrid, has_torus_spectrum, rho_kernel,
 from .linalg import as_cmatrix
 from .radius import determinant_radius, omega_of_rho_curve, radius_bisect, shift_radius
 from .shifts import make_shift, normalized_shift
-from .structure import null_profile
+from .structure import STRUCTURE_TOL, null_profile
 from .verify import _fmt
 
 
@@ -164,7 +164,8 @@ def _cmd_nullspace(args) -> int:
         vecs = torus_nullspace(load_matrix(args.matrix), args.rho, z, args.tol)
     else:
         profile = null_profile(args.shift, args.rho, tol=args.tol)
-        vecs = torus_nullspace(normalized_shift(args.shift, args.rho), args.rho, z, args.tol)
+        s = make_shift(args.shift, 1.0 / profile.radius.value)
+        vecs = torus_nullspace(s, args.rho, z, args.tol)
         payload["antisymmetry_residual"] = profile.antisymmetry_residual
         payload["zero_pattern"] = list(profile.zero_pattern)
         payload["support"] = list(profile.support)
@@ -274,8 +275,8 @@ def _cmd_explore(args) -> int:
     thetas = np.linspace(0.0, math.pi, args.theta_samples + 1)[1:]
     sweeps = []
     for rho in rhos:
-        s = normalized_shift(n, rho)
         profile = null_profile(n, rho)
+        s = make_shift(n, 1.0 / profile.radius.value)
         for k in range(n + 1):
             for theta in thetas:
                 twist = np.ones(n + 1, dtype=complex)
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=int, help="use the normalized shift (profile included)")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--z", default="1,0")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=STRUCTURE_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_nullspace)
 

@@ -4,12 +4,13 @@ The kernel of the radius-normalized shift is singular along the whole unit
 circle with a one-dimensional null space C (v0, z v1, ..., z^n vn).  The
 coefficient vector is antisymmetric under index reversal (v_k = -v_{n-k}),
 which forces the middle coordinate to vanish exactly when the dimension n+1
-is odd, and all other coordinates are nonzero.  This module extracts that
-profile numerically, verifies its rotation covariance and reversal symmetry,
-and implements the downstream characterizations: necessary membership
-conditions, the diagonal-unitary orbit predicate, irreducibility via the
-commutant dimension, and the canonical family of the classical-numerical-
-radius class (rho = 2).
+is odd, and all other coordinates are nonzero.  This module reads that
+profile off the angle of the radius system in closed form (the stacked
+``eigh`` extraction, ``kernel.torus_nullspace``, is its oracle), verifies its
+rotation covariance, and implements the downstream characterizations:
+necessary membership conditions, the diagonal-unitary orbit predicate,
+irreducibility via the commutant dimension, and the canonical family of the
+classical-numerical-radius class (rho = 2).
 """
 
 from __future__ import annotations
@@ -23,14 +24,17 @@ from .errors import GapTooSmallError, NotUnitaryError
 from .harnack import nullspace_equality
 from .kernel import torus_nullspace
 from .linalg import as_cmatrix, spectral_norm
-from .radius import radius_bisect
-from .shifts import make_shift, normalized_shift
+from .radius import RadiusResult, radius_bisect, shift_radius
+from .shifts import make_shift
+
+STRUCTURE_TOL = 1e-7  # unit of the profile's support threshold, bound of its residuals
 
 
 @dataclass(frozen=True)
 class NullProfile:
     """Null vector of the normalized-shift kernel at z = 1, phase-fixed so
-    that v0 is real positive.
+    that v0 is real positive; radius is the ``shift_radius`` result it was
+    read from (the normalized shift has weight 1 / radius.value).
 
     zero_pattern marks coordinates with |v_k| below the support threshold
     (10 * tol for a unit vector); antisymmetry_residual is max_k |v_k + v_{n-k}|.
@@ -41,43 +45,51 @@ class NullProfile:
     v: np.ndarray
     antisymmetry_residual: float
     zero_pattern: tuple
+    radius: RadiusResult
 
     @property
     def support(self) -> tuple:
         return tuple(k for k, z in enumerate(self.zero_pattern) if not z)
 
+    @classmethod
+    def from_vector(cls, v, rho: float, radius: RadiusResult,
+                    tol: float = STRUCTURE_TOL) -> NullProfile:
+        """The profile of a z = 1 null vector v, however it was found."""
+        v = np.asarray(v, dtype=complex)
+        v = v * np.conj(v[0] / abs(v[0]))
+        v = v / np.linalg.norm(v)
+        return cls(n=v.shape[0] - 1, rho=float(rho), v=v,
+                   antisymmetry_residual=float(np.max(np.abs(v + v[::-1]))),
+                   zero_pattern=tuple(bool(x) for x in np.abs(v) <= 10.0 * tol),
+                   radius=radius)
 
-def null_profile(n: int, rho: float, tol: float = 1e-7) -> NullProfile:
-    """Extract the kernel null vector of the normalized shift at z = 1."""
-    return _profile(normalized_shift(n, rho), rho, tol)
 
-
-def _profile(s: np.ndarray, rho: float, tol: float) -> NullProfile:
-    """``null_profile`` of the normalized shift s, already built."""
+def null_profile(n: int, rho: float, tol: float = STRUCTURE_TOL) -> NullProfile:
+    """The kernel null vector of the normalized shift at z = 1 in closed form,
+    v_k = sin(m phi / 2) / (phi / 2) with m = n - 2k: the antisymmetric solution
+    of the interior rows v_{k+1} = 2 cos(phi) v_k - v_{k-1} (K_1(S_a) is
+    (a^|i-j|) + (rho - 1) I, a = 1/w_rho); the end rows hold because (1/a, phi)
+    solves the radius system, which ``shift_radius`` checks.  phi is its angle
+    where there is one, else arccos of the cosine equation: 0 at rho = n + 2,
+    imaginary above (a sinh profile)."""
     if not rho > 1:
         raise ValueError("rho must be > 1")
-    n = s.shape[0] - 1
-    vecs = torus_nullspace(s, rho, 1.0, tol)
-    if len(vecs) != 1:
-        raise GapTooSmallError(
-            f"expected a one-dimensional null space, found {len(vecs)} directions"
-        )
-    v = vecs[0]
-    phase = v[0] / abs(v[0])
-    v = v * np.conj(phase)
-    v = v / np.linalg.norm(v)
-    anti = float(max(abs(v[k] + v[n - k]) for k in range(n + 1)))
-    pattern = tuple(bool(abs(v[k]) <= 10.0 * tol) for k in range(n + 1))
-    return NullProfile(n=n, rho=float(rho), v=v,
-                       antisymmetry_residual=anti, zero_pattern=pattern)
+    res = shift_radius(n, rho)
+    phi = res.omega
+    if phi is None:
+        a = 1.0 / res.value
+        phi = np.arccos(complex((rho + (rho - 2.0) * a * a) / (2.0 * a * (rho - 1.0))))
+    m = n - 2 * np.arange(n + 1)
+    return NullProfile.from_vector(m * np.sinc(m * phi / (2.0 * np.pi)), rho, res, tol)
 
 
-def rotation_family_check(n: int, rho: float, z_samples, tol: float = 1e-7) -> float:
-    """Worst principal-angle residual between the null space at z and the
-    rotated profile diag(1, z, ..., z^n) v, from one normalized shift and one
-    stacked null-space call."""
-    s = normalized_shift(n, rho)
-    profile = _profile(s, rho, tol)
+def rotation_family_check(n: int, rho: float, z_samples, tol: float = STRUCTURE_TOL) -> float:
+    """Worst principal-angle residual between the null space at z, extracted
+    by one stacked ``torus_nullspace`` call, and the rotated closed-form
+    profile diag(1, z, ..., z^n) v, from one radius solve.  tol reaches only
+    the profile's zero pattern, which the residual does not read."""
+    profile = null_profile(n, rho, tol)
+    s = make_shift(n, 1.0 / profile.radius.value)
     zs = np.asarray(z_samples, dtype=complex)
     powers = np.arange(n + 1)
     worst = 0.0
@@ -89,25 +101,6 @@ def rotation_family_check(n: int, rho: float, z_samples, tol: float = 1e-7) -> f
         w = w / np.linalg.norm(w)
         worst = max(worst, float(1.0 - abs(np.vdot(u, w))))
     return worst
-
-
-def reversal_symmetry_check(n: int, rho: float, tol: float = 1e-7) -> int:
-    """Sign epsilon with v_k = epsilon v_{n-k} for the null profile.
-
-    The reversal operator maps e_k to e_{n-k}; the profile must be one of its
-    eigenvectors.  epsilon = +1 contradicts the antisymmetry of the profile
-    and raises AssertionError.
-    """
-    profile = null_profile(n, rho, tol)
-    v = profile.v
-    reversed_v = v[::-1]
-    eps = 1 if np.real(np.vdot(v, reversed_v)) >= 0 else -1
-    resid = float(np.linalg.norm(reversed_v - eps * v))
-    if resid > 10.0 * tol:
-        raise AssertionError(f"profile is not a reversal eigenvector (residual {resid:.3e})")
-    if eps == 1:
-        raise AssertionError("reversal symmetry came out +1; the profile must be antisymmetric")
-    return eps
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,7 @@ def membership_necessary_conditions(t, tol: float = 1e-9) -> MembershipReport:
     )
 
 
-def unitary_orbit_predicate(u, n: int, rho: float, tol: float = 1e-7) -> bool:
+def unitary_orbit_predicate(u, n: int, rho: float, tol: float = STRUCTURE_TOL) -> bool:
     """True iff U fixes every supported profile coordinate up to one common
     unimodular factor: U e_k = alpha e_k for all k with v_k != 0.
 
@@ -252,7 +245,7 @@ class C2OrbitEntry:
         return self.equivalent == self.expected_equivalent
 
 
-def c2_orbit_report(n: int, theta_samples, tol: float = 1e-7) -> list[C2OrbitEntry]:
+def c2_orbit_report(n: int, theta_samples, tol: float = STRUCTURE_TOL) -> list[C2OrbitEntry]:
     """Exercise the rho = 2 canonical family (or, in even dimension, the
     forbidden single-coordinate twists) against the normalized shift.
 

@@ -27,13 +27,13 @@ from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            kernel_det_state, mixed_identity_residual,
                            oscillatory_closed_form, recurrence_roots)
 from .harnack import domination_constant
-from .kernel import DiscGrid, rho_kernel, roots_of_unity
+from .kernel import DiscGrid, rho_kernel, roots_of_unity, torus_nullspace
 from .linalg import spectral_norm
 from .radius import (critical_rho, determinant_radius, omega_of_rho_curve,
                      radius_bisect, shift_radius)
 from .shifts import make_shift, normalized_shift
-from .structure import (c2_orbit_report, canonical_form_c2, commutant_dimension,
-                        membership_necessary_conditions, null_profile,
+from .structure import (STRUCTURE_TOL, NullProfile, c2_orbit_report, canonical_form_c2,
+                        commutant_dimension, membership_necessary_conditions,
                         rotation_family_check)
 
 
@@ -229,28 +229,32 @@ def _rho_sweep(n: int) -> list:
 
 
 def _c05_null_profiles(n_max, seed):
+    # reads the eigh extraction: null_profile's closed form is antisymmetric by design
     checks = []
     for n in range(1, _cap(12, n_max) + 1):
         worst_anti = 0.0
         failures = []
         for rho in _rho_sweep(n):
-            profile = null_profile(n, rho, tol=1e-7)
+            res = shift_radius(n, rho)
+            vecs = torus_nullspace(make_shift(n, 1.0 / res.value), rho, 1.0, STRUCTURE_TOL)
+            if len(vecs) != 1:
+                failures.append(f"nullity {len(vecs)} at rho={rho}")
+                continue
+            profile = NullProfile.from_vector(vecs[0], rho, res, STRUCTURE_TOL)
             v = profile.v
             worst_anti = max(worst_anti, profile.antisymmetry_residual)
-            if not abs(v[0]) > 1e-5:
-                failures.append(f"v0 ~ 0 at rho={rho}")
             for k in range(n + 1):
                 if n % 2 == 0 and k == n // 2:
-                    if abs(v[k]) > 1e-7:
+                    if abs(v[k]) > STRUCTURE_TOL:
                         failures.append(f"middle coordinate not zero at rho={rho}")
                 elif not abs(v[k]) > 1e-5:
                     failures.append(f"v[{k}] ~ 0 at rho={rho}")
-            if profile.antisymmetry_residual > 1e-7:
+            if profile.antisymmetry_residual > STRUCTURE_TOL:
                 failures.append(f"antisymmetry {profile.antisymmetry_residual:.2e} at rho={rho}")
         checks.append(CheckResult(
             id=f"c05-null-profile-n{n:02d}",
             paper_location="null-vector antisymmetry and zero pattern",
-            expected=0.0, computed=worst_anti, tolerance=1e-7,
+            expected=0.0, computed=worst_anti, tolerance=STRUCTURE_TOL,
             passed=not failures, note="; ".join(failures),
         ))
     return checks
@@ -266,7 +270,8 @@ def _c06_rotation_family(n_max, seed):
         checks.append(CheckResult(
             id=f"c06-rotation-family-n{n:02d}",
             paper_location="rotation covariance of the kernel null spaces",
-            expected=0.0, computed=worst, tolerance=1e-7, passed=worst <= 1e-7,
+            expected=0.0, computed=worst, tolerance=STRUCTURE_TOL,
+            passed=worst <= STRUCTURE_TOL,
         ))
     return checks
 

@@ -174,6 +174,19 @@ class TestNullspaceCommand:
         assert payload["support"] == [0, 2]
         assert payload["antisymmetry_residual"] < 1e-7
 
+    def test_shift_profile_solves_the_radius_once(self, monkeypatch, capsys):
+        import rho_toolkit.shifts as shifts
+        import rho_toolkit.structure as structure
+
+        calls = []
+        original = shifts.shift_radius
+        for module in (shifts, structure):
+            monkeypatch.setattr(module, "shift_radius",
+                                lambda n, rho: calls.append((n, rho)) or original(n, rho))
+        assert main(["nullspace", "--shift", "4", "--rho", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["nullity"] == 1
+        assert calls == [(4, 2.0)]
+
     def test_matrix_at_rotated_point(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "s.json", normalized_shift(1, 2.0))
         assert main(["nullspace", "--matrix", path, "--rho", "2", "--z=-1,0",

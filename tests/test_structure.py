@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rho_toolkit import (NotUnitaryError, are_harnack_equivalent, c2_orbit_report,
-                         canonical_form_c2, commutant_dimension,
+import rho_toolkit.structure as structure
+from rho_toolkit import (NotUnitaryError, NullProfile, are_harnack_equivalent,
+                         c2_orbit_report, canonical_form_c2, commutant_dimension,
                          irreducibility_check, make_shift,
                          membership_necessary_conditions, normalized_shift,
-                         null_profile, reversal_symmetry_check,
-                         rotation_family_check, shift_radius,
-                         unitary_orbit_predicate)
+                         null_profile, rotation_family_check, run_battery,
+                         shift_radius, torus_nullspace, unitary_orbit_predicate)
 
 from conftest import random_unitary
 
@@ -34,6 +34,15 @@ def forward_recurrence_profile(n, rho):
     return v if v[0] > 0 else -v
 
 
+def extracted_profile(n, rho):
+    """The eigh oracle: the z = 1 null vector of the normalized shift's
+    kernel from ``torus_nullspace``, phase-fixed."""
+    res = shift_radius(n, rho)
+    vecs = torus_nullspace(make_shift(n, 1.0 / res.value), rho, 1.0, structure.STRUCTURE_TOL)
+    assert len(vecs) == 1
+    return NullProfile.from_vector(vecs[0], rho, res)
+
+
 class TestNullProfile:
     def test_dim2(self):
         p = null_profile(1, 2.5)
@@ -54,11 +63,44 @@ class TestNullProfile:
         assert p.v[0].real == pytest.approx(0.6605596098, abs=1e-8)
 
     @pytest.mark.parametrize("n,rho", [(1, 2.0), (3, 2.0), (3, 3.5), (5, 2.5),
-                                       (8, 4.0), (12, 1.2)])
+                                       (8, 4.0), (12, 1.2),
+                                       # rho = n + 2 (phi = 0), the sinh regime
+                                       # above it, and n = 1 above rho = 3
+                                       (4, 6.0), (10, 12.0), (3, 9.0), (6, 30.0),
+                                       (1, 5.0), (1, 40.0)])
     def test_matches_forward_recurrence_oracle(self, n, rho):
         p = null_profile(n, rho)
         oracle = forward_recurrence_profile(n, rho)
         assert abs(abs(np.vdot(p.v, oracle)) - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("n", list(range(1, 25)) + [32, 48, 64])
+    def test_matches_eigh_extraction(self, n):
+        for rho in (1.001, 1.2, 2.0, n + 2.0, n + 2.0 + 1e-9, n + 4.0, 300.0):
+            p = null_profile(n, rho)
+            oracle = extracted_profile(n, rho)
+            assert np.linalg.norm(p.v - oracle.v) <= 1e-9, rho
+            assert p.zero_pattern == oracle.zero_pattern, rho
+
+    def test_runs_no_extraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("null_profile must not extract")
+
+        monkeypatch.setattr(structure, "torus_nullspace", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        p = null_profile(6, 2.0)
+        assert p.support == (0, 1, 2, 4, 5, 6)
+        assert p.radius.value == shift_radius(6, 2.0).value
+
+    def test_c05_reads_the_extraction(self, monkeypatch):
+        # a vector that is not antisymmetric must fail c05; the closed form
+        # is antisymmetric by construction and would hide it
+        import rho_toolkit.verify as verify
+
+        monkeypatch.setattr(verify, "torus_nullspace",
+                            lambda t, rho, z, tol: [np.ones(t.shape[0], dtype=complex)])
+        report = run_battery(n_max=3, criteria={"c05"}, jobs=1)
+        assert len(report.checks) == 3
+        assert not any(c.passed for c in report.checks)
 
     def test_phase_fixed_leading_coordinate(self):
         p = null_profile(4, 2.2)
@@ -76,21 +118,21 @@ class TestRotationFamily:
         assert rotation_family_check(2, 2.0, [-1.0]) <= 1e-9
 
     def test_one_shift_radius_per_check(self, monkeypatch):
-        import rho_toolkit.shifts as shifts
-
         calls = []
-        original = shifts.shift_radius
-        monkeypatch.setattr(shifts, "shift_radius",
+        original = structure.shift_radius
+        monkeypatch.setattr(structure, "shift_radius",
                             lambda n, rho: calls.append((n, rho)) or original(n, rho))
         rotation_family_check(5, 2.0, np.exp(2j * np.pi * np.arange(8) / 8))
         assert calls == [(5, 2.0)]
 
 
 class TestReversalSymmetry:
+    # the extracted (eigh) vector is a reversal eigenvector of sign -1; the
+    # closed form is antisymmetric by construction
     @pytest.mark.parametrize("n,rho", [(1, 1.5), (1, 3.5), (2, 2.0), (5, 2.0),
                                        (8, 3.0), (12, 2.5)])
     def test_always_antisymmetric(self, n, rho):
-        assert reversal_symmetry_check(n, rho) == -1
+        assert extracted_profile(n, rho).antisymmetry_residual <= 1e-9
 
 
 class TestMembershipConditions:
