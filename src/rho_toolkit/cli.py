@@ -24,14 +24,14 @@ from . import verify as verify_mod
 from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            discriminant, kernel_det, kernel_det_matrix,
                            mixed_identity_residual)
-from .errors import ToolkitError, TorusSpectrumError
+from .errors import GapTooSmallError, ToolkitError, TorusSpectrumError
 from .harnack import are_harnack_equivalent, nullspace_equality
 from .kernel import (UNIT_CIRCLE_TOL, DiscGrid, has_torus_spectrum, rho_kernel,
                      torus_nullspace)
 from .linalg import as_cmatrix
 from .radius import determinant_radius, omega_of_rho_curve, radius_bisect, shift_radius
 from .shifts import make_shift, normalized_shift
-from .structure import STRUCTURE_TOL, null_profile
+from .structure import STRUCTURE_TOL, NullProfile, null_profile
 from .verify import _fmt
 
 
@@ -166,10 +166,16 @@ def _cmd_nullspace(args) -> int:
         profile = null_profile(args.shift, args.rho, tol=args.tol)
         s = make_shift(args.shift, 1.0 / profile.radius.value)
         vecs = torus_nullspace(s, args.rho, z, args.tol)
-        payload["antisymmetry_residual"] = profile.antisymmetry_residual
+        if len(vecs) != 1:
+            raise GapTooSmallError(f"nullity {len(vecs)} != 1 at z = {z}")
+        # the closed form is antisymmetric by construction: score the
+        # extraction, rotated back to z = 1 by diag(conj(z)^k)
+        extracted = NullProfile.from_vector(np.conj(z) ** np.arange(args.shift + 1) * vecs[0],
+                                            args.rho, profile.radius, args.tol)
+        payload["antisymmetry_residual"] = extracted.antisymmetry_residual
         payload["zero_pattern"] = list(profile.zero_pattern)
         payload["support"] = list(profile.support)
-        lines.append(f"antisymmetry_residual={profile.antisymmetry_residual:.3e} "
+        lines.append(f"antisymmetry_residual={extracted.antisymmetry_residual:.3e} "
                      f"support={list(profile.support)}")
     fixed = []
     for v in vecs:
@@ -192,16 +198,16 @@ def _cmd_harnack(args) -> int:
     verdict, evidence = are_harnack_equivalent(t1, t0, args.rho, grid,
                                                torus_angles=args.torus)
     dims1, dims0 = evidence.nullspaces.nullities()
-    worst = max(evidence.nullspaces.records,
-                key=lambda r: r.principal_angle_residual)
     payload = {
         "equivalent": verdict,
         "nullspace_equal": bool(evidence.nullspaces),
         "constant_nullity": evidence.constant_nullity,
         "nullities": {"t1": sorted(dims1), "t0": sorted(dims0)},
-        "worst_principal_angle_residual": worst.principal_angle_residual,
+        "worst_principal_angle_residual": float(np.max(evidence.nullspaces.residuals)),
         "c_squared_forward": evidence.forward.c_squared,
         "c_squared_backward": evidence.backward.c_squared,
+        "stats_forward": evidence.forward.stats,
+        "stats_backward": evidence.backward.stats,
         "note": "grid-certified constants; the verdict is the null-space condition",
     }
     print(json.dumps(payload, indent=2))

@@ -9,7 +9,9 @@ in floating point, unlike direct inversion.
 The decisive equivalence predicate is equality of the kernel null spaces on
 the unit circle (with constant nullity); grid domination constants are
 corroborating evidence only, since sampling cannot certify an inequality for
-every z in the disc.
+every z in the disc.  The circle comparison is one stacked pass: one ``eigh``
+of each matrix's kernels over all sample points and one stacked SVD of the
+masked null frames give every nullity and principal-angle residual.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InteriorSingularError, TorusSpectrumError
-from .kernel import DiscGrid, _resolvent_sum, near_torus, roots_of_unity, torus_nullspace
+from .kernel import DiscGrid, _resolvent_sum, near_torus, roots_of_unity, torus_null_frames
 from .linalg import NULLSPACE_TOL, as_cmatrix
 
 # relative floor under which K(T0) counts as not positive definite
 PD_FLOOR = 1e-12
+# relative size of K(T1) on a null direction of K(T0) that makes a pair infeasible
+LEAK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,9 @@ class HarnackCertificate:
     feasible is False when K(T0) has a null direction at an interior sample
     on which K(T1) does not vanish; c_squared is then +inf.  The disc limit
     z -> 0 forces the true constant to be >= 1, so grid values below 1 are
-    clamped to 1.
+    clamped to 1.  stats holds interior_points, the number of interior
+    samples scored, and k0_relative_min, the least eigenvalue of K(T0) over
+    its scale, minimized over the samples: the margin to PD_FLOOR.
     """
 
     c_squared: float
@@ -43,31 +49,20 @@ class HarnackCertificate:
     direction: tuple[str, str]
     tol: float
     grid: DiscGrid = field(repr=False, default_factory=DiscGrid)
+    stats: dict = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return self.feasible
 
 
-def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
-                        labels: tuple[str, str] = ("T1", "T0"),
-                        tol: float = 1e-9) -> HarnackCertificate:
-    """Best grid constant c^2 with K_z(T1) <= c^2 K_z(T0), interior samples only.
-
-    Raises InteriorSingularError when K_z(T0) degenerates at an interior
-    sample while K_z(T1) vanishes on the same directions (the pencil is then
-    ill-posed); returns an infeasible certificate when K_z(T1) does not
-    vanish there (no finite constant can work).
-    """
-    a1, a0 = as_cmatrix(t1), as_cmatrix(t0)
-    if a1.shape != a0.shape:
-        raise ValueError("matrices must have equal dimensions")
-    grid = grid or DiscGrid()
-    zs = grid.interior_points()
-    k1 = _resolvent_sum(a1, zs, rho)
-    k0 = _resolvent_sum(a0, zs, rho)
+def _dominate(k1: np.ndarray, k0: np.ndarray, zs: np.ndarray, grid: DiscGrid,
+              labels: tuple[str, str], tol: float) -> HarnackCertificate:
+    """``domination_constant`` on the stacked interior kernels k1, k0 at zs."""
     mu, v = np.linalg.eigh(k0)
 
     scale = np.max(np.abs(mu), axis=1)
+    stats = {"interior_points": len(zs),
+             "k0_relative_min": float(np.min(mu[:, 0] / np.maximum(scale, 1e-300)))}
     degenerate = mu[:, 0] <= PD_FLOOR * scale
     if np.any(degenerate):
         for i in np.nonzero(degenerate)[0]:
@@ -76,7 +71,7 @@ def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
             if np.any(leak > tol * max(np.max(np.abs(k1[i])), 1.0)):
                 return HarnackCertificate(c_squared=math.inf, feasible=False,
                                           worst_z=complex(zs[i]), direction=labels,
-                                          tol=tol, grid=grid)
+                                          tol=tol, grid=grid, stats=stats)
         i = int(np.nonzero(degenerate)[0][0])
         raise InteriorSingularError(
             f"K_z(T0) is not positive definite at interior sample z={zs[i]}",
@@ -91,7 +86,31 @@ def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
     i = int(np.argmax(lams))
     return HarnackCertificate(c_squared=max(float(lams[i]), 1.0), feasible=True,
                               worst_z=complex(zs[i]), direction=labels,
-                              tol=tol, grid=grid)
+                              tol=tol, grid=grid, stats=stats)
+
+
+def _interior_kernels(t1, t0, rho: float, grid: DiscGrid):
+    """The interior samples of grid and the stacked kernels of T1 and T0 there."""
+    a1, a0 = as_cmatrix(t1), as_cmatrix(t0)
+    if a1.shape != a0.shape:
+        raise ValueError("matrices must have equal dimensions")
+    zs = grid.interior_points()
+    return zs, _resolvent_sum(a1, zs, rho), _resolvent_sum(a0, zs, rho)
+
+
+def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
+                        labels: tuple[str, str] = ("T1", "T0"),
+                        tol: float = LEAK_TOL) -> HarnackCertificate:
+    """Best grid constant c^2 with K_z(T1) <= c^2 K_z(T0), interior samples only.
+
+    Raises InteriorSingularError when K_z(T0) degenerates at an interior
+    sample while K_z(T1) vanishes on the same directions (the pencil is then
+    ill-posed); returns an infeasible certificate when K_z(T1) does not
+    vanish there (no finite constant can work).
+    """
+    grid = grid or DiscGrid()
+    zs, k1, k0 = _interior_kernels(t1, t0, rho, grid)
+    return _dominate(k1, k0, zs, grid, labels, tol)
 
 
 def torus_spectrum_check(t1, t0) -> bool:
@@ -103,36 +122,22 @@ def torus_spectrum_check(t1, t0) -> bool:
     return all(np.any(np.abs(e0 - lam) <= 1e-6) for lam in e1[near_torus(e1)])
 
 
-@dataclass(frozen=True)
-class AngleRecord:
-    z: complex
-    dim1: int
-    dim0: int
-    principal_angle_residual: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullspaceComparison:
-    """Per-angle null-space comparison over the unit circle."""
+    """Null-space comparison at the unit-circle points z: the nullities dims1,
+    dims0 and the principal-angle residuals (1 where the nullities differ)."""
 
     equal: bool
-    records: tuple
+    z: np.ndarray
+    dims1: np.ndarray
+    dims0: np.ndarray
+    residuals: np.ndarray
 
     def __bool__(self) -> bool:
         return self.equal
 
     def nullities(self) -> tuple[set, set]:
-        return ({r.dim1 for r in self.records}, {r.dim0 for r in self.records})
-
-
-def _principal_angle_residual(basis1: list[np.ndarray], basis0: list[np.ndarray]) -> float:
-    """1 - cos(largest principal angle) between two equal-dimension spans."""
-    if not basis1 and not basis0:
-        return 0.0
-    u = np.column_stack(basis1)
-    v = np.column_stack(basis0)
-    sigma = np.linalg.svd(np.conj(u).T @ v, compute_uv=False)
-    return float(1.0 - sigma[-1])
+        return set(self.dims1.tolist()), set(self.dims0.tolist())
 
 
 def nullspace_equality(t1, t0, rho: float, torus_angles: int = 256,
@@ -142,22 +147,26 @@ def nullspace_equality(t1, t0, rho: float, torus_angles: int = 256,
 
     Both matrices must be free of unit-circle spectrum (checked once each,
     TorusSpectrumError naming T1 or T0).  A GapTooSmallError from the
-    null-space extraction names the offending z.
+    null-space extraction names the offending z.  The residual is 1 - sigma_k,
+    k the nullity, from one stacked SVD of the masked frames (V1 M1)* (V0 M0).
     """
+    if np.shape(t1) != np.shape(t0):
+        raise ValueError("matrices must have equal dimensions")
     zs = roots_of_unity(torus_angles)
-    bases = []
+    frames = []
     for label, t in (("T1", t1), ("T0", t0)):
         try:
-            bases.append(torus_nullspace(t, rho, zs, NULLSPACE_TOL))
+            vectors, mask = torus_null_frames(t, rho, zs, NULLSPACE_TOL)
         except TorusSpectrumError as exc:
             raise TorusSpectrumError(f"{label} has spectrum on the unit circle") from exc
-    records = tuple(
-        AngleRecord(z=complex(z), dim1=len(ns1), dim0=len(ns0),
-                    principal_angle_residual=(_principal_angle_residual(ns1, ns0)
-                                              if len(ns1) == len(ns0) else 1.0))
-        for z, ns1, ns0 in zip(zs, *bases))
-    equal = all(r.dim1 == r.dim0 and r.principal_angle_residual <= tol for r in records)
-    return NullspaceComparison(equal=equal, records=records)
+        frames.append((vectors * mask[:, None, :], mask.sum(axis=1)))
+    (f1, dims1), (f0, dims0) = frames
+    sigma = np.linalg.svd(np.conj(np.swapaxes(f1, -1, -2)) @ f0, compute_uv=False)
+    cosine = sigma[np.arange(len(zs)), np.maximum(dims1 - 1, 0)]
+    residuals = np.where(dims1 != dims0, 1.0, np.where(dims1 == 0, 0.0, 1.0 - cosine))
+    equal = bool(np.all((dims1 == dims0) & (residuals <= tol)))
+    return NullspaceComparison(equal=equal, z=zs, dims1=dims1, dims0=dims0,
+                               residuals=residuals)
 
 
 @dataclass(frozen=True)
@@ -175,15 +184,16 @@ def are_harnack_equivalent(t1, t0, rho: float, grid: DiscGrid | None = None,
 
     The verdict is the null-space condition (equality at every sampled torus
     point) together with constant nullity across the samples; the two
-    directed grid domination constants are attached as corroboration, never
-    as the verdict.
+    directed grid domination constants, scored from one evaluation of each
+    interior kernel, are attached as corroboration, never as the verdict.
     """
     grid = grid or DiscGrid()
     comparison = nullspace_equality(t1, t0, rho, torus_angles=torus_angles, tol=tol)
     dims1, dims0 = comparison.nullities()
     constant = len(dims1) == 1 and len(dims0) == 1
-    forward = domination_constant(t1, t0, rho, grid, labels=("T1", "T0"))
-    backward = domination_constant(t0, t1, rho, grid, labels=("T0", "T1"))
+    zs, k1, k0 = _interior_kernels(t1, t0, rho, grid)
+    forward = _dominate(k1, k0, zs, grid, ("T1", "T0"), LEAK_TOL)
+    backward = _dominate(k0, k1, zs, grid, ("T0", "T1"), LEAK_TOL)
     verdict = bool(comparison) and constant
     return verdict, HarnackEvidence(nullspaces=comparison, constant_nullity=constant,
                                     forward=forward, backward=backward)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GapTooSmallError, SingularError, TorusSpectrumError
-from .linalg import NULLSPACE_TOL, as_cmatrix, nullspace
+from .linalg import NULLSPACE_TOL, as_cmatrix, null_bases, null_frames
 
 if TYPE_CHECKING:
     from .radius import RadiusResult
@@ -96,7 +96,7 @@ def rho_kernel(t, z: complex, rho: float) -> KernelEval:
 
     Raises SingularError when I - conj(z) T is numerically singular.  For
     |z| = 1 the caller is responsible for the torus-spectrum precondition
-    (see torus_nullspace, which checks it).
+    (see torus_null_frames, which checks it).
     """
     k = _resolvent_sum(as_cmatrix(t), np.asarray([z], dtype=complex), rho)[0]
     return KernelEval(z=complex(z), rho=float(rho), matrix=k, min_eigenvalue=float(np.linalg.eigvalsh(k)[0]))
@@ -179,16 +179,15 @@ def is_rho_contraction(t, rho: float, tol: float = DEFAULT_PSD_TOL) -> Contracti
                              radius=res)
 
 
-def torus_nullspace(t, rho: float, z, tol: float = NULLSPACE_TOL) -> list:
-    """Orthonormal basis of the kernel's null space at a unit-circle point z,
-    or one basis per point of a 1-d array z, from one stacked extraction.
+def torus_null_frames(t, rho: float, zs, tol: float = NULLSPACE_TOL) -> tuple:
+    """``null_frames`` of the kernels of T at the unit-circle points of a 1-d
+    array zs, from one stacked extraction.
 
     Requires |z| = 1 at every point and an empty unit-circle spectrum for T
     (checked once; TorusSpectrumError otherwise).  GapTooSmallError, raised
     when a nullity is ill-determined, names the offending z.
     """
-    zs = np.asarray(z, dtype=complex)
-    points = np.atleast_1d(zs)
+    points = np.asarray(zs, dtype=complex)
     off = np.abs(np.abs(points) - 1.0) > UNIT_CIRCLE_TOL
     if np.any(off):
         raise ValueError(f"z must lie on the unit circle, got |z| = {abs(points[off][0])}")
@@ -196,8 +195,16 @@ def torus_nullspace(t, rho: float, z, tol: float = NULLSPACE_TOL) -> list:
     if has_torus_spectrum(a):
         raise TorusSpectrumError("T has spectrum within tolerance of the unit circle")
     try:
-        bases = nullspace(_resolvent_sum(a, points, rho), tol)
+        return null_frames(_resolvent_sum(a, points, rho), tol)
     except GapTooSmallError as exc:
         raise GapTooSmallError(f"{exc} (at z = {complex(points[exc.index])})",
                                index=exc.index) from exc
+
+
+def torus_nullspace(t, rho: float, z, tol: float = NULLSPACE_TOL) -> list:
+    """Orthonormal basis of the kernel's null space at a unit-circle point z,
+    or one basis per point of a 1-d array z: the list view of
+    ``torus_null_frames``, with its checks and refusals."""
+    zs = np.asarray(z, dtype=complex)
+    bases = null_bases(*torus_null_frames(t, rho, np.atleast_1d(zs), tol))
     return bases if zs.ndim else bases[0]

@@ -7,8 +7,9 @@ to LAPACK through numpy, behind the contracts below:
 * Hermitian input is required (and checked) wherever the operation only makes
   sense for Hermitian matrices; after the check the matrix is symmetrized to
   remove roundoff drift.
-* ``nullspace`` refuses to answer when the spectral gap above the null cluster
-  is too small to trust in double precision (GapTooSmallError).
+* ``null_frames`` (and ``nullspace``, its list view) refuses to answer when
+  the spectral gap above the null cluster is too small to trust in double
+  precision (GapTooSmallError).
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ def _require_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarra
     return 0.5 * (a + ah)
 
 
-def nullspace(m, tol: float = NULLSPACE_TOL) -> list:
-    """Orthonormal basis of the (numerical) null space of a Hermitian matrix,
-    or one basis per matrix of a (k, d, d) stack, from one ``eigh``.
+def null_frames(m, tol: float = NULLSPACE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """One ``eigh`` of a Hermitian matrix or (k, d, d) stack: its eigenvectors
+    (k, d, d), k = 1 for one matrix, and the (k, d) mask of the null columns,
+    eigenvalue modulus at most tol*||M||.
 
-    Eigenvectors whose eigenvalue modulus is at most tol*||M|| are returned.
     Requires a spectral gap: the first eigenvalue above the null cluster must
     exceed 10*tol*||M||, otherwise the nullity is ill-determined and
     GapTooSmallError is raised, its ``index`` naming the first stack entry at
@@ -91,6 +92,16 @@ def nullspace(m, tol: float = NULLSPACE_TOL) -> list:
             f"{tol * scale[i, 0]:.3e} and the gap floor {10.0 * tol * scale[i, 0]:.3e}",
             index=i if stacked else None,
         )
-    bases = [[v[:, j].copy() for j in np.flatnonzero(mask)]
-             for v, mask in zip(vectors, null_mask)]
-    return bases if stacked else bases[0]
+    return vectors, null_mask
+
+
+def null_bases(vectors: np.ndarray, null_mask: np.ndarray) -> list:
+    """The list view of ``null_frames``: per matrix, copies of its null columns."""
+    return [[v[:, j].copy() for j in np.flatnonzero(m)] for v, m in zip(vectors, null_mask)]
+
+
+def nullspace(m, tol: float = NULLSPACE_TOL) -> list:
+    """Orthonormal basis of the (numerical) null space of a Hermitian matrix,
+    or one basis per matrix of a (k, d, d) stack: the list view of ``null_frames``."""
+    bases = null_bases(*null_frames(m, tol))
+    return bases if np.ndim(m) == 3 else bases[0]

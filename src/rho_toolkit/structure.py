@@ -6,7 +6,7 @@ coefficient vector is antisymmetric under index reversal (v_k = -v_{n-k}),
 which forces the middle coordinate to vanish exactly when the dimension n+1
 is odd, and all other coordinates are nonzero.  This module reads that
 profile off the angle of the radius system in closed form (the stacked
-``eigh`` extraction, ``kernel.torus_nullspace``, is its oracle), verifies its
+``eigh`` extraction, ``kernel.torus_null_frames``, is its oracle), verifies its
 rotation covariance, and implements the downstream characterizations:
 necessary membership conditions, the diagonal-unitary orbit predicate,
 irreducibility via the commutant dimension, and the canonical family of the
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GapTooSmallError, NotUnitaryError
 from .harnack import nullspace_equality
-from .kernel import torus_nullspace
+from .kernel import torus_null_frames
 from .linalg import as_cmatrix, spectral_norm
 from .radius import RadiusResult, radius_bisect, shift_radius
 from .shifts import make_shift
@@ -84,23 +84,23 @@ def null_profile(n: int, rho: float, tol: float = STRUCTURE_TOL) -> NullProfile:
 
 
 def rotation_family_check(n: int, rho: float, z_samples, tol: float = STRUCTURE_TOL) -> float:
-    """Worst principal-angle residual between the null space at z, extracted
-    by one stacked ``torus_nullspace`` call, and the rotated closed-form
-    profile diag(1, z, ..., z^n) v, from one radius solve.  tol reaches only
-    the profile's zero pattern, which the residual does not read."""
+    """Worst principal-angle residual 1 - |<u, w>| between the null vector u
+    at z, from one stacked ``torus_null_frames`` extraction, and the rotated
+    closed-form profile w = diag(1, z, ..., z^n) v / |v|, from one radius
+    solve; GapTooSmallError names a z where the nullity is not 1.  tol
+    reaches only the profile's zero pattern, which the residual does not read."""
     profile = null_profile(n, rho, tol)
     s = make_shift(n, 1.0 / profile.radius.value)
     zs = np.asarray(z_samples, dtype=complex)
-    powers = np.arange(n + 1)
-    worst = 0.0
-    for z, vecs in zip(zs, torus_nullspace(s, rho, zs)):
-        if len(vecs) != 1:
-            raise GapTooSmallError(f"nullity {len(vecs)} != 1 at z = {z}")
-        u = vecs[0]
-        w = (z ** powers) * profile.v
-        w = w / np.linalg.norm(w)
-        worst = max(worst, float(1.0 - abs(np.vdot(u, w))))
-    return worst
+    vectors, mask = torus_null_frames(s, rho, zs)
+    nullity = mask.sum(axis=1)
+    if np.any(nullity != 1):
+        i = int(np.argmax(nullity != 1))
+        raise GapTooSmallError(f"nullity {nullity[i]} != 1 at z = {zs[i]}", index=i)
+    u = np.sum(vectors * mask[:, None, :], axis=2)
+    w = zs[:, None] ** np.arange(n + 1) * profile.v
+    w = w / np.linalg.norm(w, axis=1, keepdims=True)
+    return float(np.max(1.0 - np.abs(np.sum(np.conj(u) * w, axis=1)), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,7 +61,12 @@ _COLUMNS = ("id", "paper_location", "expected", "computed", "tolerance", "pass",
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The checks in battery order; seconds is each criterion's wall time,
+    by criterion id, measured in the thread that ran it (not compared: two
+    reports of the same checks are equal)."""
+
     checks: tuple
+    seconds: dict = field(default_factory=dict, compare=False)
 
     @property
     def summary(self) -> dict:
@@ -79,7 +85,8 @@ class VerifyReport:
         return {"summary": self.summary,
                 "checks": [dict(zip(_COLUMNS, (c.id, c.paper_location, c.expected, c.computed,
                                                c.tolerance, c.passed, c.note)))
-                           for c in self.checks]}
+                           for c in self.checks],
+                "seconds": dict(self.seconds)}
 
     def to_csv_rows(self) -> list:
         return [list(_COLUMNS)] + [
@@ -470,6 +477,12 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _timed(fn, n_max, seed) -> tuple[list, float]:
+    start = time.perf_counter()
+    checks = fn(n_max, seed)
+    return checks, time.perf_counter() - start
+
+
 def run_battery(n_max: int | None = None, seed: int = 0,
                 criteria=None, jobs: int | None = None) -> VerifyReport:
     """Run the verification battery.
@@ -477,20 +490,21 @@ def run_battery(n_max: int | None = None, seed: int = 0,
     n_max caps the upper end of every n-sweep (None = the full stated
     ranges); criteria optionally selects prefixes like {"c05", "c07"}.
     Checks are computed in parallel per criterion but reported in a fixed
-    order, so output is deterministic.
+    order, so the checks are deterministic; the report's seconds are not.
     """
     selected = [(cid, fn) for cid, _, fn in CRITERIA
                 if criteria is None or cid in criteria]
     jobs = jobs or default_jobs()
     results: dict[str, list] = {}
+    seconds: dict[str, float] = {}
     with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        futures = {cid: pool.submit(fn, n_max, seed) for cid, fn in selected}
+        futures = {cid: pool.submit(_timed, fn, n_max, seed) for cid, fn in selected}
         for cid, fut in futures.items():
-            results[cid] = fut.result()
+            results[cid], seconds[cid] = fut.result()
     checks = []
     for cid, _ in selected:
         checks.extend(replace(c, passed=bool(c.passed)) for c in results[cid])
     ids = [c.id for c in checks]
     if len(ids) != len(set(ids)):
         raise AssertionError("duplicate check ids in the battery")
-    return VerifyReport(checks=tuple(checks))
+    return VerifyReport(checks=tuple(checks), seconds=seconds)

@@ -174,6 +174,20 @@ class TestNullspaceCommand:
         assert payload["support"] == [0, 2]
         assert payload["antisymmetry_residual"] < 1e-7
 
+    def test_shift_antisymmetry_reads_the_extraction(self, monkeypatch, capsys):
+        # the closed form is antisymmetric by construction and would hide a
+        # vector that is not
+        import rho_toolkit.cli as cli
+
+        monkeypatch.setattr(cli, "torus_nullspace",
+                            lambda t, rho, z, tol: [np.ones(t.shape[0], dtype=complex)])
+        assert main(["nullspace", "--shift", "3", "--rho", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["antisymmetry_residual"] > 1e-3
+
+    def test_shift_antisymmetry_at_a_rotated_point(self, capsys):
+        assert main(["nullspace", "--shift", "3", "--rho", "2", "--z=0,1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["antisymmetry_residual"] < 1e-7
+
     def test_shift_profile_solves_the_radius_once(self, monkeypatch, capsys):
         import rho_toolkit.shifts as shifts
         import rho_toolkit.structure as structure
@@ -209,6 +223,9 @@ class TestHarnackCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["equivalent"] is True
         assert payload["c_squared_forward"] == pytest.approx(1.0, abs=1e-10)
+        for key in ("stats_forward", "stats_backward"):
+            assert payload[key]["interior_points"] == 11 * 8
+            assert 0.0 < payload[key]["k0_relative_min"] <= 1.0
 
     def test_canonical_vs_shift(self, tmp_path, capsys):
         from rho_toolkit import canonical_form_c2
@@ -271,6 +288,12 @@ class TestVerifyCommand:
         assert all(c["paper_location"] for c in payload["checks"])
         ids = [c["id"] for c in payload["checks"]]
         assert len(ids) == len(set(ids))
+
+    def test_json_reports_seconds_per_criterion(self, capsys):
+        assert main(["verify", "--only", "c00,c03", "--n-max", "3", "--format", "json"]) == 0
+        seconds = json.loads(capsys.readouterr().out)["seconds"]
+        assert sorted(seconds) == ["c00", "c03"]
+        assert all(s >= 0.0 for s in seconds.values())
 
     def test_kept_reports_share_ids_and_notes(self):
         first, second = (verify.run_battery(n_max=3, criteria={"c03"}) for _ in range(2))

@@ -3,10 +3,37 @@ import math
 import numpy as np
 import pytest
 
+import rho_toolkit.harnack as harnack
+import rho_toolkit.kernel as kernel
 from rho_toolkit import (DiscGrid, GapTooSmallError, InteriorSingularError,
                          TorusSpectrumError, are_harnack_equivalent, canonical_form_c2,
                          domination_constant, make_shift, normalized_shift,
-                         nullspace_equality, torus_spectrum_check)
+                         nullspace_equality, torus_nullspace, torus_spectrum_check)
+from rho_toolkit.kernel import roots_of_unity
+
+
+def block_sum(a, b):
+    d = a.shape[0] + b.shape[0]
+    out = np.zeros((d, d), dtype=complex)
+    out[:a.shape[0], :a.shape[0]] = a
+    out[a.shape[0]:, a.shape[0]:] = b
+    return out
+
+
+def per_angle_residuals(t1, t0, rho, torus_angles):
+    """Reference for the stacked comparison: one SVD per unit-circle point of
+    the two extracted bases, 1 - (least singular value) on equal nullity."""
+    out = []
+    for z in roots_of_unity(torus_angles):
+        b1, b0 = torus_nullspace(t1, rho, z), torus_nullspace(t0, rho, z)
+        if len(b1) != len(b0):
+            out.append(1.0)
+        elif not b1:
+            out.append(0.0)
+        else:
+            u, v = np.column_stack(b1), np.column_stack(b0)
+            out.append(1.0 - np.linalg.svd(u.conj().T @ v, compute_uv=False)[-1])
+    return np.array(out)
 
 
 def twisted_shift(n, theta, coordinate):
@@ -99,7 +126,7 @@ class TestNullspaceEquality:
         s = normalized_shift(2, 2.0)
         report = nullspace_equality(s, s, 2.0, torus_angles=32)
         assert report
-        assert all(r.dim0 == r.dim1 == 1 for r in report.records)
+        assert np.all(report.dims0 == 1) and np.all(report.dims1 == 1)
 
     def test_canonical_family_member(self):
         s = make_shift(2, math.sqrt(2))
@@ -110,13 +137,19 @@ class TestNullspaceEquality:
         s = normalized_shift(2, 2.0)
         report = nullspace_equality(0.9 * s, s, 2.0, torus_angles=16)
         assert not report
-        assert all(r.dim1 == 0 and r.dim0 == 1 for r in report.records)
+        assert np.all(report.dims1 == 0) and np.all(report.dims0 == 1)
 
     def test_rejects_torus_spectrum(self):
         with pytest.raises(TorusSpectrumError, match="T1 has spectrum"):
             nullspace_equality(np.diag([1.0, 0.0]), make_shift(1, 1.0), 2.0)
         with pytest.raises(TorusSpectrumError, match="T0 has spectrum"):
             nullspace_equality(make_shift(1, 1.0), np.diag([1.0, 0.0]), 2.0)
+
+    def test_rejects_unequal_dimensions(self):
+        # a 3 x 3 and a 4 x 4 kernel cannot share a null space
+        with pytest.raises(ValueError, match="equal dimensions"):
+            nullspace_equality(0.9 * normalized_shift(2, 2.0), normalized_shift(3, 2.0), 2.0,
+                               torus_angles=8)
 
     def test_gap_failure_names_z(self):
         # K_z of the 2x2 shift of weight a has eigenvalues 2 +- a on the
@@ -126,8 +159,6 @@ class TestNullspaceEquality:
             nullspace_equality(normalized_shift(1, 2.0), bad, 2.0, torus_angles=8)
 
     def test_one_spectrum_check_per_matrix(self, monkeypatch):
-        import rho_toolkit.kernel as kernel
-
         calls = []
         original = kernel.has_torus_spectrum
         monkeypatch.setattr(kernel, "has_torus_spectrum",
@@ -135,6 +166,26 @@ class TestNullspaceEquality:
         s = normalized_shift(2, 2.0)
         nullspace_equality(s, s, 2.0, torus_angles=32)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("case", ["nullity-0-1", "nullity-1", "twist-1",
+                                      "nullity-2", "mismatched-2-1"])
+    def test_stacked_residuals_match_per_angle_svd(self, case):
+        rho = 2.0
+        s1, s2 = normalized_shift(1, rho), normalized_shift(2, rho)
+        pair = block_sum(s1, s2)
+        phases = np.exp(1j * np.array([0.3, 1.1, 2.0, 2.9, 4.2]))
+        t1, t0, dims = {
+            "nullity-0-1": (0.9 * s2, s2, (0, 1)),
+            "nullity-1": (canonical_form_c2(2, 0.7), make_shift(2, math.sqrt(2)), (1, 1)),
+            "twist-1": (twisted_shift(1, 1.3, 1), normalized_shift(1, rho), (1, 1)),
+            "nullity-2": (np.conj(phases)[:, None] * pair * phases[None, :], pair, (2, 2)),
+            "mismatched-2-1": (pair, block_sum(s1, 0.9 * s2), (2, 1)),
+        }[case]
+        report = nullspace_equality(t1, t0, rho, torus_angles=24)
+        assert report.nullities() == ({dims[0]}, {dims[1]})
+        assert len(report.z) == len(report.residuals) == 24
+        np.testing.assert_allclose(report.residuals,
+                                   per_angle_residuals(t1, t0, rho, 24), rtol=0, atol=1e-12)
 
 
 class TestAreHarnackEquivalent:
@@ -172,3 +223,35 @@ class TestAreHarnackEquivalent:
                                                    quick_grid, torus_angles=16)
         assert verdict
         assert evidence.constant_nullity
+
+    def test_evaluates_each_kernel_once(self, monkeypatch, quick_grid):
+        # two torus stacks and two interior stacks: the backward direction
+        # reuses the forward direction's kernels
+        calls = []
+        original = kernel._resolvent_sum
+
+        def counted(t, zs, rho):
+            calls.append(len(zs))
+            return original(t, zs, rho)
+
+        monkeypatch.setattr(kernel, "_resolvent_sum", counted)
+        monkeypatch.setattr(harnack, "_resolvent_sum", counted)
+        t = canonical_form_c2(2, 0.7)
+        s = make_shift(2, math.sqrt(2))
+        verdict, evidence = are_harnack_equivalent(t, s, 2.0, quick_grid, torus_angles=32)
+        assert verdict
+        assert len(calls) == 4
+        assert sorted(calls) == [32, 32, 80, 80]
+        # the shared kernels give the same constants as the directed calls
+        assert evidence.forward.c_squared == domination_constant(t, s, 2.0, quick_grid).c_squared
+        assert evidence.backward.c_squared == domination_constant(s, t, 2.0, quick_grid).c_squared
+
+    def test_certificates_report_points_and_margin(self, quick_grid):
+        t = 0.7 * normalized_shift(1, 2.0)
+        _, evidence = are_harnack_equivalent(t, np.zeros((2, 2)), 2.0, quick_grid,
+                                             torus_angles=16)
+        forward, backward = evidence.forward, evidence.backward
+        assert forward.stats["interior_points"] == backward.stats["interior_points"] == 80
+        # K(0) = rho I: the least eigenvalue is the scale
+        assert forward.stats["k0_relative_min"] == pytest.approx(1.0, abs=1e-15)
+        assert harnack.PD_FLOOR < backward.stats["k0_relative_min"] < 1.0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rho_toolkit import (GapTooSmallError, NotHermitianError, nullspace, spectral_norm,
                          spectral_radius)
-from rho_toolkit.linalg import as_cmatrix
+from rho_toolkit.linalg import as_cmatrix, null_frames
 
 from conftest import random_unitary
 
@@ -45,6 +45,20 @@ class TestNullspace:
         # floor (1e-7) relative to scale 1
         with pytest.raises(GapTooSmallError):
             nullspace(np.diag([0.0, 5e-8, 1.0]))
+
+    def test_gap_error_of_a_single_matrix_has_no_index(self):
+        with pytest.raises(GapTooSmallError) as info:
+            nullspace(np.diag([0.0, 5e-8, 1.0]))
+        assert info.value.index is None
+
+    def test_frames_are_what_the_bases_view(self):
+        # the list view copies the masked columns of the one eigh frame
+        m = np.diag([0.0, 2.0, 0.0, 1.0])
+        vectors, mask = null_frames(m)
+        assert vectors.shape == (1, 4, 4) and mask.shape == (1, 4)
+        assert mask.sum() == 2
+        for v, col in zip(nullspace(m), np.flatnonzero(mask[0])):
+            np.testing.assert_array_equal(v, vectors[0][:, col])
 
     def test_stack_matches_per_matrix_calls(self, rng):
         # nullities 0, 1, 2 and 3 at scales far apart, one eigh for the stack

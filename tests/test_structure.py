@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ class TestNullProfile:
         def refuse(*args, **kwargs):
             raise AssertionError("null_profile must not extract")
 
-        monkeypatch.setattr(structure, "torus_nullspace", refuse)
+        monkeypatch.setattr(structure, "torus_null_frames", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         p = null_profile(6, 2.0)
         assert p.support == (0, 1, 2, 4, 5, 6)
@@ -124,6 +125,23 @@ class TestRotationFamily:
                             lambda n, rho: calls.append((n, rho)) or original(n, rho))
         rotation_family_check(5, 2.0, np.exp(2j * np.pi * np.arange(8) / 8))
         assert calls == [(5, 2.0)]
+
+
+    def test_nullity_two_names_its_z(self, monkeypatch):
+        original = structure.torus_null_frames
+
+        def doubled(t, rho, zs, tol=1e-8):
+            vectors, mask = original(t, rho, zs, tol)
+            mask = mask.copy()
+            mask[3, -1] = True  # a second null column at the fourth point only
+            return vectors, mask
+
+        monkeypatch.setattr(structure, "torus_null_frames", doubled)
+        roots = np.exp(2j * np.pi * np.arange(8) / 8)
+        with pytest.raises(structure.GapTooSmallError,
+                           match=rf"nullity 2 != 1 at z = {re.escape(str(roots[3]))}") as err:
+            rotation_family_check(3, 2.0, roots)
+        assert err.value.index == 3
 
 
 class TestReversalSymmetry:
