@@ -28,6 +28,10 @@ import numpy as np
 # Rescaling guard: |values| beyond this are scaled down and the exponent is
 # recorded, so the recurrence never produces inf - inf.
 RESCALE_LIMIT = 1e300
+# relative agreement of the critical closed forms with the recurrences
+CLOSED_FORM_TOL = 1e-9
+# joint residual above which an angle-system row satisfies no identity
+EXCLUSION_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,7 @@ def critical_closed_form(m: int, n: int) -> tuple[float, float]:
         capped value at index m:  (1 + (1 - a0) m) lam^m
         kernel value at index m:  (rho0 - a0 m) lam^m.
 
-    Agreement with the recurrences is asserted to 1e-9 relative.
+    Agreement with the recurrences is asserted to CLOSED_FORM_TOL relative.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -164,7 +168,7 @@ def critical_closed_form(m: int, n: int) -> tuple[float, float]:
         # lam^m is the size of the terms the recurrence cancels, so it is the
         # honest scale when the closed form is (near) zero
         scale = max(abs(closed), abs(rec), lam ** m, 1.0)
-        if abs(closed - rec) > 1e-9 * scale:
+        if abs(closed - rec) > CLOSED_FORM_TOL * scale:
             raise AssertionError(
                 f"closed form {closed!r} disagrees with recurrence {rec!r} at m={m}, n={n}"
             )
@@ -237,7 +241,7 @@ class AngleSystemReport:
     @property
     def excluded(self) -> bool:
         """True when no index l satisfies the subordinate identities jointly."""
-        return all(row.joint > 1e-3 for row in self.rows)
+        return all(row.joint > EXCLUSION_MARGIN for row in self.rows)
 
 
 def angle_system_report(n: int, rho: float) -> AngleSystemReport:

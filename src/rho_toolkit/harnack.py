@@ -29,6 +29,8 @@ from .linalg import NULLSPACE_TOL, as_cmatrix
 PD_FLOOR = 1e-12
 # relative size of K(T1) on a null direction of K(T0) that makes a pair infeasible
 LEAK_TOL = 1e-9
+# distance within which a torus eigenvalue of T1 matches one of T0
+EIG_MATCH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -116,10 +118,10 @@ def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
 def torus_spectrum_check(t1, t0) -> bool:
     """Necessary condition for T1 to be Harnack dominated by T0: every
     eigenvalue of T1 within TORUS_MARGIN of the unit circle must match an
-    eigenvalue of T0 within 1e-6."""
+    eigenvalue of T0 within EIG_MATCH_TOL."""
     e1 = np.linalg.eigvals(as_cmatrix(t1))
     e0 = np.linalg.eigvals(as_cmatrix(t0))
-    return all(np.any(np.abs(e0 - lam) <= 1e-6) for lam in e1[near_torus(e1)])
+    return all(np.any(np.abs(e0 - lam) <= EIG_MATCH_TOL) for lam in e1[near_torus(e1)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,8 @@ TORUS_MARGIN = 1e-8
 UNIT_CIRCLE_TOL = 1e-12
 
 DEFAULT_PSD_TOL = 1e-9
+# |Im| of a real companion eigenvalue, relative to the largest |eigenvalue|
+REAL_EIG_TOL = 1e-6
 COMPANION_CHUNK = 256
 
 
@@ -132,7 +134,8 @@ def has_torus_spectrum(t, margin: float = TORUS_MARGIN) -> bool:
 def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray:
     """Membership threshold of T/gamma at each z (-inf where none): the largest
     real eigenvalue of [[(rho-1)/rho (conj(z) T + z T*), -(rho-2)/rho |z|^2 T*T],
-    [I, 0]], the companion of Q_z (``radius``).  The dtype follows t and zs;
+    [I, 0]], the companion of Q_z (``radius``); an eigenvalue is real within
+    REAL_EIG_TOL.  The dtype follows t and zs;
     COMPANION_CHUNK points per ``eigvals`` call bound memory."""
     d = t.shape[0]
     tstar = np.conj(t.T)
@@ -144,7 +147,7 @@ def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray
         c[:, :d, d:] = -(rho - 2.0) / rho * np.abs(z) ** 2 * (tstar @ t)
         c[:, d:, :d] = np.eye(d)
         eigs = np.linalg.eigvals(c)
-        real = np.abs(eigs.imag) <= 1e-6 * np.abs(eigs).max(axis=1, keepdims=True)
+        real = np.abs(eigs.imag) <= REAL_EIG_TOL * np.abs(eigs).max(axis=1, keepdims=True)
         out[i:i + len(z)] = np.where(real, eigs.real, -np.inf).max(axis=1)
     return out
 

@@ -17,8 +17,9 @@ eigenvalue of a companion matrix of Q_z (Tisseur and Meerbergen, SIAM Rev.
 * ``shift_radius`` — the unit-weight truncated shift S of size n + 1: the
   threshold at z = 1.  Exact closed forms at rho = 1, n + 2.
 * ``determinant_radius`` — the first weight where the z = 1 kernel stops
-  being positive definite, by two bisections on [1, rho] that must agree
-  (Sylvester's pivots, smallest eigenvalue); the oracle for ``shift_radius``.
+  being positive definite, by bisection on Sylvester's pivots over [1, rho],
+  confirmed by two smallest-eigenvalue probes just inside and outside the
+  root; the oracle for ``shift_radius``.
 
 For 1 < rho < n + 2 and n >= 2, x = w_rho and an angle w solve
 
@@ -45,7 +46,8 @@ BISECT_MAX_ITER = 200
 CERTIFICATE_TOL = 1e-6  # |lambda_min| at a radius, relative to the kernel's scale
 LEVEL_GAP = 1e-10  # relative height above the level set's value that no threshold reaches
 CROSSING_TOL = 1e-4  # |Im s| cut-off, relative to max(1, |s|), of a candidate crossing
-ROUTE_AGREEMENT = 100.0  # tol units by which determinant_radius's bisections may part
+NILPOTENT_TOL = 1e-10  # ||T^m|| relative to ||T||^m that counts as T^m = 0
+ROUTE_AGREEMENT = 100.0  # half-width, in tol max(1, a*), of determinant_radius's eigenvalue window
 
 
 @dataclass(frozen=True)
@@ -57,9 +59,7 @@ class RadiusResult:
     omega     -- auxiliary angle of the radius system when it exists, else None
     residual  -- defining-equation residual of the returned value
     bracket   -- final enclosing interval for the value
-    stats     -- how the value was found; filled by ``radius_bisect``'s level
-                 set (iterations, threshold_points, crossing_tol, witness),
-                 empty for ``shift_radius``, ``determinant_radius`` and the
+    stats     -- how the value was found (see each route); empty for the
                  closed forms
     """
 
@@ -91,9 +91,15 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
     The kernel is positive definite at a = 1 (BracketInvalidError if not) and
     not at a = rho (minor rho^2 - a^2).  Assuming the positive definite weights
     form the interval [1, a*), which no sampled (n, rho) contradicts, a* is
-    bisected on [1, rho] twice: on Sylvester's criterion (``kernel_is_positive``)
-    and on the smallest eigenvalue, which must agree to ROUTE_AGREEMENT * tol
-    (NoRootError).  ``bracket`` is the last Sylvester interval as radii.
+    bisected on [1, rho] by Sylvester's criterion (``kernel_is_positive``) and
+    confirmed by the smallest eigenvalue in the window a* -+ W, W =
+    ROUTE_AGREEMENT * tol * max(1, a*): positive at the lower end, not at the
+    upper, ends clipped to [1, rho] and not probed there (NoRootError
+    otherwise).  A second bisection on the eigenvalue would probe the same
+    midpoints while the two tests agree, so it could add only their
+    agreement far from a*, where both are well conditioned.  ``bracket`` is
+    the last Sylvester interval as radii; ``stats`` holds the bisection
+    steps, the eigenvalue probes and the window (below, above) of weights.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -101,29 +107,24 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
         raise ValueError("determinant route requires rho > 1")
     if not kernel_is_positive(n, 1.0, rho):
         raise BracketInvalidError("kernel not positive definite at a = 1")
-
-    def bisect(positive) -> tuple[float, float]:
-        lo, hi = 1.0, float(rho)
-        for _ in range(BISECT_MAX_ITER):
-            if hi - lo < tol * max(1.0, hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if positive(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo, hi
-
-    lo, hi = bisect(lambda a: kernel_is_positive(n, a, rho))
+    lo, hi, steps = 1.0, float(rho), 0
+    while steps < BISECT_MAX_ITER and not hi - lo < tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if kernel_is_positive(n, mid, rho) else (lo, mid)
+        steps += 1
     a_star = 0.5 * (lo + hi)
-    a_eig = 0.5 * sum(bisect(lambda a: _boundary_min_eig(n, a, rho) > 0))
-    if abs(a_star - a_eig) > ROUTE_AGREEMENT * tol * max(1.0, a_star):
-        raise NoRootError(
-            f"Sylvester and eigenvalue routes disagree: {a_star!r} vs {a_eig!r}"
-        )
+    width = ROUTE_AGREEMENT * tol * max(1.0, a_star)
+    below, above = max(1.0, a_star - width), min(float(rho), a_star + width)
+    probes = [(a, positive) for a, positive in ((below, True), (above, False)) if 1.0 < a < rho]
+    for a, positive in probes:
+        if (_boundary_min_eig(n, a, rho) > 0) != positive:
+            raise NoRootError(f"Sylvester root {a_star!r} is not confirmed by the smallest "
+                              f"eigenvalue at a = {a!r}")
     resid = abs(_boundary_min_eig(n, a_star, rho))
+    stats = {"bisection_steps": steps, "eigenvalue_probes": len(probes),
+             "window": (below, above)}
     return RadiusResult(value=1.0 / a_star, method="determinant_oracle", omega=None,
-                        residual=resid, bracket=(1.0 / hi, 1.0 / lo))
+                        residual=resid, bracket=(1.0 / hi, 1.0 / lo), stats=stats)
 
 
 def _system_residual(n: int, rho: float, x: float, w: float) -> float:
@@ -140,7 +141,8 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
     companion threshold x of S at z = 1 (module docstring).  NoRootError
     when the z = 1 kernel at weight 1/x is not singular to CERTIFICATE_TOL rho
     (x = -inf, no real eigenvalue, included) or the radius system misses
-    ``tol`` at (x, omega).
+    ``tol`` at (x, omega).  ``stats`` holds the companion size, the
+    certificate and the Newton correction to the angle (None without one).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -163,7 +165,7 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
             f"companion eigenvalue {x!r} is off the kernel positivity boundary "
             f"(certificate {certificate:.3e}) for n={n}, rho={rho}"
         )
-    w, resid = None, 0.0
+    w, step, resid = None, None, 0.0
     if n >= 2 and rho < n + 2:
         cos_w = (rho * x * x + rho - 2.0) / (2.0 * x * (rho - 1.0))
         if not -1.0 < cos_w < 1.0:
@@ -173,12 +175,14 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
         # Newton step on the sine equation, well conditioned there, restores them
         sw = math.sin(w)
         u = math.sin(n * w) / sw
-        w -= (u - rho * x) * sw / (n * math.cos(n * w) - u * cos_w)
+        step = -(u - rho * x) * sw / (n * math.cos(n * w) - u * cos_w)
+        w += step
         resid = _system_residual(n, rho, x, w)
         if resid > tol:
             raise NoRootError(f"angle-system residual {resid:.3e} exceeds {tol:.1e}")
+    stats = {"companion_size": 2 * (n + 1), "certificate": certificate, "newton_step": step}
     return RadiusResult(value=x, method="companion", omega=w,
-                        residual=max(certificate, resid), bracket=(x, x))
+                        residual=max(certificate, resid), bracket=(x, x), stats=stats)
 
 
 def _q(a: np.ndarray, rho: float, g: float, z: complex) -> np.ndarray:
@@ -240,7 +244,7 @@ def radius_bisect(t, rho: float) -> RadiusResult:
     |lambda_min Q_w(x)| <= CERTIFICATE_TOL rho x^2 at its witness w
     (NoRootError if not); x above the norm is a bug (BracketInvalidError).
     ``stats`` holds the steps, the threshold points, the crossing cut-off and
-    the witness; the other routes leave it empty.
+    the witness.
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
@@ -285,14 +289,14 @@ def radius_bisect(t, rho: float) -> RadiusResult:
 def nilpotent_bound(m: int, t, tol: float = 1e-5) -> bool:
     """Check w_{m+1}(T) <= (m-1)/(m+1) ||T|| for a matrix with T^m = 0.
 
-    Raises NotNilpotentError when ||T^m|| exceeds 1e-10 ||T||^m.
+    Raises NotNilpotentError when ||T^m|| exceeds NILPOTENT_TOL ||T||^m.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     a = as_cmatrix(t)
     norm = spectral_norm(a)
     power = np.linalg.matrix_power(a, m)
-    if spectral_norm(power) > 1e-10 * norm ** m:
+    if spectral_norm(power) > NILPOTENT_TOL * norm ** m:
         raise NotNilpotentError(f"||T^{m}|| = {spectral_norm(power):.3e} is not ~0")
     w = radius_bisect(a, float(m + 1)).value
     return w <= (m - 1.0) / (m + 1.0) * norm + tol

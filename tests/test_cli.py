@@ -128,6 +128,14 @@ class TestRadiusCommand:
                      "--method", "det"]) == 3
         assert "NoRootError" in capsys.readouterr().err
 
+    def test_det_json_reports_stats(self, capsys):
+        assert main(["radius", "--shift", "6", "--rho", "3", "--method", "det", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        stats = payload["stats"]
+        assert stats["bisection_steps"] > 20 and stats["eigenvalue_probes"] == 2
+        below, above = stats["window"]
+        assert below < 1.0 / payload["value"] < above
+
     def test_det_near_double_root(self, capsys):
         # just past the critical point the first root is nearly double
         assert main(["radius", "--shift", "24", "--rho", "26.00000000000001",

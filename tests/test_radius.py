@@ -62,11 +62,29 @@ class TestShiftRadius:
         assert res.method == "companion"
         assert abs(res.value - determinant_radius(3, 8.0).value) <= 1e-8
 
+    def test_stats(self):
+        res = shift_radius(4, 2.5)
+        assert res.stats["companion_size"] == 10
+        assert res.stats["certificate"] <= res.residual
+        assert 0 < abs(res.stats["newton_step"]) < 1e-6
+        assert shift_radius(1, 2.5).stats["newton_step"] is None
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             shift_radius(0, 2.0)
         with pytest.raises(ValueError):
             shift_radius(3, 0.9)
+
+
+def _record_eig_probes(monkeypatch) -> list:
+    """Weights at which determinant_radius takes the smallest eigenvalue."""
+    from rho_toolkit import radius
+
+    probed = []
+    real = radius._boundary_min_eig
+    monkeypatch.setattr(radius, "_boundary_min_eig",
+                        lambda n, a, rho: probed.append(a) or real(n, a, rho))
+    return probed
 
 
 class TestDeterminantRadius:
@@ -91,6 +109,51 @@ class TestDeterminantRadius:
     def test_rejects_rho_one(self):
         with pytest.raises(ValueError):
             determinant_radius(3, 1.0)
+
+    def test_stats(self):
+        res = determinant_radius(4, 2.5)
+        a_star, width = 1.0 / res.value, 100.0 * 1e-10 / res.value
+        assert res.stats["bisection_steps"] > 30
+        assert res.stats["eigenvalue_probes"] == 2
+        assert res.stats["window"] == pytest.approx((a_star - width, a_star + width),
+                                                    rel=1e-15)
+
+    @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+    def test_crossing_outside_the_window_is_refused(self, offset, monkeypatch):
+        # the smallest eigenvalue is replaced by one that changes sign at
+        # a*(1 + offset), outside the window a* -+ 100 tol a*
+        from rho_toolkit import NoRootError, radius
+
+        cross = (1.0 + offset) / determinant_radius(6, 3.0).value
+        monkeypatch.setattr(radius, "_boundary_min_eig", lambda n, a, rho: cross - a)
+        with pytest.raises(NoRootError, match="not confirmed"):
+            determinant_radius(6, 3.0)
+
+    @pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+    def test_crossing_inside_the_window_is_accepted(self, offset, monkeypatch):
+        from rho_toolkit import radius
+
+        plain = determinant_radius(6, 3.0)
+        cross = (1.0 + offset) / plain.value
+        monkeypatch.setattr(radius, "_boundary_min_eig", lambda n, a, rho: cross - a)
+        res = determinant_radius(6, 3.0)
+        assert res.value == plain.value and res.bracket == plain.bracket
+
+    @pytest.mark.parametrize("rho, probes", [(1.0 + 1e-9, 0), (1.0 + 1e-7, 1)])
+    def test_lower_probe_skipped_near_rho_one(self, rho, probes, monkeypatch):
+        # a* - W falls below a = 1, where the kernel is known to be positive
+        probed = _record_eig_probes(monkeypatch)
+        res = determinant_radius(6, rho)
+        assert res.stats["window"][0] == 1.0
+        assert res.stats["eigenvalue_probes"] == probes
+        assert all(a >= 1.0 / res.value for a in probed)
+
+    def test_at_most_three_eigenvalue_calls(self, monkeypatch):
+        calls = _record_eig_probes(monkeypatch)
+        for n, rho in ((1, 3.0), (2, 2.5), (6, 3.0), (24, 26.0), (24, 80.0)):
+            calls.clear()
+            determinant_radius(n, rho)
+            assert len(calls) <= 3
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_bracket_holds_the_value(self, tol):
@@ -300,8 +363,8 @@ class TestLevelSet:
             assert abs(radius_bisect(t, rho).value - ref) <= 1e-9 * ref
 
     def test_other_routes_leave_stats_empty(self):
-        assert shift_radius(4, 2.5).stats == {}
-        assert determinant_radius(4, 2.5).stats == {}
+        assert shift_radius(4, 1.0).stats == {}
+        assert shift_radius(4, 6.0).stats == {}
         assert radius_bisect(np.zeros((2, 2)), 2.0).stats == {}
 
 
