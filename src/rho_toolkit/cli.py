@@ -2,9 +2,7 @@
 
 Matrices travel as JSON documents ``{"dim": d, "entries": [[re, im], ...],
 "label": "..."}`` with entries in row-major order.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 numeric error.  The environment
-variable RHO_TOOLKIT_THREADS sizes the thread pool that ``verify`` runs its
-criteria on (default: the CPU count); it does not cap BLAS threads.
+1 verification failure, 2 usage error, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from .kernel import (UNIT_CIRCLE_TOL, DiscGrid, has_torus_spectrum, rho_kernel,
 from .linalg import as_cmatrix
 from .radius import determinant_radius, omega_of_rho_curve, radius_bisect, shift_radius
 from .shifts import make_shift, normalized_shift
-from .structure import STRUCTURE_TOL, NullProfile, null_profile
+from .structure import STRUCTURE_TOL, NullProfile, _phase_twist, null_profile
 from .verify import _fmt
 
 
@@ -104,7 +102,8 @@ def _require_one_operand(args) -> None:
 def _cmd_radius(args) -> int:
     _require_one_operand(args)
     if args.shift is not None:
-        if not args.weight > 0:
+        b = 1.0 if args.weight is None else args.weight
+        if not b > 0:
             raise UsageError("--weight must be positive")
         if args.method == "auto":
             res = shift_radius(args.shift, args.rho, tol=max(args.tol, 1e-9))
@@ -112,13 +111,14 @@ def _cmd_radius(args) -> int:
             res = determinant_radius(args.shift, args.rho, tol=args.tol)
         else:
             res = radius_bisect(make_shift(args.shift, 1.0), args.rho)
-        b = args.weight  # w_rho(b S) = b w_rho(S); every route above solves b = 1
+        # w_rho(b S) = b w_rho(S); every route above solves b = 1
         res = replace(res, value=b * res.value, bracket=(b * res.bracket[0], b * res.bracket[1]))
     else:
-        t = load_matrix(args.matrix)
         if args.method == "det":
             raise UsageError("method 'det' applies to shifts only")
-        res = radius_bisect(t, args.rho)
+        if args.weight is not None:
+            raise UsageError("--weight applies to shifts only")
+        res = radius_bisect(load_matrix(args.matrix), args.rho)
     stats = {k: [v.real, v.imag] if isinstance(v, complex) else v
              for k, v in res.stats.items()}
     payload = {"value": res.value, "method": res.method, "omega": res.omega,
@@ -132,10 +132,14 @@ def _cmd_radius(args) -> int:
 def _kernel_operand(args) -> np.ndarray:
     _require_one_operand(args)
     if args.matrix is not None:
+        if args.normalized or args.weight is not None:
+            raise UsageError("--normalized and --weight apply to shifts only")
         return load_matrix(args.matrix)
     if args.normalized:
+        if args.weight is not None:
+            raise UsageError("--normalized sets the weight; --weight does not apply")
         return normalized_shift(args.shift, args.rho)
-    return make_shift(args.shift, args.weight)
+    return make_shift(args.shift, 1.0 if args.weight is None else args.weight)
 
 
 def _cmd_kernel(args) -> int:
@@ -285,9 +289,7 @@ def _cmd_explore(args) -> int:
         s = make_shift(n, 1.0 / profile.radius.value)
         for k in range(n + 1):
             for theta in thetas:
-                twist = np.ones(n + 1, dtype=complex)
-                twist[k] = np.exp(1j * theta)
-                t = np.conj(twist)[:, None] * s * twist[None, :]
+                t = _phase_twist(s, k, theta)
                 equal = bool(nullspace_equality(t, s, rho, torus_angles=args.torus))
                 predicted = k not in profile.support
                 sweeps.append({"rho": rho, "coordinate": k, "theta": float(theta),
@@ -322,15 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rho-toolkit",
         description="Numerical radii, operatorial kernels, and Harnack "
                     "domination for finite complex matrices.",
-        epilog="RHO_TOOLKIT_THREADS sizes the thread pool of verify's "
-               "criteria; it does not cap BLAS threads.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("radius", help="compute a rho-numerical radius")
     p.add_argument("--shift", type=int, help="use the truncated shift of size N+1")
     p.add_argument("--matrix", help="matrix JSON file")
-    p.add_argument("--weight", type=float, default=1.0, help="shift weight (B > 0)")
+    p.add_argument("--weight", type=float, help="shift weight (B > 0, default 1)")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--method", choices=("auto", "bisect", "det"), default="auto",
                    help="bisect: the level-set route, any matrix")
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=int)
     p.add_argument("--normalized", action="store_true",
                    help="normalize the shift to radius one at the given rho")
-    p.add_argument("--weight", type=float, default=1.0)
+    p.add_argument("--weight", type=float, help="shift weight (default 1)")
     p.add_argument("--z", required=True, help="evaluation point as 're,im'")
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--only", help="comma-separated criterion prefixes, e.g. c01,c04")
+    p.add_argument("--only", help="comma-separated criterion ids, e.g. c01,c04")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("explore", help="non-normative sweeps (open questions)")

@@ -162,40 +162,19 @@ def unitary_orbit_predicate(u, n: int, rho: float, tol: float = STRUCTURE_TOL) -
     )
 
 
-def _hermitian_basis(d: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = e[j, i] = 1.0 / math.sqrt(2.0)
-            basis.append(e)
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = -1j / math.sqrt(2.0)
-            e[j, i] = 1j / math.sqrt(2.0)
-            basis.append(e)
-    return basis
-
-
 def commutant_dimension(t, tol: float = 1e-10) -> int:
     """Real dimension of the Hermitian solutions of TX = XT, T*X = XT*.
 
     Dimension 1 means the commutant of {T, T*} is trivial, i.e. only the
-    scalars commute with both.
+    scalars commute with both.  The commutant is a *-algebra, X = H + iK
+    with H, K Hermitian, so this equals the complex dimension of all its
+    solutions: the null space of one Kronecker system, counted by its
+    singular values at or below tol * sigma_max.
     """
     a = as_cmatrix(t)
-    d = a.shape[0]
-    basis = _hermitian_basis(d)
-    cols = []
-    for b in basis:
-        r1 = a @ b - b @ a
-        r2 = np.conj(a).T @ b - b @ np.conj(a).T
-        cols.append(np.concatenate([r1.real.ravel(), r1.imag.ravel(),
-                                    r2.real.ravel(), r2.imag.ravel()]))
-    system = np.column_stack(cols)
+    eye = np.eye(a.shape[0])
+    system = np.vstack([np.kron(eye, a) - np.kron(a.T, eye),
+                        np.kron(eye, np.conj(a).T) - np.kron(np.conj(a), eye)])
     sigma = np.linalg.svd(system, compute_uv=False)
     top = sigma[0] if sigma.size and sigma[0] > 0 else 1.0
     return int(np.sum(sigma <= tol * top))
@@ -217,14 +196,18 @@ def canonical_form_c2(n: int, theta: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = 1.0 / math.cos(math.pi / (n + 2))
-    s = make_shift(n, a)
+    s = make_shift(n, 1.0 / math.cos(math.pi / (n + 2)))
     if n % 2 == 1:
         return s
-    p = n // 2
-    s[p - 1, p] = a * np.exp(1j * theta)
-    s[p, p + 1] = a * np.exp(-1j * theta)
-    return s
+    return _phase_twist(s, n // 2, theta)
+
+
+def _phase_twist(t, k: int, theta: float) -> np.ndarray:
+    """D* T D with D = diag(1, ..., e^{i theta} at k, ..., 1)."""
+    d = np.ones(t.shape[0], dtype=complex)
+    d[k] = np.exp(1j * theta)
+    # 0 * e^{i theta} can leave -0.0 in a zero entry; + 0.0 restores T's 0.0
+    return np.conj(d)[:, None] * t * d[None, :] + 0.0
 
 
 @dataclass(frozen=True)
@@ -249,23 +232,15 @@ def c2_orbit_report(n: int, theta_samples, tol: float = STRUCTURE_TOL) -> list[C
     """Exercise the rho = 2 canonical family (or, in even dimension, the
     forbidden single-coordinate twists) against the normalized shift.
 
-    Odd dimension: canonical_form_c2(n, theta) must be equivalent for every
-    theta.  Even dimension: a phase twist at the middle coordinate must be
-    equivalent only at theta = 0 (mod 2 pi).
+    Both twist the phase of coordinate (n + 1) // 2.  Odd dimension: that is
+    canonical_form_c2(n, theta), equivalent for every theta.  Even dimension:
+    the twist must be equivalent only at theta = 0 (mod 2 pi).
     """
-    a = 1.0 / math.cos(math.pi / (n + 2))
-    s = make_shift(n, a)
+    s = make_shift(n, 1.0 / math.cos(math.pi / (n + 2)))
     entries = []
     for theta in theta_samples:
-        if n % 2 == 0:
-            t = canonical_form_c2(n, theta)
-            expected = True
-        else:
-            p = (n + 1) // 2
-            twist = np.ones(n + 1, dtype=complex)
-            twist[p] = np.exp(1j * theta)
-            t = np.conj(twist)[:, None] * s * twist[None, :]
-            expected = math.isclose(math.cos(theta), 1.0, abs_tol=1e-12)
+        t = _phase_twist(s, (n + 1) // 2, theta)
+        expected = n % 2 == 0 or math.isclose(math.cos(theta), 1.0, abs_tol=1e-12)
         entries.append(C2OrbitEntry(
             theta=float(theta),
             expected_equivalent=expected,

@@ -15,11 +15,9 @@ every case-2 point; the check notes print the normalized values compared.
 from __future__ import annotations
 
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,9 +48,11 @@ class CheckResult:
 
     def __post_init__(self):
         # every pass of the battery rebuilds equal ids and notes; interned,
-        # the reports a caller keeps share one copy of each
+        # the reports a caller keeps share one copy of each.  Criteria may
+        # compute passed as a numpy bool; the reports carry a Python bool.
         object.__setattr__(self, "id", sys.intern(self.id))
         object.__setattr__(self, "note", sys.intern(self.note))
+        object.__setattr__(self, "passed", bool(self.passed))
 
 
 # the fields of one check in the JSON and CSV reports, in order
@@ -62,8 +62,8 @@ _COLUMNS = ("id", "paper_location", "expected", "computed", "tolerance", "pass",
 @dataclass(frozen=True)
 class VerifyReport:
     """The checks in battery order; seconds is each criterion's wall time,
-    by criterion id, measured in the thread that ran it (not compared: two
-    reports of the same checks are equal)."""
+    by criterion id, measured around its run in the calling thread (not
+    compared: two reports of the same checks are equal)."""
 
     checks: tuple
     seconds: dict = field(default_factory=dict, compare=False)
@@ -471,39 +471,31 @@ CRITERIA = (
 
 
 def default_jobs() -> int:
-    env = os.environ.get("RHO_TOOLKIT_THREADS", "")
-    if env.strip():
-        return max(int(env), 1)
-    return os.cpu_count() or 1
+    # the battery runs in the calling thread; perfbench/run.py still divides
+    # by this for verify.pool_busy_frac
+    return 1
 
 
-def _timed(fn, n_max, seed) -> tuple[list, float]:
-    start = time.perf_counter()
-    checks = fn(n_max, seed)
-    return checks, time.perf_counter() - start
-
-
-def run_battery(n_max: int | None = None, seed: int = 0,
-                criteria=None, jobs: int | None = None) -> VerifyReport:
+def run_battery(n_max: int | None = None, seed: int = 0, criteria=None) -> VerifyReport:
     """Run the verification battery.
 
     n_max caps the upper end of every n-sweep (None = the full stated
-    ranges); criteria optionally selects prefixes like {"c05", "c07"}.
-    Checks are computed in parallel per criterion but reported in a fixed
-    order, so the checks are deterministic; the report's seconds are not.
+    ranges); criteria optionally selects criterion ids like {"c05", "c07"},
+    and an id not in CRITERIA raises ValueError.  The criteria run one after
+    another in the calling thread, so the checks are deterministic; the
+    report's seconds are not.
     """
-    selected = [(cid, fn) for cid, _, fn in CRITERIA
-                if criteria is None or cid in criteria]
-    jobs = jobs or default_jobs()
-    results: dict[str, list] = {}
-    seconds: dict[str, float] = {}
-    with ThreadPoolExecutor(max_workers=max(jobs, 1)) as pool:
-        futures = {cid: pool.submit(_timed, fn, n_max, seed) for cid, fn in selected}
-        for cid, fut in futures.items():
-            results[cid], seconds[cid] = fut.result()
+    known = {cid for cid, _, _ in CRITERIA}
+    unknown = sorted(set(criteria or ()) - known)
+    if unknown:
+        raise ValueError(f"unknown criterion ids: {unknown}")
     checks = []
-    for cid, _ in selected:
-        checks.extend(replace(c, passed=bool(c.passed)) for c in results[cid])
+    seconds: dict[str, float] = {}
+    for cid, _, fn in CRITERIA:
+        if criteria is None or cid in criteria:
+            start = time.perf_counter()
+            checks.extend(fn(n_max, seed))
+            seconds[cid] = time.perf_counter() - start
     ids = [c.id for c in checks]
     if len(ids) != len(set(ids)):
         raise AssertionError("duplicate check ids in the battery")

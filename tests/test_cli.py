@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -146,6 +147,11 @@ class TestRadiusCommand:
     def test_missing_file_is_usage_error(self):
         assert main(["radius", "--matrix", "/no/such/file.json", "--rho", "2"]) == 2
 
+    def test_weight_with_matrix_is_usage_error(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "s.json", make_shift(2, 1.0))
+        assert main(["radius", "--matrix", path, "--rho", "2", "--weight", "2"]) == 2
+        assert "--weight" in capsys.readouterr().err
+
 
 class TestKernelCommand:
     def test_shift_eigenvalues_csv(self, capsys):
@@ -172,6 +178,14 @@ class TestKernelCommand:
     def test_torus_spectrum_is_numeric_error(self, tmp_path):
         path = write_matrix(tmp_path, "u.json", np.diag([1.0 + 0j, 0.3]))
         assert main(["kernel", "--matrix", path, "--z", "1,0", "--rho", "2"]) == 3
+
+    def test_shift_options_with_matrix_are_usage_errors(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "s.json", make_shift(2, 1.0))
+        assert main(["kernel", "--matrix", path, "--normalized", "--z", "1,0",
+                     "--rho", "2"]) == 2
+        assert main(["kernel", "--shift", "3", "--normalized", "--weight", "2",
+                     "--z", "1,0", "--rho", "2"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestNullspaceCommand:
@@ -322,6 +336,30 @@ class TestVerifyCommand:
         assert main(["verify", "--only", "c99", "--n-max", "2"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] c99-red-n02" in out and "injected failure" in out
+
+    def test_criteria_run_in_the_calling_thread(self, monkeypatch):
+        seen = []
+
+        def recording(cid):
+            def criterion(n_max, seed):
+                seen.append((cid, threading.get_ident()))
+                return [verify.CheckResult(id=f"{cid}-check", paper_location="recorded",
+                                           expected=0.0, computed=0.0, tolerance=0.0,
+                                           passed=np.bool_(True))]
+            return criterion
+
+        monkeypatch.setattr(verify, "CRITERIA", (("c97", "first", recording("c97")),
+                                                 ("c98", "second", recording("c98"))))
+        report = verify.run_battery(criteria={"c97", "c98"})
+        assert seen == [("c97", threading.get_ident()), ("c98", threading.get_ident())]
+        assert sorted(report.seconds) == ["c97", "c98"]
+        assert all(type(c.passed) is bool for c in report.checks)
+
+    def test_unknown_criterion_id_is_refused(self, capsys):
+        with pytest.raises(ValueError, match="c99"):
+            verify.run_battery(criteria={"c00", "c99"})
+        assert main(["verify", "--only", "c0"]) == 2
+        assert "c0" in capsys.readouterr().err
 
     def test_csv_format(self, capsys, tmp_path):
         out_file = tmp_path / "report.csv"

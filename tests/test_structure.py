@@ -99,7 +99,7 @@ class TestNullProfile:
 
         monkeypatch.setattr(verify, "torus_nullspace",
                             lambda t, rho, z, tol: [np.ones(t.shape[0], dtype=complex)])
-        report = run_battery(n_max=3, criteria={"c05"}, jobs=1)
+        report = run_battery(n_max=3, criteria={"c05"})
         assert len(report.checks) == 3
         assert not any(c.passed for c in report.checks)
 
@@ -231,6 +231,17 @@ class TestIrreducibility:
 
     def test_scalar_matrix(self):
         assert not irreducibility_check(np.eye(3))
+
+    def test_multiplicity_counts_every_matrix_unit(self):
+        # the commutant of I_2 (x) A is M_2 (x) I for irreducible A
+        assert commutant_dimension(np.kron(np.eye(2), make_shift(2, 1.0))) == 4
+
+    def test_inequivalent_direct_sum_counts_each_block(self):
+        # A + B with A, B irreducible and not unitarily equivalent (norms 1, 2)
+        t = np.zeros((4, 4), dtype=complex)
+        t[:2, :2] = make_shift(1, 1.0)
+        t[2:, 2:] = make_shift(1, 2.0)
+        assert commutant_dimension(t) == 2
 
 
 class TestCanonicalForm:
