@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", required=True)
     p.add_argument("--t0", required=True)
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--grid-radii", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,0.99,0.999")
+    p.add_argument("--grid-radii", default="0.999", help="radii in (0, 1); scored on the largest")
     p.add_argument("--angles", type=int, default=64)
     p.add_argument("--torus", type=int, default=256)
     p.set_defaults(func=_cmd_harnack)

@@ -1,10 +1,12 @@
 """Harnack domination and equivalence between rho-contractions.
 
 Domination of T1 by T0 means K_z(T1) <= c^2 K_z(T0) across the open disc for
-some constant c >= 1.  On a finite grid the best constant is the largest
-generalized eigenvalue of the Hermitian pencil (K(T1), K(T0)), computed by
-congruence with the inverse square root of K(T0); this preserves Hermiticity
-in floating point, unlike direct inversion.
+some constant c >= 1.  For class members c^2 K_z(T0) - K_z(T1) is harmonic,
+so the best constant on |z| <= r is attained on |z| = r, the one ring scored
+(``DiscGrid``).  At each ring sample it is the largest generalized eigenvalue
+of the Hermitian pencil (K(T1), K(T0)), computed by congruence with the
+inverse square root of K(T0); this preserves Hermiticity in floating point,
+unlike direct inversion.
 
 The decisive equivalence predicate is equality of the kernel null spaces on
 the unit circle (with constant nullity); grid domination constants are
@@ -31,18 +33,21 @@ PD_FLOOR = 1e-12
 LEAK_TOL = 1e-9
 # distance within which a torus eigenvalue of T1 matches one of T0
 EIG_MATCH_TOL = 1e-6
+# largest principal-angle residual 1 - sigma_k at which two null spaces are equal
+NULLSPACE_MATCH_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class HarnackCertificate:
-    """Grid-based domination constant for the ordered pair direction=(T1, T0).
+    """Domination constant for the ordered pair direction=(T1, T0) on the ring
+    of grid: exact in radius for class members (``DiscGrid``), sampled in angle.
 
-    feasible is False when K(T0) has a null direction at an interior sample
-    on which K(T1) does not vanish; c_squared is then +inf.  The disc limit
-    z -> 0 forces the true constant to be >= 1, so grid values below 1 are
-    clamped to 1.  stats holds interior_points, the number of interior
-    samples scored, and k0_relative_min, the least eigenvalue of K(T0) over
-    its scale, minimized over the samples: the margin to PD_FLOOR.
+    feasible is False when K(T0) has a null direction at a ring sample on
+    which K(T1) does not vanish; c_squared is then +inf.  The disc limit
+    z -> 0 forces the true constant to be >= 1, so values below 1 are
+    clamped to 1.  stats holds interior_points, the number of ring samples
+    scored, and k0_relative_min, the least eigenvalue of K(T0) over its
+    scale, minimized over the samples: the margin to PD_FLOOR.
     """
 
     c_squared: float
@@ -59,7 +64,7 @@ class HarnackCertificate:
 
 def _dominate(k1: np.ndarray, k0: np.ndarray, zs: np.ndarray, grid: DiscGrid,
               labels: tuple[str, str], tol: float) -> HarnackCertificate:
-    """``domination_constant`` on the stacked interior kernels k1, k0 at zs."""
+    """``domination_constant`` on the stacked ring kernels k1, k0 at zs."""
     mu, v = np.linalg.eigh(k0)
 
     scale = np.max(np.abs(mu), axis=1)
@@ -92,7 +97,7 @@ def _dominate(k1: np.ndarray, k0: np.ndarray, zs: np.ndarray, grid: DiscGrid,
 
 
 def _interior_kernels(t1, t0, rho: float, grid: DiscGrid):
-    """The interior samples of grid and the stacked kernels of T1 and T0 there."""
+    """The ring samples of grid and the stacked kernels of T1 and T0 there."""
     a1, a0 = as_cmatrix(t1), as_cmatrix(t0)
     if a1.shape != a0.shape:
         raise ValueError("matrices must have equal dimensions")
@@ -103,10 +108,10 @@ def _interior_kernels(t1, t0, rho: float, grid: DiscGrid):
 def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
                         labels: tuple[str, str] = ("T1", "T0"),
                         tol: float = LEAK_TOL) -> HarnackCertificate:
-    """Best grid constant c^2 with K_z(T1) <= c^2 K_z(T0), interior samples only.
+    """Best constant c^2 with K_z(T1) <= c^2 K_z(T0) on the ring of grid.
 
-    Raises InteriorSingularError when K_z(T0) degenerates at an interior
-    sample while K_z(T1) vanishes on the same directions (the pencil is then
+    Raises InteriorSingularError when K_z(T0) degenerates at a ring sample
+    while K_z(T1) vanishes on the same directions (the pencil is then
     ill-posed); returns an infeasible certificate when K_z(T1) does not
     vanish there (no finite constant can work).
     """
@@ -143,7 +148,7 @@ class NullspaceComparison:
 
 
 def nullspace_equality(t1, t0, rho: float, torus_angles: int = 256,
-                       tol: float = 1e-7) -> NullspaceComparison:
+                       tol: float = NULLSPACE_MATCH_TOL) -> NullspaceComparison:
     """True iff the kernel null spaces of T1 and T0 agree at every sampled
     unit-circle point (equal dimension, principal angle within tol).
 
@@ -181,13 +186,13 @@ class HarnackEvidence:
 
 def are_harnack_equivalent(t1, t0, rho: float, grid: DiscGrid | None = None,
                            torus_angles: int = 256,
-                           tol: float = 1e-7) -> tuple[bool, HarnackEvidence]:
+                           tol: float = NULLSPACE_MATCH_TOL) -> tuple[bool, HarnackEvidence]:
     """Decide Harnack equivalence of two torus-spectrum-free class members.
 
     The verdict is the null-space condition (equality at every sampled torus
     point) together with constant nullity across the samples; the two
-    directed grid domination constants, scored from one evaluation of each
-    interior kernel, are attached as corroboration, never as the verdict.
+    directed ring domination constants, scored from one evaluation of each
+    ring kernel, are attached as corroboration, never as the verdict.
     """
     grid = grid or DiscGrid()
     comparison = nullspace_equality(t1, t0, rho, torus_angles=torus_angles, tol=tol)

@@ -8,7 +8,7 @@ Hermitian by construction.  T is a rho-contraction exactly when its
 spectrum lies in the closed disc and the kernel is positive on the open
 disc, that is, when w_rho(T) <= 1; ``is_rho_contraction`` decides it from
 the level-set radius (``radius.radius_bisect``), not from kernel samples.
-DiscGrid samples the disc for the Harnack constants.
+DiscGrid gives the ring on which the Harnack constants are scored.
 """
 
 from __future__ import annotations
@@ -43,15 +43,17 @@ def roots_of_unity(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscGrid:
-    """Sampling grid for "for all z in the disc" statements.
-
-    radii are the interior circles (increasing, inside (0, 1)), each with
-    angles_per_radius equispaced angles.  Nothing in the package reads
-    torus_angles; the field is kept, validated, for callers that still pass
-    it (the harnack-part workload of perfbench/workloads.py).
+    """The ring |z| = radii[-1], angles_per_radius equispaced points, that
+    scores the Harnack constants.  For class members T0, T1 (precondition)
+    c^2 K_z(T0) - K_z(T1) is harmonic, so by the minimum principle the circle
+    fixes the constant and feasibility on the disc it bounds, exactly in
+    radius (in angle the ring samples it); inner radii (increasing, inside
+    (0, 1)) are accepted but do not change them.  Nothing reads torus_angles;
+    it is kept, validated, for callers that still pass it (the harnack-part
+    workload of perfbench/workloads.py).
     """
 
-    radii: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
+    radii: tuple = (0.999,)
     angles_per_radius: int = 64
     torus_angles: int = 256
 
@@ -63,9 +65,8 @@ class DiscGrid:
             raise ValueError("angle counts must be positive")
 
     def interior_points(self) -> np.ndarray:
-        """All interior samples, radius-major, angle 0 first on each ring."""
-        ring = roots_of_unity(self.angles_per_radius)
-        return np.concatenate([r * ring for r in self.radii])
+        """The samples of the outermost ring, angle 0 first."""
+        return self.radii[-1] * roots_of_unity(self.angles_per_radius)
 
 
 @dataclass(frozen=True)

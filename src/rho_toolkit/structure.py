@@ -24,7 +24,7 @@ from .errors import GapTooSmallError, NotUnitaryError
 from .harnack import nullspace_equality
 from .kernel import torus_null_frames
 from .linalg import as_cmatrix, spectral_norm
-from .radius import RadiusResult, radius_bisect, shift_radius
+from .radius import RadiusResult, shift_radius
 from .shifts import make_shift
 
 STRUCTURE_TOL = 1e-7  # unit of the profile's support threshold, bound of its residuals
@@ -215,7 +215,6 @@ class C2OrbitEntry:
     theta: float
     expected_equivalent: bool
     norm_value: float
-    radius_value: float
     membership: MembershipReport
     nullspace_equal: bool
 
@@ -245,7 +244,6 @@ def c2_orbit_report(n: int, theta_samples, tol: float = STRUCTURE_TOL) -> list[C
             theta=float(theta),
             expected_equivalent=expected,
             norm_value=spectral_norm(t),
-            radius_value=radius_bisect(t, 2.0).value,
             membership=membership_necessary_conditions(t),
             nullspace_equal=bool(nullspace_equality(t, s, 2.0, tol=tol)),
         ))

@@ -238,7 +238,7 @@ class TestNullspaceCommand:
 
 
 class TestHarnackCommand:
-    def test_identical_operaands(self, tmp_path, capsys):
+    def test_identical_operands(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "s.json", normalized_shift(1, 2.0))
         assert main(["harnack", "--t1", path, "--t0", path, "--rho", "2",
                      "--torus", "16", "--angles", "8"]) == 0
@@ -246,7 +246,7 @@ class TestHarnackCommand:
         assert payload["equivalent"] is True
         assert payload["c_squared_forward"] == pytest.approx(1.0, abs=1e-10)
         for key in ("stats_forward", "stats_backward"):
-            assert payload[key]["interior_points"] == 11 * 8
+            assert payload[key]["interior_points"] == 8
             assert 0.0 < payload[key]["k0_relative_min"] <= 1.0
 
     def test_canonical_vs_shift(self, tmp_path, capsys):

@@ -8,8 +8,11 @@ import rho_toolkit.kernel as kernel
 from rho_toolkit import (DiscGrid, GapTooSmallError, InteriorSingularError,
                          TorusSpectrumError, are_harnack_equivalent, canonical_form_c2,
                          domination_constant, make_shift, normalized_shift,
-                         nullspace_equality, torus_nullspace, torus_spectrum_check)
+                         nullspace_equality, radius_bisect, torus_nullspace,
+                         torus_spectrum_check)
 from rho_toolkit.kernel import roots_of_unity
+
+from conftest import disc_points
 
 
 def block_sum(a, b):
@@ -241,7 +244,7 @@ class TestAreHarnackEquivalent:
         verdict, evidence = are_harnack_equivalent(t, s, 2.0, quick_grid, torus_angles=32)
         assert verdict
         assert len(calls) == 4
-        assert sorted(calls) == [32, 32, 80, 80]
+        assert sorted(calls) == [16, 16, 32, 32]
         # the shared kernels give the same constants as the directed calls
         assert evidence.forward.c_squared == domination_constant(t, s, 2.0, quick_grid).c_squared
         assert evidence.backward.c_squared == domination_constant(s, t, 2.0, quick_grid).c_squared
@@ -251,7 +254,56 @@ class TestAreHarnackEquivalent:
         _, evidence = are_harnack_equivalent(t, np.zeros((2, 2)), 2.0, quick_grid,
                                              torus_angles=16)
         forward, backward = evidence.forward, evidence.backward
-        assert forward.stats["interior_points"] == backward.stats["interior_points"] == 80
+        assert forward.stats["interior_points"] == backward.stats["interior_points"] == 16
         # K(0) = rho I: the least eigenvalue is the scale
         assert forward.stats["k0_relative_min"] == pytest.approx(1.0, abs=1e-15)
         assert harnack.PD_FLOOR < backward.stats["k0_relative_min"] < 1.0
+
+
+class TestMinimumPrinciple:
+    """For class members the outermost ring decides the constant and the
+    feasibility of the whole 11-ring disc sample (``DiscGrid``)."""
+
+    @staticmethod
+    def certificates(t1, t0, rho, zs):
+        k1, k0 = kernel._resolvent_sum(t1, zs, rho), kernel._resolvent_sum(t0, zs, rho)
+        return [harnack._dominate(a, b, zs, DiscGrid(), ("T1", "T0"), harnack.LEAK_TOL)
+                for a, b in ((k1, k0), (k0, k1))]
+
+    def assert_ring_decides(self, t1, t0, rho):
+        ring = DiscGrid().interior_points()
+        pairs = zip(self.certificates(t1, t0, rho, disc_points()),
+                    self.certificates(t1, t0, rho, ring))
+        for disc, outer in pairs:
+            assert disc.feasible == outer.feasible
+            assert disc.c_squared == pytest.approx(outer.c_squared, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_middle_twists(self, n):
+        s = make_shift(n, 1.0 / math.cos(math.pi / (n + 2)))
+        for theta in (0.7, math.pi / 2, 2.0, math.pi):
+            self.assert_ring_decides(twisted_shift(n, theta, (n + 1) // 2), s, 2.0)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_contracted_shift(self, n):
+        s = normalized_shift(n, 2.0)
+        self.assert_ring_decides(0.9 * s, s, 2.0)
+
+    def test_random_members(self):
+        # 64 angles can miss a peak of c^2 near the circle that a 0.99 sample
+        # catches, so the outer ring here has 1024 angles (the default 64
+        # among them): no disc sample may exceed its constant
+        rng = np.random.default_rng(1616)
+        dense = 0.999 * roots_of_unity(1024)
+        for d in range(2, 7):
+            for rho in (1.5, 2.0, 3.0):
+                t1, t0 = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                          for _ in range(2))
+                t1 = t1 / (radius_bisect(t1, rho).value * rng.uniform(1.0, 1.5))
+                t0 = t0 / radius_bisect(t0, rho).value
+                pairs = zip(self.certificates(t1, t0, rho, disc_points()),
+                            self.certificates(t1, t0, rho, DiscGrid().interior_points()),
+                            self.certificates(t1, t0, rho, dense))
+                for disc, outer, ring in pairs:
+                    assert disc.feasible == outer.feasible == ring.feasible
+                    assert disc.c_squared <= ring.c_squared * (1.0 + 1e-12)

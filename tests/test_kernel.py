@@ -12,6 +12,8 @@ from rho_toolkit import (DiscGrid, GapTooSmallError, SingularError,
                          spectral_norm, spectral_radius, torus_nullspace)
 from rho_toolkit.kernel import _resolvent_sum, companion_threshold, roots_of_unity
 
+from conftest import disc_points
+
 
 class TestRhoKernel:
     def test_zero_matrix_gives_scaled_identity(self):
@@ -113,7 +115,7 @@ class TestDiscGrid:
     def test_default_grid_shape(self):
         grid = DiscGrid()
         pts = grid.interior_points()
-        assert pts.shape == (11 * 64,)
+        assert pts.shape == (64,)
         assert np.max(np.abs(pts)) < 1.0
         assert roots_of_unity(256).shape == (256,)
 
@@ -167,19 +169,17 @@ class TestMinimumPrinciple:
                 yield t, rho
 
     def test_interior_thresholds_stay_below_the_torus_bound(self):
-        grid = DiscGrid()
         for t, rho in self.matrices():
             lo = max(spectral_radius(t), spectral_norm(t) / rho)
             torus = companion_threshold(t, roots_of_unity(256), rho).max()
-            interior = companion_threshold(t, grid.interior_points(), rho).max()
+            interior = companion_threshold(t, disc_points(), rho).max()
             assert interior <= max(lo, torus)
 
     def test_interior_kernel_stays_above_the_torus_minimum(self):
-        grid = DiscGrid()
         for t, rho in self.matrices():
             t = 0.9 * t / spectral_radius(t)
             torus = np.linalg.eigvalsh(_resolvent_sum(t, roots_of_unity(256), rho))[:, 0]
-            interior = np.linalg.eigvalsh(_resolvent_sum(t, grid.interior_points(), rho))[:, 0]
+            interior = np.linalg.eigvalsh(_resolvent_sum(t, disc_points(), rho))[:, 0]
             assert interior.min() >= torus.min()
 
 

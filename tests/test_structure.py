@@ -9,8 +9,8 @@ from rho_toolkit import (NotUnitaryError, NullProfile, are_harnack_equivalent,
                          c2_orbit_report, canonical_form_c2, commutant_dimension,
                          irreducibility_check, make_shift,
                          membership_necessary_conditions, normalized_shift,
-                         null_profile, rotation_family_check, run_battery,
-                         shift_radius, torus_nullspace, unitary_orbit_predicate)
+                         null_profile, radius_bisect, rotation_family_check,
+                         run_battery, shift_radius, torus_nullspace, unitary_orbit_predicate)
 
 from conftest import random_unitary
 
@@ -281,9 +281,11 @@ class TestC2OrbitReport:
         entries = c2_orbit_report(2, (0.0, math.pi / 3, math.pi))
         assert all(e.expected_equivalent and e.equivalent and e.consistent
                    for e in entries)
+        s = make_shift(2, 1.0 / math.cos(math.pi / 4))
         for e in entries:
             assert e.norm_value == pytest.approx(math.sqrt(2), rel=1e-12)
-            assert e.radius_value == pytest.approx(1.0, abs=1e-6)
+            t = structure._phase_twist(s, 1, e.theta)
+            assert radius_bisect(t, 2.0).value == pytest.approx(1.0, abs=1e-6)
             assert e.membership
 
     def test_even_dimension_twist_not_equivalent(self):
