@@ -194,6 +194,16 @@ def _cmd_nullspace(args) -> int:
     return 0
 
 
+_HARNACK_NOTES = {
+    "rotation": ("weighted-shift pair (rotation route): the constants are exact in angle "
+                 "on the ring and the verdict holds at every unit-circle point; "
+                 "the verdict is the null-space condition"),
+    "sampled": ("sampled route: the constants are ring-sampled lower bounds and the "
+                "verdict holds at the sampled unit-circle points; "
+                "the verdict is the null-space condition"),
+}
+
+
 def _cmd_harnack(args) -> int:
     t1 = load_matrix(args.t1)
     t0 = load_matrix(args.t0)
@@ -212,7 +222,7 @@ def _cmd_harnack(args) -> int:
         "c_squared_backward": evidence.backward.c_squared,
         "stats_forward": evidence.forward.stats,
         "stats_backward": evidence.backward.stats,
-        "note": "grid-certified constants; the verdict is the null-space condition",
+        "note": _HARNACK_NOTES[evidence.nullspaces.route],
     }
     print(json.dumps(payload, indent=2))
     return 0
@@ -297,9 +307,10 @@ def _cmd_explore(args) -> int:
                                "agrees": equal == predicted})
     payload = {
         "exploratory": True,
-        "note": ("numeric sweeps only; no claim beyond the sampled grid. "
-                 "in_part is the sampled null-space condition; support_prediction "
-                 "is the diagonal-orbit criterion from the null profile."),
+        "note": ("numeric sweeps over the listed rho, coordinates and phases only. "
+                 "The twists are weighted shifts, so in_part is the null-space "
+                 "condition at every unit-circle point (rotation route); "
+                 "support_prediction is the diagonal-orbit criterion from the null profile."),
         "n": n,
         "sweeps": sweeps,
     }

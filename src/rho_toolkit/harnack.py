@@ -9,11 +9,21 @@ inverse square root of K(T0); this preserves Hermiticity in floating point,
 unlike direct inversion.
 
 The decisive equivalence predicate is equality of the kernel null spaces on
-the unit circle (with constant nullity); grid domination constants are
-corroborating evidence only, since sampling cannot certify an inequality for
-every z in the disc.  The circle comparison is one stacked pass: one ``eigh``
-of each matrix's kernels over all sample points and one stacked SVD of the
-masked null frames give every nullity and principal-angle residual.
+the unit circle (with constant nullity); the domination constants are
+corroborating evidence only.  The circle comparison is one stacked pass: one
+``eigh`` of each matrix's kernels over all sample points and one stacked SVD
+of the masked null frames give every nullity and principal-angle residual.
+
+When both operands are weighted shifts (every entry off the first
+superdiagonal exactly zero), D_z T D_z* = conj(z) T for D_z = diag(1, z, ...,
+z^(d-1)) and |z| = 1, so K_{rz}(T) = D_z K_r(T) D_z*: null spaces rotate by
+the common unitary D_z, which leaves nullities, principal angles and the
+pencil's eigenvalues unchanged.  Such a pair is decided at z = 1 and scored
+at z = radii[-1] alone (route "rotation"), exact in angle: the verdict holds
+at every unit-circle point and c^2 is the ring's constant.  Any other pair is
+sampled (route "sampled"): the verdict holds at the torus samples and c^2 is
+a lower bound in angle, since sampling cannot certify an inequality at every
+z of the ring.
 """
 
 from __future__ import annotations
@@ -40,14 +50,16 @@ NULLSPACE_MATCH_TOL = 1e-7
 @dataclass(frozen=True)
 class HarnackCertificate:
     """Domination constant for the ordered pair direction=(T1, T0) on the ring
-    of grid: exact in radius for class members (``DiscGrid``), sampled in angle.
+    of grid: exact in radius for class members (``DiscGrid``); exact in angle
+    for a pair of weighted shifts (route "rotation", scored at z = radii[-1],
+    which is then worst_z), sampled in angle otherwise (route "sampled").
 
     feasible is False when K(T0) has a null direction at a ring sample on
     which K(T1) does not vanish; c_squared is then +inf.  The disc limit
     z -> 0 forces the true constant to be >= 1, so values below 1 are
-    clamped to 1.  stats holds interior_points, the number of ring samples
-    scored, and k0_relative_min, the least eigenvalue of K(T0) over its
-    scale, minimized over the samples: the margin to PD_FLOOR.
+    clamped to 1.  stats holds route, interior_points, the number of ring
+    points evaluated, and k0_relative_min, the least eigenvalue of K(T0) over
+    its scale, minimized over the points: the margin to PD_FLOOR.
     """
 
     c_squared: float
@@ -62,13 +74,22 @@ class HarnackCertificate:
         return self.feasible
 
 
+def _route(*mats: np.ndarray) -> str:
+    """The Harnack route of the operands: "rotation" when every matrix is a
+    weighted shift (all its nonzero entries on the first superdiagonal),
+    else "sampled"."""
+    shifts = all(np.count_nonzero(a) == np.count_nonzero(np.diagonal(a, 1)) for a in mats)
+    return "rotation" if shifts else "sampled"
+
+
 def _dominate(k1: np.ndarray, k0: np.ndarray, zs: np.ndarray, grid: DiscGrid,
-              labels: tuple[str, str], tol: float) -> HarnackCertificate:
+              labels: tuple[str, str], tol: float,
+              route: str = "sampled") -> HarnackCertificate:
     """``domination_constant`` on the stacked ring kernels k1, k0 at zs."""
     mu, v = np.linalg.eigh(k0)
 
     scale = np.max(np.abs(mu), axis=1)
-    stats = {"interior_points": len(zs),
+    stats = {"route": route, "interior_points": len(zs),
              "k0_relative_min": float(np.min(mu[:, 0] / np.maximum(scale, 1e-300)))}
     degenerate = mu[:, 0] <= PD_FLOOR * scale
     if np.any(degenerate):
@@ -97,12 +118,16 @@ def _dominate(k1: np.ndarray, k0: np.ndarray, zs: np.ndarray, grid: DiscGrid,
 
 
 def _interior_kernels(t1, t0, rho: float, grid: DiscGrid):
-    """The ring samples of grid and the stacked kernels of T1 and T0 there."""
+    """The route, the ring points of grid it evaluates (z = radii[-1] alone
+    on the rotation route) and the stacked kernels of T1 and T0 there."""
     a1, a0 = as_cmatrix(t1), as_cmatrix(t0)
     if a1.shape != a0.shape:
         raise ValueError("matrices must have equal dimensions")
+    route = _route(a1, a0)
     zs = grid.interior_points()
-    return zs, _resolvent_sum(a1, zs, rho), _resolvent_sum(a0, zs, rho)
+    if route == "rotation":
+        zs = zs[:1]
+    return route, zs, _resolvent_sum(a1, zs, rho), _resolvent_sum(a0, zs, rho)
 
 
 def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
@@ -116,8 +141,8 @@ def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
     vanish there (no finite constant can work).
     """
     grid = grid or DiscGrid()
-    zs, k1, k0 = _interior_kernels(t1, t0, rho, grid)
-    return _dominate(k1, k0, zs, grid, labels, tol)
+    route, zs, k1, k0 = _interior_kernels(t1, t0, rho, grid)
+    return _dominate(k1, k0, zs, grid, labels, tol, route)
 
 
 def torus_spectrum_check(t1, t0) -> bool:
@@ -132,13 +157,16 @@ def torus_spectrum_check(t1, t0) -> bool:
 @dataclass(frozen=True, eq=False)
 class NullspaceComparison:
     """Null-space comparison at the unit-circle points z: the nullities dims1,
-    dims0 and the principal-angle residuals (1 where the nullities differ)."""
+    dims0 and the principal-angle residuals (1 where the nullities differ).
+    route is "rotation" when they were read at z = 1 and hold at every z of
+    the circle (a pair of weighted shifts), "sampled" when read at each z."""
 
     equal: bool
     z: np.ndarray
     dims1: np.ndarray
     dims0: np.ndarray
     residuals: np.ndarray
+    route: str
 
     def __bool__(self) -> bool:
         return self.equal
@@ -150,7 +178,8 @@ class NullspaceComparison:
 def nullspace_equality(t1, t0, rho: float, torus_angles: int = 256,
                        tol: float = NULLSPACE_MATCH_TOL) -> NullspaceComparison:
     """True iff the kernel null spaces of T1 and T0 agree at every sampled
-    unit-circle point (equal dimension, principal angle within tol).
+    unit-circle point (equal dimension, principal angle within tol); for a
+    pair of weighted shifts, read at z = 1, at every unit-circle point.
 
     Both matrices must be free of unit-circle spectrum (checked once each,
     TorusSpectrumError naming T1 or T0).  A GapTooSmallError from the
@@ -159,21 +188,26 @@ def nullspace_equality(t1, t0, rho: float, torus_angles: int = 256,
     """
     if np.shape(t1) != np.shape(t0):
         raise ValueError("matrices must have equal dimensions")
+    a1, a0 = as_cmatrix(t1), as_cmatrix(t0)
+    route = _route(a1, a0)
     zs = roots_of_unity(torus_angles)
+    points = zs[:1] if route == "rotation" else zs
     frames = []
-    for label, t in (("T1", t1), ("T0", t0)):
+    for label, t in (("T1", a1), ("T0", a0)):
         try:
-            vectors, mask = torus_null_frames(t, rho, zs, NULLSPACE_TOL)
+            vectors, mask = torus_null_frames(t, rho, points, NULLSPACE_TOL)
         except TorusSpectrumError as exc:
             raise TorusSpectrumError(f"{label} has spectrum on the unit circle") from exc
         frames.append((vectors * mask[:, None, :], mask.sum(axis=1)))
     (f1, dims1), (f0, dims0) = frames
     sigma = np.linalg.svd(np.conj(np.swapaxes(f1, -1, -2)) @ f0, compute_uv=False)
-    cosine = sigma[np.arange(len(zs)), np.maximum(dims1 - 1, 0)]
+    cosine = sigma[np.arange(len(points)), np.maximum(dims1 - 1, 0)]
     residuals = np.where(dims1 != dims0, 1.0, np.where(dims1 == 0, 0.0, 1.0 - cosine))
     equal = bool(np.all((dims1 == dims0) & (residuals <= tol)))
+    if route == "rotation":
+        dims1, dims0, residuals = (np.repeat(x, len(zs)) for x in (dims1, dims0, residuals))
     return NullspaceComparison(equal=equal, z=zs, dims1=dims1, dims0=dims0,
-                               residuals=residuals)
+                               residuals=residuals, route=route)
 
 
 @dataclass(frozen=True)
@@ -190,17 +224,18 @@ def are_harnack_equivalent(t1, t0, rho: float, grid: DiscGrid | None = None,
     """Decide Harnack equivalence of two torus-spectrum-free class members.
 
     The verdict is the null-space condition (equality at every sampled torus
-    point) together with constant nullity across the samples; the two
-    directed ring domination constants, scored from one evaluation of each
-    ring kernel, are attached as corroboration, never as the verdict.
+    point, or at every unit-circle point for a pair of weighted shifts)
+    together with constant nullity across the samples; the two directed ring
+    domination constants, scored from one evaluation of each ring kernel, are
+    attached as corroboration, never as the verdict.
     """
     grid = grid or DiscGrid()
     comparison = nullspace_equality(t1, t0, rho, torus_angles=torus_angles, tol=tol)
     dims1, dims0 = comparison.nullities()
     constant = len(dims1) == 1 and len(dims0) == 1
-    zs, k1, k0 = _interior_kernels(t1, t0, rho, grid)
-    forward = _dominate(k1, k0, zs, grid, ("T1", "T0"), LEAK_TOL)
-    backward = _dominate(k0, k1, zs, grid, ("T0", "T1"), LEAK_TOL)
+    route, zs, k1, k0 = _interior_kernels(t1, t0, rho, grid)
+    forward = _dominate(k1, k0, zs, grid, ("T1", "T0"), LEAK_TOL, route)
+    backward = _dominate(k0, k1, zs, grid, ("T0", "T1"), LEAK_TOL, route)
     verdict = bool(comparison) and constant
     return verdict, HarnackEvidence(nullspaces=comparison, constant_nullity=constant,
                                     forward=forward, backward=backward)

@@ -47,9 +47,11 @@ class DiscGrid:
     scores the Harnack constants.  For class members T0, T1 (precondition)
     c^2 K_z(T0) - K_z(T1) is harmonic, so by the minimum principle the circle
     fixes the constant and feasibility on the disc it bounds, exactly in
-    radius (in angle the ring samples it); inner radii (increasing, inside
-    (0, 1)) are accepted but do not change them.  Nothing reads torus_angles;
-    it is kept, validated, for callers that still pass it (the harnack-part
+    radius; inner radii (increasing, inside (0, 1)) are accepted but do not
+    change them.  In angle, a pair of weighted shifts is exact from the one
+    point z = radii[-1] (rotation covariance, ``harnack``); other matrices
+    are sampled at the ring's points.  Nothing reads torus_angles; it is
+    kept, validated, for callers that still pass it (the harnack-part
     workload of perfbench/workloads.py).
     """
 

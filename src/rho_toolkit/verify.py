@@ -25,15 +25,15 @@ from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            discriminant, kernel_det, kernel_det_matrix,
                            kernel_det_state, mixed_identity_residual,
                            oscillatory_closed_form, recurrence_roots)
-from .harnack import domination_constant
+from .harnack import domination_constant, nullspace_equality
 from .kernel import DiscGrid, rho_kernel, roots_of_unity, torus_nullspace
 from .linalg import spectral_norm
 from .radius import (critical_rho, determinant_radius, omega_of_rho_curve,
                      radius_bisect, shift_radius)
 from .shifts import make_shift, normalized_shift
-from .structure import (STRUCTURE_TOL, NullProfile, c2_orbit_report, canonical_form_c2,
-                        commutant_dimension, membership_necessary_conditions,
-                        rotation_family_check)
+from .structure import (STRUCTURE_TOL, NullProfile, _phase_twist, c2_orbit_report,
+                        canonical_form_c2, commutant_dimension,
+                        membership_necessary_conditions, rotation_family_check)
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,6 +362,37 @@ def _c08_case2_monotone(n_max, seed):
 
 
 _THETAS_C9 = (0.0, 0.7, math.pi / 2, math.pi, 4.0)
+_OFFSUPPORT_THETAS_C9 = (0.7, math.pi / 2)
+
+
+def _householder(d: int) -> np.ndarray:
+    """The reflection I - 2 u u^T / |u|^2, u = (1, 2, ..., d): real orthogonal
+    and, for d >= 2, not diagonal."""
+    u = np.arange(1.0, d + 1.0)
+    return np.eye(d) - 2.0 * np.outer(u, u) / (u @ u)
+
+
+def _c09_oracle(n, thetas):
+    """The rotation route's comparison of each middle twist against the
+    shift, and the sampled route's on both operands conjugated by one
+    Householder reflection Q (K_z(Q T Q^T) = Q K_z(T) Q^T, so principal
+    angles agree): the cases where route, verdict or nullities differ."""
+    s = make_shift(n, 1.0 / math.cos(math.pi / (n + 2)))
+    q = _householder(n + 1)
+    mismatches = []
+    for theta in thetas:
+        t = _phase_twist(s, (n + 1) // 2, theta)
+        direct = nullspace_equality(t, s, 2.0, tol=STRUCTURE_TOL)
+        oracle = nullspace_equality(q @ t @ q.T, q @ s @ q.T, 2.0, tol=STRUCTURE_TOL)
+        agree = ((direct.route, oracle.route) == ("rotation", "sampled")
+                 and direct.equal == oracle.equal
+                 and np.array_equal(direct.dims1, oracle.dims1)
+                 and np.array_equal(direct.dims0, oracle.dims0))
+        if not agree:
+            mismatches.append(f"theta={theta:.2f}: {direct.route} {direct.equal} "
+                              f"{direct.nullities()} vs {oracle.route} {oracle.equal} "
+                              f"{oracle.nullities()}")
+    return mismatches
 
 
 def _c09_harnack_part(n_max, seed):
@@ -391,12 +422,21 @@ def _c09_harnack_part(n_max, seed):
             expected="ratio <= 2", computed=max(ratios), tolerance=2.0, passed=ok,
         ))
     for n in (1, 3):
-        entries = c2_orbit_report(n, (0.7, math.pi / 2))
+        entries = c2_orbit_report(n, _OFFSUPPORT_THETAS_C9)
         bad = [e for e in entries if e.nullspace_equal]
         checks.append(CheckResult(
             id=f"c09-offsupport-n{n}",
             paper_location="off-support phase twists leave the Harnack part",
             expected=False, computed=bool(bad), tolerance=0.0, passed=not bad,
+        ))
+    for n, thetas in ((1, _OFFSUPPORT_THETAS_C9), (2, _THETAS_C9),
+                      (3, _OFFSUPPORT_THETAS_C9), (4, _THETAS_C9)):
+        mismatches = _c09_oracle(n, thetas)
+        checks.append(CheckResult(
+            id=f"c09-oracle-n{n}",
+            paper_location="rotation-route Harnack verdicts match the sampled route",
+            expected=True, computed=not mismatches, tolerance=0.0, passed=not mismatches,
+            note="; ".join(mismatches),
         ))
     return checks
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rho_toolkit import DiscGrid
+from rho_toolkit import DiscGrid, verify
 from rho_toolkit.kernel import roots_of_unity
 
 DISC_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
@@ -18,6 +18,15 @@ def random_unitary(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def orthogonal_conjugates(*ts):
+    """Q T Q^T for each T, Q the Householder reflection of c09's oracle:
+    K_z(Q T Q^T) = Q K_z(T) Q^T, so null spaces, principal angles and
+    domination constants are those of T, but a weighted shift stops being
+    one and takes the sampled Harnack route."""
+    q = verify._householder(np.shape(ts[0])[0])
+    return [q @ t @ q.T for t in ts]
 
 
 @pytest.fixture

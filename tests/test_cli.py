@@ -11,6 +11,8 @@ from rho_toolkit import make_shift, normalized_shift, verify
 from rho_toolkit.cli import MatrixDocument, load_matrix, main, save_matrix
 from rho_toolkit.radius import CROSSING_TOL
 
+from conftest import orthogonal_conjugates
+
 
 def write_matrix(tmp_path, name, matrix, label=None):
     path = tmp_path / name
@@ -239,15 +241,20 @@ class TestNullspaceCommand:
 
 class TestHarnackCommand:
     def test_identical_operands(self, tmp_path, capsys):
-        path = write_matrix(tmp_path, "s.json", normalized_shift(1, 2.0))
-        assert main(["harnack", "--t1", path, "--t0", path, "--rho", "2",
-                     "--torus", "16", "--angles", "8"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["equivalent"] is True
-        assert payload["c_squared_forward"] == pytest.approx(1.0, abs=1e-10)
-        for key in ("stats_forward", "stats_backward"):
-            assert payload[key]["interior_points"] == 8
-            assert 0.0 < payload[key]["k0_relative_min"] <= 1.0
+        s = normalized_shift(1, 2.0)
+        for route, t, points in (("rotation", s, 1), ("sampled", *orthogonal_conjugates(s), 8)):
+            path = write_matrix(tmp_path, "s.json", t)
+            assert main(["harnack", "--t1", path, "--t0", path, "--rho", "2",
+                         "--torus", "16", "--angles", "8"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["equivalent"] is True
+            assert payload["c_squared_forward"] == pytest.approx(1.0, abs=1e-10)
+            assert payload["note"].startswith("weighted-shift pair" if route == "rotation"
+                                              else "sampled route")
+            for key in ("stats_forward", "stats_backward"):
+                assert payload[key]["route"] == route
+                assert payload[key]["interior_points"] == points
+                assert 0.0 < payload[key]["k0_relative_min"] <= 1.0
 
     def test_canonical_vs_shift(self, tmp_path, capsys):
         from rho_toolkit import canonical_form_c2

@@ -12,7 +12,7 @@ from rho_toolkit import (DiscGrid, GapTooSmallError, InteriorSingularError,
                          torus_spectrum_check)
 from rho_toolkit.kernel import roots_of_unity
 
-from conftest import disc_points
+from conftest import disc_points, orthogonal_conjugates
 
 
 def block_sum(a, b):
@@ -227,9 +227,10 @@ class TestAreHarnackEquivalent:
         assert verdict
         assert evidence.constant_nullity
 
-    def test_evaluates_each_kernel_once(self, monkeypatch, quick_grid):
-        # two torus stacks and two interior stacks: the backward direction
-        # reuses the forward direction's kernels
+    @staticmethod
+    def counted_pair(monkeypatch, quick_grid, t, s):
+        """are_harnack_equivalent on (t, s) and the sizes of the kernel
+        stacks it evaluated."""
         calls = []
         original = kernel._resolvent_sum
 
@@ -239,25 +240,42 @@ class TestAreHarnackEquivalent:
 
         monkeypatch.setattr(kernel, "_resolvent_sum", counted)
         monkeypatch.setattr(harnack, "_resolvent_sum", counted)
-        t = canonical_form_c2(2, 0.7)
-        s = make_shift(2, math.sqrt(2))
         verdict, evidence = are_harnack_equivalent(t, s, 2.0, quick_grid, torus_angles=32)
+        monkeypatch.undo()
         assert verdict
-        assert len(calls) == 4
-        assert sorted(calls) == [16, 16, 32, 32]
         # the shared kernels give the same constants as the directed calls
         assert evidence.forward.c_squared == domination_constant(t, s, 2.0, quick_grid).c_squared
         assert evidence.backward.c_squared == domination_constant(s, t, 2.0, quick_grid).c_squared
+        return evidence, sorted(calls)
+
+    def test_evaluates_each_kernel_once(self, monkeypatch, quick_grid):
+        # two torus stacks and two interior stacks: the backward direction
+        # reuses the forward direction's kernels.  Conjugated by an
+        # orthogonal Q the pair is no longer one of weighted shifts, so
+        # every sample point is evaluated
+        t, s = orthogonal_conjugates(canonical_form_c2(2, 0.7), make_shift(2, math.sqrt(2)))
+        evidence, calls = self.counted_pair(monkeypatch, quick_grid, t, s)
+        assert evidence.nullspaces.route == evidence.forward.stats["route"] == "sampled"
+        assert calls == [16, 16, 32, 32]
+
+    def test_evaluates_weighted_shifts_at_one_point(self, monkeypatch, quick_grid):
+        # the same four stacks, each at z = 1 or z = radii[-1] alone
+        t, s = canonical_form_c2(2, 0.7), make_shift(2, math.sqrt(2))
+        evidence, calls = self.counted_pair(monkeypatch, quick_grid, t, s)
+        assert evidence.nullspaces.route == evidence.forward.stats["route"] == "rotation"
+        assert calls == [1, 1, 1, 1]
 
     def test_certificates_report_points_and_margin(self, quick_grid):
-        t = 0.7 * normalized_shift(1, 2.0)
-        _, evidence = are_harnack_equivalent(t, np.zeros((2, 2)), 2.0, quick_grid,
-                                             torus_angles=16)
-        forward, backward = evidence.forward, evidence.backward
-        assert forward.stats["interior_points"] == backward.stats["interior_points"] == 16
-        # K(0) = rho I: the least eigenvalue is the scale
-        assert forward.stats["k0_relative_min"] == pytest.approx(1.0, abs=1e-15)
-        assert harnack.PD_FLOOR < backward.stats["k0_relative_min"] < 1.0
+        pair = (0.7 * normalized_shift(1, 2.0), np.zeros((2, 2)))
+        for route, (t, zero), points in (("rotation", pair, 1),
+                                         ("sampled", orthogonal_conjugates(*pair), 16)):
+            _, evidence = are_harnack_equivalent(t, zero, 2.0, quick_grid, torus_angles=16)
+            forward, backward = evidence.forward, evidence.backward
+            assert forward.stats["route"] == backward.stats["route"] == route
+            assert forward.stats["interior_points"] == backward.stats["interior_points"] == points
+            # K(0) = rho I: the least eigenvalue is the scale
+            assert forward.stats["k0_relative_min"] == pytest.approx(1.0, abs=1e-15)
+            assert harnack.PD_FLOOR < backward.stats["k0_relative_min"] < 1.0
 
 
 class TestMinimumPrinciple:
@@ -307,3 +325,99 @@ class TestMinimumPrinciple:
                 for disc, outer, ring in pairs:
                     assert disc.feasible == outer.feasible == ring.feasible
                     assert disc.c_squared <= ring.c_squared * (1.0 + 1e-12)
+
+
+def random_weighted_shift(rng, d):
+    """A d x d weighted shift with complex weights, about a third of them
+    zero (at least one nonzero)."""
+    w = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
+    w[rng.uniform(size=d - 1) < 0.35] = 0.0
+    if not np.any(w):
+        w[rng.integers(d - 1)] = 1.0
+    return np.diag(w, 1)
+
+
+class TestRotationRoute:
+    """A pair of weighted shifts is decided at z = 1 and scored at
+    z = radii[-1] alone; the sampled route on the orthogonally conjugated
+    pair (same null spaces up to Q, same constants) is its oracle."""
+
+    @staticmethod
+    def assert_routes_agree(a1, a0, rho, grid):
+        v, e = are_harnack_equivalent(a1, a0, rho, grid, torus_angles=64)
+        vo, eo = are_harnack_equivalent(*orthogonal_conjugates(a1, a0), rho, grid,
+                                        torus_angles=64)
+        assert e.nullspaces.route == "rotation" and eo.nullspaces.route == "sampled"
+        assert v == vo and e.constant_nullity == eo.constant_nullity
+        assert e.nullspaces.equal == eo.nullspaces.equal
+        np.testing.assert_array_equal(e.nullspaces.dims1, eo.nullspaces.dims1)
+        np.testing.assert_array_equal(e.nullspaces.dims0, eo.nullspaces.dims0)
+        np.testing.assert_allclose(e.nullspaces.residuals, eo.nullspaces.residuals,
+                                   rtol=0, atol=1e-12)
+        for cert, ref in ((e.forward, eo.forward), (e.backward, eo.backward)):
+            assert cert.feasible == ref.feasible
+            assert cert.stats["route"] == "rotation"
+            assert cert.stats["interior_points"] == 1
+            assert cert.worst_z == grid.radii[-1]
+            if cert.feasible:
+                assert cert.c_squared == pytest.approx(ref.c_squared, rel=1e-10)
+            else:
+                assert cert.c_squared == ref.c_squared == math.inf
+        return v
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+    def test_matches_sampled_route_on_conjugated_pair(self, d, rho):
+        rng = np.random.default_rng([17, d, int(2 * rho)])
+        grid = DiscGrid(angles_per_radius=16)
+        verdicts = []
+        for _ in range(3):
+            # d weights: dimension d + 1; t0 at w_rho = 1, t1 at or below it
+            t1, t0 = (random_weighted_shift(rng, d + 1) for _ in range(2))
+            t0 = t0 / radius_bisect(t0, rho).value
+            t1 = t1 / (radius_bisect(t1, rho).value * rng.choice([1.0, 1.3]))
+            phases = np.exp(2j * np.pi * rng.uniform(size=d + 1))
+            twist = np.conj(phases)[:, None] * t0 * phases[None, :]
+            for a1, a0 in ((t1, t0), (t0, t1), (twist, t0), (t0, t0)):
+                verdicts.append(self.assert_routes_agree(a1, a0, rho, grid))
+        assert any(verdicts)
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+    def test_matches_sampled_route_at_nullity_two(self, rho):
+        s1, s2 = normalized_shift(1, rho), normalized_shift(2, rho)
+        pair = block_sum(s1, s2)
+        phases = np.exp(1j * np.array([0.3, 1.1, 2.0, 2.9, 4.2]))
+        grid = DiscGrid(angles_per_radius=16)
+        assert self.assert_routes_agree(pair, pair, rho, grid)
+        self.assert_routes_agree(np.conj(phases)[:, None] * pair * phases[None, :], pair,
+                                 rho, grid)
+        assert not self.assert_routes_agree(pair, block_sum(s1, 0.9 * s2), rho, grid)
+
+    def test_matches_sampled_route_when_infeasible(self):
+        # the weight-2rho shift kernel is singular at z = 1/2 (see
+        # test_infeasible_when_reference_degenerates)
+        grid = DiscGrid(radii=(0.5,), angles_per_radius=4, torus_angles=4)
+        t1, t0 = make_shift(1, 1.0), make_shift(1, 4.0)
+        exact = domination_constant(t1, t0, 2.0, grid)
+        oracle = domination_constant(*orthogonal_conjugates(t1, t0), 2.0, grid)
+        assert not exact.feasible and not oracle.feasible
+        assert exact.worst_z == oracle.worst_z == 0.5
+        assert exact.stats["interior_points"] == 1 and oracle.stats["interior_points"] == 4
+
+    def test_comparison_arrays_span_the_torus_samples(self):
+        s = normalized_shift(3, 2.0)
+        report = nullspace_equality(0.9 * s, s, 2.0, torus_angles=24)
+        assert report.route == "rotation"
+        assert len(report.z) == len(report.dims1) == len(report.residuals) == 24
+        assert np.all(report.dims1 == 0) and np.all(report.dims0 == 1)
+
+    def test_tiny_entry_off_the_superdiagonal_is_sampled(self, quick_grid):
+        s = normalized_shift(2, 2.0)
+        t = s.copy()
+        t[0, 2] = 1e-300
+        report = nullspace_equality(t, s, 2.0, torus_angles=16)
+        assert report.route == "sampled"
+        _, evidence = are_harnack_equivalent(t, s, 2.0, quick_grid, torus_angles=16)
+        assert evidence.forward.stats["route"] == "sampled"
+        assert evidence.forward.stats["interior_points"] == 16
+        assert nullspace_equality(s, s, 2.0, torus_angles=16).route == "rotation"
