@@ -300,7 +300,7 @@ def _cmd_explore(args) -> int:
         for k in range(n + 1):
             for theta in thetas:
                 t = _phase_twist(s, k, theta)
-                equal = bool(nullspace_equality(t, s, rho, torus_angles=args.torus))
+                equal = bool(nullspace_equality(t, s, rho))
                 predicted = k not in profile.support
                 sweeps.append({"rho": rho, "coordinate": k, "theta": float(theta),
                                "in_part": equal, "support_prediction": predicted,
@@ -405,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--rho", default="2.0,2.5")
     p.add_argument("--theta-samples", type=int, default=4)
-    p.add_argument("--torus", type=int, default=64)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_explore)
     return parser

@@ -31,8 +31,11 @@ For 1 < rho < n + 2 and n >= 2, x = w_rho and an angle w solve
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,6 +51,7 @@ LEVEL_GAP = 1e-10  # relative height above the level set's value that no thresho
 CROSSING_TOL = 1e-4  # |Im s| cut-off, relative to max(1, |s|), of a candidate crossing
 NILPOTENT_TOL = 1e-10  # ||T^m|| relative to ||T||^m that counts as T^m = 0
 ROUTE_AGREEMENT = 100.0  # half-width, in tol max(1, a*), of determinant_radius's eigenvalue window
+SOLVE_CACHE_SIZE = 256  # (n, rho, tol) keys kept by each solve_cache memo
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,8 @@ class RadiusResult:
     omega     -- auxiliary angle of the radius system when it exists, else None
     residual  -- defining-equation residual of the returned value
     bracket   -- final enclosing interval for the value
-    stats     -- how the value was found (see each route); empty for the
-                 closed forms
+    stats     -- how the value was found (see each route), read-only; empty
+                 for the closed forms
     """
 
     value: float
@@ -68,7 +72,29 @@ class RadiusResult:
     omega: float | None
     residual: float
     bracket: tuple[float, float]
-    stats: dict = field(default_factory=dict)
+    stats: MappingProxyType = field(default_factory=dict)
+
+    def __post_init__(self):
+        # a memoized result is shared by every caller, so none may change it
+        object.__setattr__(self, "stats", MappingProxyType(dict(self.stats)))
+
+
+def solve_cache(fn):
+    """Memoize fn(n, rho, tol) in an lru_cache of SOLVE_CACHE_SIZE entries
+    keyed on (n, float(rho), float(tol)), n an integer (``operator.index``,
+    so 3.0 is refused as before): positional, keyword and default tol, and
+    integer and float rho, share one entry.  fn's one default is tol's.  A
+    refusal is raised again on every call, not cached.  ``cache_clear`` and
+    ``cache_info`` are those of the lru_cache."""
+    cached = functools.lru_cache(maxsize=SOLVE_CACHE_SIZE)(fn)
+    (default_tol,) = fn.__defaults__
+
+    @functools.wraps(fn)
+    def solve(n, rho, tol=default_tol):
+        return cached(operator.index(n), float(rho), float(tol))
+
+    solve.cache_clear, solve.cache_info = cached.cache_clear, cached.cache_info
+    return solve
 
 
 def critical_rho(n: int) -> tuple[float, float]:
@@ -134,6 +160,7 @@ def _system_residual(n: int, rho: float, x: float, w: float) -> float:
     return max(r1, r2)
 
 
+@solve_cache
 def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
     """w_rho of the unit-weight truncated shift of size n + 1, any rho >= 1.
 
@@ -143,6 +170,8 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
     (x = -inf, no real eigenvalue, included) or the radius system misses
     ``tol`` at (x, omega).  ``stats`` holds the companion size, the
     certificate and the Newton correction to the angle (None without one).
+    Memoized by ``solve_cache``: a repeated (n, rho, tol) returns the same
+    result object, whose ``stats`` describe the solve that produced it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -24,7 +24,7 @@ from .errors import GapTooSmallError, NotUnitaryError
 from .harnack import nullspace_equality
 from .kernel import torus_null_frames
 from .linalg import as_cmatrix, spectral_norm
-from .radius import RadiusResult, shift_radius
+from .radius import RadiusResult, shift_radius, solve_cache
 from .shifts import make_shift
 
 STRUCTURE_TOL = 1e-7  # unit of the profile's support threshold, bound of its residuals
@@ -34,7 +34,8 @@ STRUCTURE_TOL = 1e-7  # unit of the profile's support threshold, bound of its re
 class NullProfile:
     """Null vector of the normalized-shift kernel at z = 1, phase-fixed so
     that v0 is real positive; radius is the ``shift_radius`` result it was
-    read from (the normalized shift has weight 1 / radius.value).
+    read from (the normalized shift has weight 1 / radius.value); v is
+    read-only.
 
     zero_pattern marks coordinates with |v_k| below the support threshold
     (10 * tol for a unit vector); antisymmetry_residual is max_k |v_k + v_{n-k}|.
@@ -58,12 +59,14 @@ class NullProfile:
         v = np.asarray(v, dtype=complex)
         v = v * np.conj(v[0] / abs(v[0]))
         v = v / np.linalg.norm(v)
+        v.flags.writeable = False
         return cls(n=v.shape[0] - 1, rho=float(rho), v=v,
                    antisymmetry_residual=float(np.max(np.abs(v + v[::-1]))),
                    zero_pattern=tuple(bool(x) for x in np.abs(v) <= 10.0 * tol),
                    radius=radius)
 
 
+@solve_cache
 def null_profile(n: int, rho: float, tol: float = STRUCTURE_TOL) -> NullProfile:
     """The kernel null vector of the normalized shift at z = 1 in closed form,
     v_k = sin(m phi / 2) / (phi / 2) with m = n - 2k: the antisymmetric solution
@@ -71,7 +74,8 @@ def null_profile(n: int, rho: float, tol: float = STRUCTURE_TOL) -> NullProfile:
     (a^|i-j|) + (rho - 1) I, a = 1/w_rho); the end rows hold because (1/a, phi)
     solves the radius system, which ``shift_radius`` checks.  phi is its angle
     where there is one, else arccos of the cosine equation: 0 at rho = n + 2,
-    imaginary above (a sinh profile)."""
+    imaginary above (a sinh profile).  Memoized like ``shift_radius``
+    (``solve_cache``)."""
     if not rho > 1:
         raise ValueError("rho must be > 1")
     res = shift_radius(n, rho)

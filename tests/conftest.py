@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rho_toolkit import DiscGrid, verify
+from rho_toolkit import DiscGrid, null_profile, shift_radius, verify
 from rho_toolkit.kernel import roots_of_unity
 
 DISC_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
@@ -27,6 +27,14 @@ def orthogonal_conjugates(*ts):
     one and takes the sampled Harnack route."""
     q = verify._householder(np.shape(ts[0])[0])
     return [q @ t @ q.T for t in ts]
+
+
+@pytest.fixture(autouse=True)
+def cold_solve_caches():
+    """Each test starts with empty (n, rho) memos, so a test that counts
+    solves or patches what they call sees every solve."""
+    shift_radius.cache_clear()
+    null_profile.cache_clear()
 
 
 @pytest.fixture

@@ -379,8 +379,7 @@ class TestVerifyCommand:
 
 class TestExploreCommand:
     def test_sweep_is_marked_exploratory(self, capsys):
-        assert main(["explore", "--n", "1", "--rho", "2.0", "--theta-samples", "2",
-                     "--torus", "8"]) == 0
+        assert main(["explore", "--n", "1", "--rho", "2.0", "--theta-samples", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["exploratory"] is True
         assert all(cell["agrees"] for cell in payload["sweeps"])

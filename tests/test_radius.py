@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import rho_toolkit.radius as radius
 from rho_toolkit import (BracketInvalidError, NotNilpotentError, critical_rho,
                          determinant_radius, discriminant, make_shift,
                          nilpotent_bound, omega_of_rho_curve, radius_bisect,
-                         shift_radius, spectral_norm)
+                         run_battery, shift_radius, spectral_norm)
 
 from conftest import random_unitary
 
@@ -74,12 +75,60 @@ class TestShiftRadius:
             shift_radius(0, 2.0)
         with pytest.raises(ValueError):
             shift_radius(3, 0.9)
+        with pytest.raises(TypeError):
+            shift_radius(3.0, 2.0)
+
+
+class TestSolveCache:
+    def test_result_is_read_only(self):
+        res = shift_radius(4, 2.5)
+        with pytest.raises(TypeError):
+            res.stats["certificate"] = 0.0
+        assert shift_radius(4, 2.5) is res
+
+    def test_call_forms_share_one_entry(self):
+        first = shift_radius(4, 2.5)
+        assert shift_radius(4, 2.5, 1e-9) is first
+        assert shift_radius(4, 2.5, tol=1e-9) is first
+        assert shift_radius(n=np.int64(4), rho=2.5) is first
+        info = shift_radius.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        assert shift_radius(4, 2.5, 1e-8) is not first  # tol is part of the key
+
+    def test_integer_and_float_rho_share_one_entry(self):
+        assert shift_radius(3, 2) is shift_radius(3, 2.0)
+        assert shift_radius(3, 5) is shift_radius(3, 5.0)  # rho = n + 2, closed form
+        assert shift_radius.cache_info().currsize == 2
+
+    def test_refusals_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                shift_radius(3, 0.9)
+        info = shift_radius.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_size_is_bounded(self):
+        for k in range(radius.SOLVE_CACHE_SIZE + 8):
+            shift_radius(1, 1.5 + k / 64)
+        info = shift_radius.cache_info()
+        assert info.maxsize == radius.SOLVE_CACHE_SIZE
+        assert info.currsize <= radius.SOLVE_CACHE_SIZE
+
+    def test_c07_solves_each_key_once(self, monkeypatch):
+        calls = []
+        original = radius.companion_threshold
+
+        def counted(t, zs, rho):
+            calls.append((t.shape[0] - 1, rho))
+            return original(t, zs, rho)
+
+        monkeypatch.setattr(radius, "companion_threshold", counted)
+        assert run_battery(n_max=None, criteria={"c07"}).ok
+        assert calls and len(calls) == len(set(calls))
 
 
 def _record_eig_probes(monkeypatch) -> list:
     """Weights at which determinant_radius takes the smallest eigenvalue."""
-    from rho_toolkit import radius
-
     probed = []
     real = radius._boundary_min_eig
     monkeypatch.setattr(radius, "_boundary_min_eig",

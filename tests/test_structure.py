@@ -11,6 +11,7 @@ from rho_toolkit import (NotUnitaryError, NullProfile, are_harnack_equivalent,
                          membership_necessary_conditions, normalized_shift,
                          null_profile, radius_bisect, rotation_family_check,
                          run_battery, shift_radius, torus_nullspace, unitary_orbit_predicate)
+from rho_toolkit.radius import SOLVE_CACHE_SIZE
 
 from conftest import random_unitary
 
@@ -107,6 +108,30 @@ class TestNullProfile:
         p = null_profile(4, 2.2)
         assert p.v[0].real > 0
         assert abs(p.v[0].imag) <= 1e-12
+
+
+class TestProfileCache:
+    def test_profile_is_read_only(self):
+        profile = null_profile(4, 2.5)
+        with pytest.raises(ValueError):
+            profile.v[0] = 0.0
+        with pytest.raises(TypeError):
+            profile.radius.stats["certificate"] = 0.0
+        assert null_profile(4, 2.5) is profile
+
+    def test_call_forms_share_one_entry(self):
+        first = null_profile(4, 2)
+        assert null_profile(4, 2.0, structure.STRUCTURE_TOL) is first
+        assert null_profile(4, 2.0, tol=structure.STRUCTURE_TOL) is first
+        info = null_profile.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_size_is_bounded(self):
+        for k in range(SOLVE_CACHE_SIZE + 8):
+            null_profile(1, 1.5 + k / 64)
+        info = null_profile.cache_info()
+        assert info.maxsize == SOLVE_CACHE_SIZE
+        assert info.currsize <= SOLVE_CACHE_SIZE
 
 
 class TestRotationFamily:
