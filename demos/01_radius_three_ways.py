@@ -2,16 +2,17 @@
 
 The toolkit offers three routes to w_rho(S_{n+1}(1)):
 
-  1. the companion eigenvalue (the largest real eigenvalue of a 2(n+1) x
-     2(n+1) linearization of the kernel at z = 1; ``shift_radius``, which
-     also returns the auxiliary angle omega for 1 < rho < n+2),
+  1. the companion route (the largest real eigenvalue of a 2(n+1) x 2(n+1)
+     linearization of the kernel at z = 1, Hermitian for rho <= 2 and a
+     nonsymmetric companion above; ``shift_radius``, which also returns the
+     auxiliary angle omega for 1 < rho < n+2),
   2. the first weight where the kernel at z = 1 stops being positive definite
      (``determinant_radius``: a bisection on Sylvester's pivots of the
      determinant recurrence, confirmed by the smallest eigenvalue, positive
      just below the root and not just above it; works for every rho > 1),
   3. the level-set route: the largest membership threshold of T/gamma on
-     the unit circle, each the largest real eigenvalue of the same companion
-     built at that point, found by a criss-cross iteration that locates every
+     the unit circle, each the largest real eigenvalue of the same
+     linearization built at that point, found by a criss-cross iteration that locates every
      crossing of the current level from one eigenproblem and stops when no
      crossing is left (``radius_bisect``; works for ANY matrix, so it
      cross-checks the shift-specific routes).

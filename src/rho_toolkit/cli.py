@@ -27,7 +27,8 @@ from .harnack import are_harnack_equivalent, nullspace_equality
 from .kernel import (UNIT_CIRCLE_TOL, DiscGrid, has_torus_spectrum, rho_kernel,
                      torus_nullspace)
 from .linalg import as_cmatrix
-from .radius import determinant_radius, omega_of_rho_curve, radius_bisect, shift_radius
+from .radius import (SHIFT_TOL, determinant_radius, omega_of_rho_curve, radius_bisect,
+                     shift_radius)
 from .shifts import make_shift, normalized_shift
 from .structure import STRUCTURE_TOL, NullProfile, _phase_twist, null_profile
 from .verify import _fmt
@@ -106,7 +107,7 @@ def _cmd_radius(args) -> int:
         if not b > 0:
             raise UsageError("--weight must be positive")
         if args.method == "auto":
-            res = shift_radius(args.shift, args.rho, tol=max(args.tol, 1e-9))
+            res = shift_radius(args.shift, args.rho, tol=max(args.tol, SHIFT_TOL))
         elif args.method == "det":
             res = determinant_radius(args.shift, args.rho, tol=args.tol)
         else:

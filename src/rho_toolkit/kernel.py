@@ -13,6 +13,7 @@ DiscGrid gives the ring on which the Harnack constants are scored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,7 +32,8 @@ TORUS_MARGIN = 1e-8
 UNIT_CIRCLE_TOL = 1e-12
 
 DEFAULT_PSD_TOL = 1e-9
-# |Im| of a real companion eigenvalue, relative to the largest |eigenvalue|
+# |Im| of a real companion eigenvalue, relative to the largest |eigenvalue|;
+# read for rho > 2 only, where the companion is not Hermitian
 REAL_EIG_TOL = 1e-6
 COMPANION_CHUNK = 256
 
@@ -134,19 +136,43 @@ def has_torus_spectrum(t, margin: float = TORUS_MARGIN) -> bool:
     return bool(np.any(near_torus(np.linalg.eigvals(as_cmatrix(t)), margin)))
 
 
+def threshold_solver(rho: float) -> str:
+    """The eigensolver ``companion_threshold`` uses at rho: ``eigvalsh`` for
+    rho <= 2, ``eigvals`` above."""
+    return "eigvalsh" if rho <= 2.0 else "eigvals"
+
+
 def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray:
-    """Membership threshold of T/gamma at each z (-inf where none): the largest
-    real eigenvalue of [[(rho-1)/rho (conj(z) T + z T*), -(rho-2)/rho |z|^2 T*T],
-    [I, 0]], the companion of Q_z (``radius``); an eigenvalue is real within
-    REAL_EIG_TOL.  The dtype follows t and zs;
-    COMPANION_CHUNK points per ``eigvals`` call bound memory."""
+    """Membership threshold of T/gamma at each z: the largest real root g of
+    det Q_z(g) (``radius``; -inf where none, which only rho > 2 allows), with
+    c = (rho-1)/rho and H_z = conj(z) T + z T*.
+
+    For rho <= 2 the constant term (rho-2) |z|^2 T*T of Q_z is negative
+    semidefinite, so Q_z is hyperbolic and all its roots are real (Tisseur and
+    Meerbergen, SIAM Rev. 43, 2001): by the Schur complement they are the
+    eigenvalues of the Hermitian [[c H_z, r T*], [r T, 0]], r = sqrt((2-rho)/rho)
+    |z|, and the threshold is its largest (``eigvalsh``; at rho = 2, r = 0 and
+    it is max(lambda_max(H_z)/2, 0) from the d x d block).  For rho > 2 it is
+    the largest real eigenvalue of the companion [[c H_z, -(rho-2)/rho |z|^2 T*T],
+    [I, 0]] (``eigvals``), an eigenvalue being real within REAL_EIG_TOL.  The
+    dtype follows t and zs; COMPANION_CHUNK points per solver call bound memory."""
     d = t.shape[0]
     tstar = np.conj(t.T)
+    hermitian = threshold_solver(rho) == "eigvalsh"
     out = np.empty(len(zs))
     for i in range(0, len(zs), COMPANION_CHUNK):
         z = zs[i:i + COMPANION_CHUNK, None, None]
-        c = np.zeros((len(z), 2 * d, 2 * d), dtype=np.result_type(t, zs))
-        c[:, :d, :d] = (rho - 1.0) / rho * (np.conj(z) * t + z * tstar)
+        h = (rho - 1.0) / rho * (np.conj(z) * t + z * tstar)
+        if rho == 2.0:  # r = 0: the Hermitian form is diag(c H_z, 0)
+            out[i:i + len(z)] = np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0)
+            continue
+        c = np.zeros((len(z), 2 * d, 2 * d), dtype=h.dtype)
+        c[:, :d, :d] = h
+        if hermitian:
+            r = math.sqrt((2.0 - rho) / rho) * np.abs(z)
+            c[:, :d, d:], c[:, d:, :d] = r * tstar, r * t
+            out[i:i + len(z)] = np.linalg.eigvalsh(c)[:, -1]
+            continue
         c[:, :d, d:] = -(rho - 2.0) / rho * np.abs(z) ** 2 * (tstar @ t)
         c[:, d:, :d] = np.eye(d)
         eigs = np.linalg.eigvals(c)

@@ -4,9 +4,13 @@ By the Durszt congruence, gamma^2 K_z(T/gamma) is positive exactly when
 
     Q_z(gamma) = rho gamma^2 I - (rho - 1) gamma (conj(z) T + z T*) + (rho - 2) |z|^2 T*T
 
-is, so the membership threshold of T/gamma at z is the largest real
-eigenvalue of a companion matrix of Q_z (Tisseur and Meerbergen, SIAM Rev.
-43, 2001; ``kernel.companion_threshold``).
+is, so the membership threshold of T/gamma at z is the largest real root
+of det Q_z (``kernel.companion_threshold``).  For 1 <= rho <= 2, Q_z is
+hyperbolic and the root is the largest eigenvalue of a Hermitian 2d x 2d
+linearization (``eigvalsh``); for rho > 2 it is the largest real eigenvalue
+of a companion matrix (``eigvals``; Tisseur and Meerbergen, SIAM Rev. 43,
+2001).  ``stats["threshold_solver"]`` of a ``level_set`` or ``companion``
+result names the one used.
 
 * ``radius_bisect`` — any matrix: the largest threshold on the unit
   circle, floored at max(spectral radius, norm/rho), by the level-set
@@ -41,7 +45,7 @@ import numpy as np
 
 from .determinants import kernel_det, kernel_det_matrix, kernel_is_positive
 from .errors import BracketInvalidError, NoRootError, NotNilpotentError
-from .kernel import DEFAULT_PSD_TOL, companion_threshold, roots_of_unity
+from .kernel import DEFAULT_PSD_TOL, companion_threshold, roots_of_unity, threshold_solver
 from .kernel import is_rho_contraction  # noqa: F401, bound by perfbench/test_bench.py
 from .linalg import as_cmatrix, spectral_norm, spectral_radius
 
@@ -52,6 +56,7 @@ CROSSING_TOL = 1e-4  # |Im s| cut-off, relative to max(1, |s|), of a candidate c
 NILPOTENT_TOL = 1e-10  # ||T^m|| relative to ||T||^m that counts as T^m = 0
 ROUTE_AGREEMENT = 100.0  # half-width, in tol max(1, a*), of determinant_radius's eigenvalue window
 SOLVE_CACHE_SIZE = 256  # (n, rho, tol) keys kept by each solve_cache memo
+SHIFT_TOL = 1e-9  # shift_radius's default angle-system tolerance, the CLI's floor on --tol
 
 
 @dataclass(frozen=True)
@@ -161,15 +166,16 @@ def _system_residual(n: int, rho: float, x: float, w: float) -> float:
 
 
 @solve_cache
-def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
+def shift_radius(n: int, rho: float, tol: float = SHIFT_TOL) -> RadiusResult:
     """w_rho of the unit-weight truncated shift of size n + 1, any rho >= 1.
 
     Exact at rho = 1 (norm 1) and rho = n + 2 (n/(n+2)); otherwise the
     companion threshold x of S at z = 1 (module docstring).  NoRootError
     when the z = 1 kernel at weight 1/x is not singular to CERTIFICATE_TOL rho
     (x = -inf, no real eigenvalue, included) or the radius system misses
-    ``tol`` at (x, omega).  ``stats`` holds the companion size, the
-    certificate and the Newton correction to the angle (None without one).
+    ``tol`` at (x, omega).  ``stats`` holds the companion size, the threshold
+    solver, the certificate and the Newton correction to the angle (None
+    without one).
     Memoized by ``solve_cache``: a repeated (n, rho, tol) returns the same
     result object, whose ``stats`` describe the solve that produced it.
     """
@@ -209,7 +215,8 @@ def shift_radius(n: int, rho: float, tol: float = 1e-9) -> RadiusResult:
         resid = _system_residual(n, rho, x, w)
         if resid > tol:
             raise NoRootError(f"angle-system residual {resid:.3e} exceeds {tol:.1e}")
-    stats = {"companion_size": 2 * (n + 1), "certificate": certificate, "newton_step": step}
+    stats = {"companion_size": 2 * (n + 1), "threshold_solver": threshold_solver(rho),
+             "certificate": certificate, "newton_step": step}
     return RadiusResult(value=x, method="companion", omega=w,
                         residual=max(certificate, resid), bracket=(x, x), stats=stats)
 
@@ -272,8 +279,8 @@ def radius_bisect(t, rho: float) -> RadiusResult:
     (about 3e-10 relative at rho = 300).  A threshold x > lo is certified by
     |lambda_min Q_w(x)| <= CERTIFICATE_TOL rho x^2 at its witness w
     (NoRootError if not); x above the norm is a bug (BracketInvalidError).
-    ``stats`` holds the steps, the threshold points, the crossing cut-off and
-    the witness.
+    ``stats`` holds the steps, the threshold points, the threshold solver,
+    the crossing cut-off and the witness.
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
@@ -310,7 +317,8 @@ def radius_bisect(t, rho: float) -> RadiusResult:
             raise NoRootError(f"level-set value {x!r} is off the positivity boundary "
                               f"at z={w!r} (certificate {certificate:.3e}), rho={rho}")
     stats = {"iterations": step, "threshold_points": points,
-             "crossing_tol": CROSSING_TOL, "witness": w}
+             "threshold_solver": threshold_solver(rho), "crossing_tol": CROSSING_TOL,
+             "witness": w}
     return RadiusResult(value=x, method="level_set", omega=None, residual=certificate,
                         bracket=(x, x * (1.0 + LEVEL_GAP)), stats=stats)
 

@@ -110,7 +110,10 @@ class TestRadiusCommand:
         stats = json.loads(capsys.readouterr().out)["stats"]
         assert stats["iterations"] >= 1 and stats["threshold_points"] >= 8
         assert stats["crossing_tol"] == CROSSING_TOL
+        assert stats["threshold_solver"] == "eigvalsh"
         assert abs(complex(*stats["witness"])) == pytest.approx(1.0, abs=1e-12)
+        assert main(["radius", "--shift", "3", "--rho", "2.5", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["threshold_solver"] == "eigvals"
 
     def test_usage_error_both_sources(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "s.json", make_shift(1, 1.0))

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from rho_toolkit import (DiscGrid, GapTooSmallError, SingularError,
                          TorusSpectrumError, congruence_factor, is_rho_contraction, make_shift,
                          normalized_shift, nullspace, radius_bisect, rho_kernel,
-                         spectral_norm, spectral_radius, torus_nullspace)
-from rho_toolkit.kernel import _resolvent_sum, companion_threshold, roots_of_unity
+                         shift_radius, spectral_norm, spectral_radius, torus_nullspace)
+from rho_toolkit.kernel import (_resolvent_sum, companion_threshold, roots_of_unity,
+                                threshold_solver)
 
-from conftest import disc_points
+from conftest import disc_points, random_unitary
 
 
 class TestRhoKernel:
@@ -155,6 +156,67 @@ class TestCompanionThreshold:
         t = make_shift(4, 1.0)
         value = companion_threshold(t.real, np.ones(1), 2.0)[0]
         assert value == pytest.approx(math.cos(math.pi / 6), abs=1e-12)
+
+    @staticmethod
+    def companion_oracle(t, zs, rho):
+        """Largest real part of the eigenvalues of the nonsymmetric companion
+        of Q_z: every root is real for rho <= 2, so roundoff off the axis
+        leaves the real part."""
+        d = t.shape[0]
+        out = []
+        for z in zs:
+            c = np.zeros((2 * d, 2 * d), dtype=complex)
+            c[:d, :d] = (rho - 1.0) / rho * (np.conj(z) * t + z * t.conj().T)
+            c[:d, d:] = -(rho - 2.0) / rho * abs(z) ** 2 * (t.conj().T @ t)
+            c[d:, :d] = np.eye(d)
+            out.append(np.linalg.eigvals(c).real.max())
+        return np.array(out)
+
+    @staticmethod
+    def inputs(rng, d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = random_unitary(rng, d)
+        shift = np.diag(rng.uniform(0.2, 2.0, d - 1), 1)
+        return {"dense": g, "strictly-upper": np.triu(g, 1),
+                "rotated-shift": u @ shift @ u.conj().T, "zero": np.zeros((d, d))}
+
+    @pytest.mark.parametrize("rho", [1.0, 1.0 + 1e-4, 1.5, 2.0 - 1e-3, 2.0])
+    def test_hermitian_route_matches_companion(self, rho):
+        rng = np.random.default_rng(int(rho * 1e4))
+        for d in [*range(1, 26), 65]:
+            zs = np.exp(2j * np.pi * rng.uniform(size=6)) * [1, 1, 1, *rng.uniform(0.05, 1, 3)]
+            for family, t in self.inputs(rng, d).items():
+                np.testing.assert_allclose(companion_threshold(t, zs, rho),
+                                           self.companion_oracle(t, zs, rho), rtol=1e-12,
+                                           atol=0.0, err_msg=f"{family} d={d}")
+
+    @pytest.fixture
+    def eigvals_calls(self, monkeypatch):
+        """Shapes passed to np.linalg.eigvals while the test runs."""
+        eigvals, seen = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a.shape) or eigvals(a))
+        return seen
+
+    @pytest.mark.parametrize("rho, calls", [(1.0, 0), (1.5, 0), (2.0, 0), (2.0 + 1e-9, 1), (3.0, 1)])
+    def test_route_pinned_by_rho(self, rng, eigvals_calls, rho, calls):
+        t = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        companion_threshold(t, roots_of_unity(8), rho)
+        assert len(eigvals_calls) == calls
+        assert threshold_solver(rho) == ("eigvals" if calls else "eigvalsh")
+
+    def test_shift_radius_keeps_its_companion_size(self, eigvals_calls):
+        res = shift_radius(4, 1.5)
+        assert eigvals_calls == []
+        assert res.stats["companion_size"] == 10
+        assert res.stats["threshold_solver"] == "eigvalsh"
+        assert shift_radius(4, 2.5).stats["threshold_solver"] == "eigvals"
+
+    def test_level_set_names_its_solver(self, rng):
+        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for rho, solver in ((1.5, "eigvalsh"), (2.0, "eigvalsh"), (3.0, "eigvals")):
+            res = radius_bisect(t, rho)
+            assert res.method == "level_set"
+            assert res.stats["threshold_solver"] == solver
 
 
 class TestMinimumPrinciple:
