@@ -2,10 +2,11 @@
 
 The toolkit offers three routes to w_rho(S_{n+1}(1)):
 
-  1. the companion route (the largest real eigenvalue of a 2(n+1) x 2(n+1)
-     linearization of the kernel at z = 1, Hermitian for rho <= 2 and a
-     nonsymmetric companion above; ``shift_radius``, which also returns the
-     auxiliary angle omega for 1 < rho < n+2),
+  1. the companion route (the largest real eigenvalue of a linearization of
+     the antisymmetric half of the kernel's z = 1 quadratic, 2 floor((n+1)/2)
+     wide, Hermitian for rho <= 2 and a nonsymmetric companion above;
+     ``shift_radius``, which also returns the auxiliary angle omega for
+     1 < rho < n+2),
   2. the first weight where the kernel at z = 1 stops being positive definite
      (``determinant_radius``: a bisection on Sylvester's pivots of the
      determinant recurrence, confirmed by the smallest eigenvalue, positive

@@ -120,7 +120,7 @@ def kernel_det_state(k: int, a: float, rho: float) -> RecurrenceState:
 def kernel_det_matrix(k: int, a: float, rho: float) -> np.ndarray:
     """Explicit matrix whose determinant is kernel_det(k, a, rho)."""
     idx = np.arange(k + 1)
-    m = a ** np.abs(idx[:, None] - idx[None, :]).astype(float)
+    m = (a ** idx.astype(float))[np.abs(idx[:, None] - idx[None, :])]
     np.fill_diagonal(m, rho)
     return m
 

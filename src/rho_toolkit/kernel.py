@@ -137,26 +137,45 @@ def has_torus_spectrum(t, margin: float = TORUS_MARGIN) -> bool:
 
 
 def threshold_solver(rho: float) -> str:
-    """The eigensolver ``companion_threshold`` uses at rho: ``eigvalsh`` for
+    """The eigensolver ``quadratic_threshold`` uses at rho: ``eigvalsh`` for
     rho <= 2, ``eigvals`` above."""
     return "eigvalsh" if rho <= 2.0 else "eigvals"
 
 
+def quadratic_threshold(h: np.ndarray, tail: np.ndarray, rho: float) -> np.ndarray:
+    """Largest real root g of det(g^2 I - g h + b) for each Hermitian h of a
+    stack (p x d x d), -inf where none; ``threshold_solver(rho)`` picks the
+    linearization.  ``eigvalsh``: b = -F* F is negative semidefinite, so the
+    quadratic is hyperbolic and all its roots are real (Tisseur and
+    Meerbergen, SIAM Rev. 43, 2001); tail is F and, by the Schur complement,
+    the roots are the eigenvalues of the Hermitian [[h, F*], [F, 0]].
+    ``eigvals``: tail is b and the root is the largest real eigenvalue of the
+    companion [[h, -b], [I, 0]], an eigenvalue being real within
+    REAL_EIG_TOL.  tail broadcasts against h."""
+    p, d = h.shape[0], h.shape[-1]
+    c = np.zeros((p, 2 * d, 2 * d), dtype=np.result_type(h, tail))
+    c[:, :d, :d] = h
+    if threshold_solver(rho) == "eigvalsh":
+        c[:, :d, d:], c[:, d:, :d] = np.conj(np.swapaxes(tail, -1, -2)), tail
+        return np.linalg.eigvalsh(c)[:, -1]
+    c[:, :d, d:] = -tail
+    c[:, d:, :d] = np.eye(d)
+    eigs = np.linalg.eigvals(c)
+    real = np.abs(eigs.imag) <= REAL_EIG_TOL * np.abs(eigs).max(axis=1, keepdims=True)
+    return np.where(real, eigs.real, -np.inf).max(axis=1)
+
+
 def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray:
     """Membership threshold of T/gamma at each z: the largest real root g of
-    det Q_z(g) (``radius``; -inf where none, which only rho > 2 allows), with
-    c = (rho-1)/rho and H_z = conj(z) T + z T*.
+    det Q_z(g) (``radius``; -inf where none, which only rho > 2 allows), from
+    ``quadratic_threshold`` of Q_z/rho, with c = (rho-1)/rho and
+    H_z = conj(z) T + z T*: h = c H_z and constant term (rho-2)/rho |z|^2 T*T.
 
-    For rho <= 2 the constant term (rho-2) |z|^2 T*T of Q_z is negative
-    semidefinite, so Q_z is hyperbolic and all its roots are real (Tisseur and
-    Meerbergen, SIAM Rev. 43, 2001): by the Schur complement they are the
-    eigenvalues of the Hermitian [[c H_z, r T*], [r T, 0]], r = sqrt((2-rho)/rho)
-    |z|, and the threshold is its largest (``eigvalsh``; at rho = 2, r = 0 and
-    it is max(lambda_max(H_z)/2, 0) from the d x d block).  For rho > 2 it is
-    the largest real eigenvalue of the companion [[c H_z, -(rho-2)/rho |z|^2 T*T],
-    [I, 0]] (``eigvals``), an eigenvalue being real within REAL_EIG_TOL.  The
-    dtype follows t and zs; COMPANION_CHUNK points per solver call bound memory."""
-    d = t.shape[0]
+    For rho <= 2 that term is -F* F, F = r T, r = sqrt((2-rho)/rho) |z|
+    (``eigvalsh``; at rho = 2, r = 0 and the threshold is
+    max(lambda_max(H_z)/2, 0) from the d x d block).  For rho > 2 it goes to
+    the companion (``eigvals``).  The dtype follows t and zs;
+    COMPANION_CHUNK points per solver call bound memory."""
     tstar = np.conj(t.T)
     hermitian = threshold_solver(rho) == "eigvalsh"
     out = np.empty(len(zs))
@@ -166,18 +185,9 @@ def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray
         if rho == 2.0:  # r = 0: the Hermitian form is diag(c H_z, 0)
             out[i:i + len(z)] = np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0)
             continue
-        c = np.zeros((len(z), 2 * d, 2 * d), dtype=h.dtype)
-        c[:, :d, :d] = h
-        if hermitian:
-            r = math.sqrt((2.0 - rho) / rho) * np.abs(z)
-            c[:, :d, d:], c[:, d:, :d] = r * tstar, r * t
-            out[i:i + len(z)] = np.linalg.eigvalsh(c)[:, -1]
-            continue
-        c[:, :d, d:] = -(rho - 2.0) / rho * np.abs(z) ** 2 * (tstar @ t)
-        c[:, d:, :d] = np.eye(d)
-        eigs = np.linalg.eigvals(c)
-        real = np.abs(eigs.imag) <= REAL_EIG_TOL * np.abs(eigs).max(axis=1, keepdims=True)
-        out[i:i + len(z)] = np.where(real, eigs.real, -np.inf).max(axis=1)
+        tail = (math.sqrt((2.0 - rho) / rho) * np.abs(z) * t if hermitian
+                else (rho - 2.0) / rho * np.abs(z) ** 2 * (tstar @ t))
+        out[i:i + len(z)] = quadratic_threshold(h, tail, rho)
     return out
 
 

@@ -19,11 +19,32 @@ result names the one used.
   finds every point where Q_z(gamma) is singular from one 2d x 2d
   eigenproblem and moves gamma to the best midpoint threshold.
 * ``shift_radius`` — the unit-weight truncated shift S of size n + 1: the
-  threshold at z = 1.  Exact closed forms at rho = 1, n + 2.
+  threshold at z = 1, from the antisymmetric half of a z = 1 quadratic of
+  the kernel (below).  Exact closed forms at rho = 1, n + 2.
 * ``determinant_radius`` — the first weight where the z = 1 kernel stops
   being positive definite, by bisection on Sylvester's pivots over [1, rho],
   confirmed by two smallest-eigenvalue probes just inside and outside the
   root; the oracle for ``shift_radius``.
+
+At z = 1 the kernel of S/x is the Toeplitz [a^|i-j|] + (rho - 1) I, a = 1/x.
+Through the tridiagonal inverse of [a^|i-j|] (Kac, Murdock and Szego, J.
+Rational Mech. Anal. 2, 1953) it is singular, for a != 1, exactly when
+
+    rho x^2 I - (rho - 1) x A + (rho - 2) I - (rho - 1) (e_0 e_0^T + e_n e_n^T)
+
+is, A the path adjacency on n + 1 nodes.  Both [a^|i-j|] and that quadratic
+commute with the index reversal, and the kernel's null vector is
+antisymmetric (``structure``), so x is the largest real root of the
+quadratic's antisymmetric half, of size m = floor((n + 1)/2):
+
+    rho x^2 I - (rho - 1) x H + K,   K = (rho - 2) I - (rho - 1) e_0 e_0^T,
+
+H the path adjacency on m nodes with H[m-1, m-1] = -1 when n + 1 is even.
+The symmetric half holds the spurious root x = 1 left by clearing 1 - a^2.
+``kernel.quadratic_threshold`` solves it: for rho <= 2, K <= 0 and the root
+is the largest eigenvalue of the Hermitian [[c H, R], [R, 0]], c = (rho -
+1)/rho, R = diag(sqrt(-K/rho)); above, of the companion [[c H, -K/rho], [I,
+0]].
 
 For 1 < rho < n + 2 and n >= 2, x = w_rho and an angle w solve
 
@@ -45,7 +66,8 @@ import numpy as np
 
 from .determinants import kernel_det, kernel_det_matrix, kernel_is_positive
 from .errors import BracketInvalidError, NoRootError, NotNilpotentError
-from .kernel import DEFAULT_PSD_TOL, companion_threshold, roots_of_unity, threshold_solver
+from .kernel import (DEFAULT_PSD_TOL, companion_threshold, quadratic_threshold, roots_of_unity,
+                     threshold_solver)
 from .kernel import is_rho_contraction  # noqa: F401, bound by perfbench/test_bench.py
 from .linalg import as_cmatrix, spectral_norm, spectral_radius
 
@@ -110,9 +132,23 @@ def critical_rho(n: int) -> tuple[float, float]:
     return float(n + 2), (n + 2.0) / n
 
 
-def _boundary_min_eig(n: int, a: float, rho: float) -> float:
-    """Smallest eigenvalue of the shift kernel at z = 1 and weight a."""
-    return float(np.linalg.eigvalsh(kernel_det_matrix(n, a, rho))[0])
+def _boundary_min_eig(n: int, weights: np.ndarray, rho: float) -> np.ndarray:
+    """Smallest eigenvalue of the shift kernel at z = 1 at each of a 1-d
+    array of weights, from one stacked ``eigvalsh``."""
+    return np.linalg.eigvalsh(np.stack([kernel_det_matrix(n, a, rho) for a in weights]))[:, 0]
+
+
+def _antisymmetric_threshold(n: int, rho: float) -> float:
+    """Largest real root x of rho x^2 I - (rho - 1) x H + K, the antisymmetric
+    half of the shift's z = 1 quadratic (module docstring)."""
+    m = (n + 1) // 2
+    h = (rho - 1.0) / rho * (np.eye(m, k=1) + np.eye(m, k=-1))
+    if (n + 1) % 2 == 0:
+        h[-1, -1] = -(rho - 1.0) / rho
+    k = np.full(m, rho - 2.0)
+    k[0] = -1.0
+    tail = np.sqrt(-k / rho) if threshold_solver(rho) == "eigvalsh" else k / rho
+    return float(quadratic_threshold(h[None], np.diag(tail), rho)[0])
 
 
 def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
@@ -147,11 +183,12 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
     width = ROUTE_AGREEMENT * tol * max(1.0, a_star)
     below, above = max(1.0, a_star - width), min(float(rho), a_star + width)
     probes = [(a, positive) for a, positive in ((below, True), (above, False)) if 1.0 < a < rho]
-    for a, positive in probes:
-        if (_boundary_min_eig(n, a, rho) > 0) != positive:
+    eigs = _boundary_min_eig(n, np.array([a for a, _ in probes] + [a_star]), rho)
+    for (a, positive), eig in zip(probes, eigs):
+        if (eig > 0) != positive:
             raise NoRootError(f"Sylvester root {a_star!r} is not confirmed by the smallest "
                               f"eigenvalue at a = {a!r}")
-    resid = abs(_boundary_min_eig(n, a_star, rho))
+    resid = abs(float(eigs[-1]))
     stats = {"bisection_steps": steps, "eigenvalue_probes": len(probes),
              "window": (below, above)}
     return RadiusResult(value=1.0 / a_star, method="determinant_oracle", omega=None,
@@ -170,12 +207,13 @@ def shift_radius(n: int, rho: float, tol: float = SHIFT_TOL) -> RadiusResult:
     """w_rho of the unit-weight truncated shift of size n + 1, any rho >= 1.
 
     Exact at rho = 1 (norm 1) and rho = n + 2 (n/(n+2)); otherwise the
-    companion threshold x of S at z = 1 (module docstring).  NoRootError
-    when the z = 1 kernel at weight 1/x is not singular to CERTIFICATE_TOL rho
+    threshold x of S at z = 1, the largest real root of the antisymmetric
+    half of the z = 1 quadratic (module docstring).  NoRootError when the
+    full z = 1 kernel at weight 1/x is not singular to CERTIFICATE_TOL rho
     (x = -inf, no real eigenvalue, included) or the radius system misses
-    ``tol`` at (x, omega).  ``stats`` holds the companion size, the threshold
-    solver, the certificate and the Newton correction to the angle (None
-    without one).
+    ``tol`` at (x, omega).  ``stats`` holds the linearization's size
+    (``companion_size``, 2 floor((n + 1)/2)), the threshold solver, the
+    certificate and the Newton correction to the angle (None without one).
     Memoized by ``solve_cache``: a repeated (n, rho, tol) returns the same
     result object, whose ``stats`` describe the solve that produced it.
     """
@@ -193,8 +231,8 @@ def shift_radius(n: int, rho: float, tol: float = SHIFT_TOL) -> RadiusResult:
         return RadiusResult(value=value, method="closed_form", omega=None,
                             residual=resid, bracket=(value, value))
 
-    x = float(companion_threshold(np.eye(n + 1, k=1), np.ones(1), rho)[0])
-    certificate = abs(_boundary_min_eig(n, 1.0 / x, rho))
+    x = _antisymmetric_threshold(n, rho)
+    certificate = abs(float(_boundary_min_eig(n, np.array([1.0 / x]), rho)[0]))
     if certificate > CERTIFICATE_TOL * rho:
         raise NoRootError(
             f"companion eigenvalue {x!r} is off the kernel positivity boundary "
@@ -215,7 +253,7 @@ def shift_radius(n: int, rho: float, tol: float = SHIFT_TOL) -> RadiusResult:
         resid = _system_residual(n, rho, x, w)
         if resid > tol:
             raise NoRootError(f"angle-system residual {resid:.3e} exceeds {tol:.1e}")
-    stats = {"companion_size": 2 * (n + 1), "threshold_solver": threshold_solver(rho),
+    stats = {"companion_size": 2 * ((n + 1) // 2), "threshold_solver": threshold_solver(rho),
              "certificate": certificate, "newton_step": step}
     return RadiusResult(value=x, method="companion", omega=w,
                         residual=max(certificate, resid), bracket=(x, x), stats=stats)

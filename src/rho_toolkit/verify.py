@@ -203,18 +203,19 @@ def _c03_discriminant_sign(n_max, seed):
 def _c04_determinant_oracle(n_max, seed):
     grid_a = (0.5, 1.0, 1.7, 3.0)
     grid_rho = (1.5, 2.0, 4.0)
+    points = [(a, rho) for a in grid_a for rho in grid_rho]
     worst_kernel = worst_capped = worst_mixed = 0.0
-    for a in grid_a:
-        for rho in grid_rho:
-            for m in range(0, 9):
-                lu = float(np.linalg.det(kernel_det_matrix(m, a, rho)))
-                rec = kernel_det(m, a, rho)
-                worst_kernel = max(worst_kernel, abs(lu - rec) / max(abs(lu), abs(rec), 1.0))
-                lu = float(np.linalg.det(capped_kernel_det_matrix(m, a, rho)))
-                rec = capped_kernel_det(m, a, rho)
-                worst_capped = max(worst_capped, abs(lu - rec) / max(abs(lu), abs(rec), 1.0))
-                if m >= 2:
-                    worst_mixed = max(worst_mixed, mixed_identity_residual(m, a, rho))
+    for m in range(0, 9):
+        lu_kernel = np.linalg.det(np.stack([kernel_det_matrix(m, a, rho) for a, rho in points]))
+        lu_capped = np.linalg.det(np.stack([capped_kernel_det_matrix(m, a, rho)
+                                            for a, rho in points]))
+        for (a, rho), lu_k, lu_c in zip(points, lu_kernel.tolist(), lu_capped.tolist()):
+            rec = kernel_det(m, a, rho)
+            worst_kernel = max(worst_kernel, abs(lu_k - rec) / max(abs(lu_k), abs(rec), 1.0))
+            rec = capped_kernel_det(m, a, rho)
+            worst_capped = max(worst_capped, abs(lu_c - rec) / max(abs(lu_c), abs(rec), 1.0))
+            if m >= 2:
+                worst_mixed = max(worst_mixed, mixed_identity_residual(m, a, rho))
     return [
         CheckResult(id="c04-kernel-dets-vs-lu",
                     paper_location="kernel determinant recurrence vs LU factorization",

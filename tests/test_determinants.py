@@ -42,6 +42,15 @@ def test_recurrences_match_lu_oracle_random(m, a, rho):
     assert abs(lu - rec) <= 1e-9 * max(abs(lu), abs(rec), 1.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 64), st.floats(-3.0, 3.0), st.floats(1.0, 300.0))
+def test_kernel_det_matrix_is_the_toeplitz_power_matrix(k, a, rho):
+    # indexing one power vector by |i - j| gives the entries a ** |i - j| bit for bit
+    i, j = np.indices((k + 1, k + 1))
+    expected = np.where(i == j, rho, a ** np.abs(i - j).astype(float))
+    np.testing.assert_array_equal(kernel_det_matrix(k, a, rho), expected)
+
+
 def test_kernel_det_is_boundary_kernel_determinant():
     # the explicit Toeplitz matrix equals the operator kernel of the shift at
     # z = 1, so its determinant is the same thing computed two ways

@@ -207,7 +207,7 @@ class TestCompanionThreshold:
     def test_shift_radius_keeps_its_companion_size(self, eigvals_calls):
         res = shift_radius(4, 1.5)
         assert eigvals_calls == []
-        assert res.stats["companion_size"] == 10
+        assert res.stats["companion_size"] == 4  # 2 floor((n + 1)/2), the antisymmetric half
         assert res.stats["threshold_solver"] == "eigvalsh"
         assert shift_radius(4, 2.5).stats["threshold_solver"] == "eigvals"
 
