@@ -21,7 +21,7 @@ import numpy as np
 from . import verify as verify_mod
 from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            discriminant, kernel_det, kernel_det_matrix,
-                           mixed_identity_residual)
+                           mixed_identity_residual, relative_residual)
 from .errors import GapTooSmallError, ToolkitError, TorusSpectrumError
 from .harnack import are_harnack_equivalent, nullspace_equality
 from .kernel import (UNIT_CIRCLE_TOL, DiscGrid, has_torus_spectrum, rho_kernel,
@@ -238,8 +238,8 @@ def _cmd_detcheck(args) -> int:
         "m": args.m, "a": args.a, "rho": args.rho,
         "kernel_det": rec_k, "kernel_det_lu": lu_k,
         "capped_det": rec_c, "capped_det_lu": lu_c,
-        "kernel_residual": abs(rec_k - lu_k) / max(abs(rec_k), abs(lu_k), 1.0),
-        "capped_residual": abs(rec_c - lu_c) / max(abs(rec_c), abs(lu_c), 1.0),
+        "kernel_residual": relative_residual(rec_k, lu_k),
+        "capped_residual": relative_residual(rec_c, lu_c),
         "discriminant": discriminant(args.a, args.rho),
     }
     if args.m >= 2:

@@ -30,8 +30,6 @@ import numpy as np
 RESCALE_LIMIT = 1e300
 # relative agreement of the critical closed forms with the recurrences
 CLOSED_FORM_TOL = 1e-9
-# joint residual above which an angle-system row satisfies no identity
-EXCLUSION_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -175,24 +173,6 @@ def critical_closed_form(m: int, n: int) -> tuple[float, float]:
     return capped, kernel
 
 
-def oscillatory_closed_form(k: int, n: int, rho: float) -> float:
-    """Kernel determinant via the angle representation, negative-discriminant
-    regime (1 < rho < n+2, weight at the radius-normalized value):
-
-        D_k = rho a^k (rho-1)^k sin((n-k) omega) / sin(n omega).
-    """
-    from .radius import shift_radius
-
-    if not 1.0 < rho < n + 2:
-        raise ValueError("the oscillatory regime requires 1 < rho < n + 2")
-    res = shift_radius(n, rho)
-    if res.omega is None:
-        raise ValueError(f"no angle available for n={n}, rho={rho}")
-    a = 1.0 / res.value
-    w = res.omega
-    return rho * a ** k * (rho - 1.0) ** k * math.sin((n - k) * w) / math.sin(n * w)
-
-
 def mixed_identity_residual(m: int, a: float, rho: float) -> float:
     """Relative residual of the cross-family identity
 
@@ -205,70 +185,10 @@ def mixed_identity_residual(m: int, a: float, rho: float) -> float:
     lhs = capped_kernel_det(m, a, rho)
     rhs = (a * a * (rho - 2.0) + 1.0) * kernel_det(m - 1, a, rho) \
         - a * a * (rho - 1.0) ** 2 * kernel_det(m - 2, a, rho)
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+    return relative_residual(lhs, rhs)
 
 
-@dataclass(frozen=True)
-class AngleExclusionRow:
-    """Residuals of the subordinate angle identities for one index l.
-
-    The identities below would all have to hold if the capped determinant at
-    index l vanished at the normalized weight; jointly they force the
-    incompatible values pi/(n+2l) and pi/(3n-2l) for the angle.
-
-      double_angle: |sin(2 l w) - (rho/a) sin w|
-      stepdown:     |a sin((n-l) w) - sin((n-l+1) w)|
-      odd_angle:    |sin((2q+1) w) - (rho-1) sin w|, q = n - l
-    """
-
-    l: int
-    double_angle: float
-    stepdown: float
-    odd_angle: float
-
-    @property
-    def joint(self) -> float:
-        return max(self.double_angle, self.stepdown)
-
-
-@dataclass(frozen=True)
-class AngleSystemReport:
-    omega: float
-    a: float
-    main_residual: float
-    rows: tuple
-
-    @property
-    def excluded(self) -> bool:
-        """True when no index l satisfies the subordinate identities jointly."""
-        return all(row.joint > EXCLUSION_MARGIN for row in self.rows)
-
-
-def angle_system_report(n: int, rho: float) -> AngleSystemReport:
-    """Verify the angle identities at the computed radius solution.
-
-    The main identity sin(n w) = (rho/a) sin(w) must hold at the solution
-    (residual ~ solver precision).  For each l in {1, ..., ceil(n/2)-1} the
-    subordinate identities must NOT all hold, which witnesses that no interior
-    coordinate of the kernel null vector can vanish.
-    """
-    from .radius import shift_radius
-
-    if not 1.0 < rho < n + 2:
-        raise ValueError("requires 1 < rho < n + 2")
-    res = shift_radius(n, rho)
-    if res.omega is None:
-        raise ValueError(f"no angle available for n={n}, rho={rho}")
-    w = res.omega
-    a = 1.0 / res.value
-    main = abs(math.sin(n * w) - (rho / a) * math.sin(w))
-    rows = []
-    for l in range(1, math.ceil(n / 2)):
-        q = n - l
-        rows.append(AngleExclusionRow(
-            l=l,
-            double_angle=abs(math.sin(2 * l * w) - (rho / a) * math.sin(w)),
-            stepdown=abs(a * math.sin((n - l) * w) - math.sin((n - l + 1) * w)),
-            odd_angle=abs(math.sin((2 * q + 1) * w) - (rho - 1.0) * math.sin(w)),
-        ))
-    return AngleSystemReport(omega=w, a=a, main_residual=main, rows=tuple(rows))
+def relative_residual(p: float, q: float) -> float:
+    """|p - q| / max(|p|, |q|, 1): relative where the values are large,
+    absolute near zero."""
+    return abs(p - q) / max(abs(p), abs(q), 1.0)

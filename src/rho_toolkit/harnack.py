@@ -49,8 +49,8 @@ NULLSPACE_MATCH_TOL = 1e-7
 
 @dataclass(frozen=True)
 class HarnackCertificate:
-    """Domination constant for the ordered pair direction=(T1, T0) on the ring
-    of grid: exact in radius for class members (``DiscGrid``); exact in angle
+    """Domination constant for the ordered pair (T1, T0) on the ring of the
+    grid: exact in radius for class members (``DiscGrid``); exact in angle
     for a pair of weighted shifts (route "rotation", scored at z = radii[-1],
     which is then worst_z), sampled in angle otherwise (route "sampled").
 
@@ -65,9 +65,6 @@ class HarnackCertificate:
     c_squared: float
     feasible: bool
     worst_z: complex
-    direction: tuple[str, str]
-    tol: float
-    grid: DiscGrid = field(repr=False, default_factory=DiscGrid)
     stats: dict = field(default_factory=dict)
 
     def __bool__(self) -> bool:
@@ -82,8 +79,7 @@ def _route(*mats: np.ndarray) -> str:
     return "rotation" if shifts else "sampled"
 
 
-def _dominate(k1: np.ndarray, k0: np.ndarray, zs: np.ndarray, grid: DiscGrid,
-              labels: tuple[str, str], tol: float,
+def _dominate(k1: np.ndarray, k0: np.ndarray, zs: np.ndarray, tol: float,
               route: str = "sampled") -> HarnackCertificate:
     """``domination_constant`` on the stacked ring kernels k1, k0 at zs."""
     mu, v = np.linalg.eigh(k0)
@@ -98,8 +94,7 @@ def _dominate(k1: np.ndarray, k0: np.ndarray, zs: np.ndarray, grid: DiscGrid,
             leak = np.linalg.norm(k1[i] @ null_dirs, axis=0)
             if np.any(leak > tol * max(np.max(np.abs(k1[i])), 1.0)):
                 return HarnackCertificate(c_squared=math.inf, feasible=False,
-                                          worst_z=complex(zs[i]), direction=labels,
-                                          tol=tol, grid=grid, stats=stats)
+                                          worst_z=complex(zs[i]), stats=stats)
         i = int(np.nonzero(degenerate)[0][0])
         raise InteriorSingularError(
             f"K_z(T0) is not positive definite at interior sample z={zs[i]}",
@@ -113,8 +108,7 @@ def _dominate(k1: np.ndarray, k0: np.ndarray, zs: np.ndarray, grid: DiscGrid,
     lams = np.linalg.eigvalsh(pencil)[:, -1]
     i = int(np.argmax(lams))
     return HarnackCertificate(c_squared=max(float(lams[i]), 1.0), feasible=True,
-                              worst_z=complex(zs[i]), direction=labels,
-                              tol=tol, grid=grid, stats=stats)
+                              worst_z=complex(zs[i]), stats=stats)
 
 
 def _interior_kernels(t1, t0, rho: float, grid: DiscGrid):
@@ -131,7 +125,6 @@ def _interior_kernels(t1, t0, rho: float, grid: DiscGrid):
 
 
 def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
-                        labels: tuple[str, str] = ("T1", "T0"),
                         tol: float = LEAK_TOL) -> HarnackCertificate:
     """Best constant c^2 with K_z(T1) <= c^2 K_z(T0) on the ring of grid.
 
@@ -142,7 +135,7 @@ def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
     """
     grid = grid or DiscGrid()
     route, zs, k1, k0 = _interior_kernels(t1, t0, rho, grid)
-    return _dominate(k1, k0, zs, grid, labels, tol, route)
+    return _dominate(k1, k0, zs, tol, route)
 
 
 def torus_spectrum_check(t1, t0) -> bool:
@@ -234,8 +227,8 @@ def are_harnack_equivalent(t1, t0, rho: float, grid: DiscGrid | None = None,
     dims1, dims0 = comparison.nullities()
     constant = len(dims1) == 1 and len(dims0) == 1
     route, zs, k1, k0 = _interior_kernels(t1, t0, rho, grid)
-    forward = _dominate(k1, k0, zs, grid, ("T1", "T0"), LEAK_TOL, route)
-    backward = _dominate(k0, k1, zs, grid, ("T0", "T1"), LEAK_TOL, route)
+    forward = _dominate(k1, k0, zs, LEAK_TOL, route)
+    backward = _dominate(k0, k1, zs, LEAK_TOL, route)
     verdict = bool(comparison) and constant
     return verdict, HarnackEvidence(nullspaces=comparison, constant_nullity=constant,
                                     forward=forward, backward=backward)

@@ -51,7 +51,9 @@ For 1 < rho < n + 2 and n >= 2, x = w_rho and an angle w solve
     sin(n w) / sin(w) = rho x,
     cos(w) = (rho x^2 + rho - 2) / (2 x (rho - 1));
 
-``shift_radius`` takes w from the cosine equation and checks the sine one.
+``shift_radius`` takes w from the cosine equation and checks the sine one;
+``angle_system_report`` and ``oscillatory_closed_form`` read the paper's
+identities at (1/x, w).
 """
 
 from __future__ import annotations
@@ -74,11 +76,12 @@ from .linalg import as_cmatrix, spectral_norm, spectral_radius
 BISECT_MAX_ITER = 200
 CERTIFICATE_TOL = 1e-6  # |lambda_min| at a radius, relative to the kernel's scale
 LEVEL_GAP = 1e-10  # relative height above the level set's value that no threshold reaches
-CROSSING_TOL = 1e-4  # |Im s| cut-off, relative to max(1, |s|), of a candidate crossing
+CROSSING_TOL = 1e-2  # |Im s| cut-off, relative to max(1, |s|), of a candidate crossing
 NILPOTENT_TOL = 1e-10  # ||T^m|| relative to ||T||^m that counts as T^m = 0
 ROUTE_AGREEMENT = 100.0  # half-width, in tol max(1, a*), of determinant_radius's eigenvalue window
 SOLVE_CACHE_SIZE = 256  # (n, rho, tol) keys kept by each solve_cache memo
 SHIFT_TOL = 1e-9  # shift_radius's default angle-system tolerance, the CLI's floor on --tol
+EXCLUSION_MARGIN = 1e-3  # joint residual above which an angle-system row satisfies no identity
 
 
 @dataclass(frozen=True)
@@ -195,10 +198,15 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
                         residual=resid, bracket=(1.0 / hi, 1.0 / lo), stats=stats)
 
 
+def cos_omega(x: float, rho: float) -> float:
+    """cos(omega) of the radius system at the threshold x (module docstring)."""
+    return (rho * x * x + rho - 2.0) / (2.0 * x * (rho - 1.0))
+
+
 def _system_residual(n: int, rho: float, x: float, w: float) -> float:
     """Worst residual of the two original angle-system equations."""
     r1 = abs(math.sin(n * w) / math.sin(w) - rho * x)
-    r2 = abs(math.cos(w) - (rho * x * x + rho - 2.0) / (2.0 * x * (rho - 1.0)))
+    r2 = abs(math.cos(w) - cos_omega(x, rho))
     return max(r1, r2)
 
 
@@ -240,7 +248,7 @@ def shift_radius(n: int, rho: float, tol: float = SHIFT_TOL) -> RadiusResult:
         )
     w, step, resid = None, None, 0.0
     if n >= 2 and rho < n + 2:
-        cos_w = (rho * x * x + rho - 2.0) / (2.0 * x * (rho - 1.0))
+        cos_w = cos_omega(x, rho)
         if not -1.0 < cos_w < 1.0:
             raise NoRootError(f"no angle: cos(omega) = {cos_w!r} for n={n}, rho={rho}")
         w = math.acos(cos_w)
@@ -257,6 +265,85 @@ def shift_radius(n: int, rho: float, tol: float = SHIFT_TOL) -> RadiusResult:
              "certificate": certificate, "newton_step": step}
     return RadiusResult(value=x, method="companion", omega=w,
                         residual=max(certificate, resid), bracket=(x, x), stats=stats)
+
+
+def _angle_solution(n: int, rho: float) -> tuple[float, float]:
+    """(a, omega) of the radius system, a = 1/w_rho; ValueError outside
+    1 < rho < n + 2 or where ``shift_radius`` has no angle (n = 1)."""
+    if not 1.0 < rho < n + 2:
+        raise ValueError("the angle system requires 1 < rho < n + 2")
+    res = shift_radius(n, rho)
+    if res.omega is None:
+        raise ValueError(f"no angle available for n={n}, rho={rho}")
+    return 1.0 / res.value, res.omega
+
+
+def oscillatory_closed_form(k: int, n: int, rho: float) -> float:
+    """Kernel determinant via the angle representation, negative-discriminant
+    regime (1 < rho < n+2, weight at the radius-normalized value):
+
+        D_k = rho a^k (rho-1)^k sin((n-k) omega) / sin(n omega).
+    """
+    a, w = _angle_solution(n, rho)
+    return rho * a ** k * (rho - 1.0) ** k * math.sin((n - k) * w) / math.sin(n * w)
+
+
+@dataclass(frozen=True)
+class AngleExclusionRow:
+    """Residuals of the subordinate angle identities for one index l.
+
+    The identities below would all have to hold if the capped determinant at
+    index l vanished at the normalized weight; jointly they force the
+    incompatible values pi/(n+2l) and pi/(3n-2l) for the angle.
+
+      double_angle: |sin(2 l w) - (rho/a) sin w|
+      stepdown:     |a sin((n-l) w) - sin((n-l+1) w)|
+      odd_angle:    |sin((2q+1) w) - (rho-1) sin w|, q = n - l
+    """
+
+    l: int
+    double_angle: float
+    stepdown: float
+    odd_angle: float
+
+    @property
+    def joint(self) -> float:
+        return max(self.double_angle, self.stepdown)
+
+
+@dataclass(frozen=True)
+class AngleSystemReport:
+    omega: float
+    a: float
+    main_residual: float
+    rows: tuple
+
+    @property
+    def excluded(self) -> bool:
+        """True when no index l satisfies the subordinate identities jointly."""
+        return all(row.joint > EXCLUSION_MARGIN for row in self.rows)
+
+
+def angle_system_report(n: int, rho: float) -> AngleSystemReport:
+    """Verify the angle identities at the computed radius solution.
+
+    The main identity sin(n w) = (rho/a) sin(w) must hold at the solution
+    (residual ~ solver precision).  For each l in {1, ..., ceil(n/2)-1} the
+    subordinate identities must NOT all hold, which witnesses that no interior
+    coordinate of the kernel null vector can vanish.
+    """
+    a, w = _angle_solution(n, rho)
+    main = abs(math.sin(n * w) - (rho / a) * math.sin(w))
+    rows = []
+    for l in range(1, math.ceil(n / 2)):
+        q = n - l
+        rows.append(AngleExclusionRow(
+            l=l,
+            double_angle=abs(math.sin(2 * l * w) - (rho / a) * math.sin(w)),
+            stepdown=abs(a * math.sin((n - l) * w) - math.sin((n - l + 1) * w)),
+            odd_angle=abs(math.sin((2 * q + 1) * w) - (rho - 1.0) * math.sin(w)),
+        ))
+    return AngleSystemReport(omega=w, a=a, main_residual=main, rows=tuple(rows))
 
 
 def _q(a: np.ndarray, rho: float, g: float, z: complex) -> np.ndarray:
@@ -276,10 +363,10 @@ def _crossing_angles(a: np.ndarray, rho: float, g: float, z0: complex) -> np.nda
     monic Hermitian L^-1 (...) L^-*, read off its companion scaled by
     s = alpha mu, alpha^2 = ||L^-1 Q_-z0(g) L^-*|| (Fan, Lin and Van Dooren,
     SIAM J. Matrix Anal. Appl. 26, 2004).  Roundoff moves a real root off the
-    axis by up to a few 1e-6 on ill-conditioned inputs, farther than some
-    complex pairs near a peak lie, so no cut-off tells them apart: every root
-    within CROSSING_TOL is a candidate and the caller judges each arc at its
-    midpoint.  NoRootError unless Q_z0(g) is positive definite.
+    axis by up to 4.4e-3 relative (a three-fold peak, rho = 300), farther
+    than some complex pairs near a peak lie, so no cut-off tells them apart:
+    every root within CROSSING_TOL is a candidate and the caller judges each
+    arc at its midpoint.  NoRootError unless Q_z0(g) is positive definite.
     """
     try:
         inv = np.linalg.inv(np.linalg.cholesky(_q(a, rho, g, z0)))
@@ -385,12 +472,7 @@ def omega_of_rho_curve(n: int, rho_samples) -> list[tuple[float, float]]:
     samples = [float(r) for r in rho_samples]
     if any(not 1.0 < r < n + 2 for r in samples):
         raise ValueError("samples must lie inside (1, n+2)")
-    curve = []
-    for r in samples:
-        res = shift_radius(n, r)
-        if res.omega is None:
-            raise NoRootError(f"no angle at rho={r}")
-        curve.append((r, res.omega))
+    curve = [(r, shift_radius(n, r).omega) for r in samples]
     ordered = sorted(curve)
     for (r1, w1), (r2, w2) in zip(ordered, ordered[1:]):
         if r2 > r1 and not w2 < w1:

@@ -24,7 +24,7 @@ from .errors import GapTooSmallError, NotUnitaryError
 from .harnack import nullspace_equality
 from .kernel import torus_null_frames
 from .linalg import as_cmatrix, spectral_norm
-from .radius import RadiusResult, shift_radius, solve_cache
+from .radius import RadiusResult, cos_omega, shift_radius, solve_cache
 from .shifts import make_shift
 
 STRUCTURE_TOL = 1e-7  # unit of the profile's support threshold, bound of its residuals
@@ -81,8 +81,7 @@ def null_profile(n: int, rho: float, tol: float = STRUCTURE_TOL) -> NullProfile:
     res = shift_radius(n, rho)
     phi = res.omega
     if phi is None:
-        a = 1.0 / res.value
-        phi = np.arccos(complex((rho + (rho - 2.0) * a * a) / (2.0 * a * (rho - 1.0))))
+        phi = np.arccos(complex(cos_omega(res.value, rho)))
     m = n - 2 * np.arange(n + 1)
     return NullProfile.from_vector(m * np.sinc(m * phi / (2.0 * np.pi)), rho, res, tol)
 
@@ -190,6 +189,11 @@ def irreducibility_check(t, tol: float = 1e-10) -> bool:
     return commutant_dimension(t, tol) == 1
 
 
+def c2_shift(n: int) -> np.ndarray:
+    """The rho = 2 normalized shift in closed form: weight 1/cos(pi/(n+2))."""
+    return make_shift(n, 1.0 / math.cos(math.pi / (n + 2)))
+
+
 def canonical_form_c2(n: int, theta: float) -> np.ndarray:
     """Canonical member of the Harnack part of the rho = 2 normalized shift
     with the same norm, superdiagonal weight a = 1/cos(pi/(n+2)).
@@ -200,7 +204,7 @@ def canonical_form_c2(n: int, theta: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    s = make_shift(n, 1.0 / math.cos(math.pi / (n + 2)))
+    s = c2_shift(n)
     if n % 2 == 1:
         return s
     return _phase_twist(s, n // 2, theta)
@@ -239,7 +243,7 @@ def c2_orbit_report(n: int, theta_samples, tol: float = STRUCTURE_TOL) -> list[C
     canonical_form_c2(n, theta), equivalent for every theta.  Even dimension:
     the twist must be equivalent only at theta = 0 (mod 2 pi).
     """
-    s = make_shift(n, 1.0 / math.cos(math.pi / (n + 2)))
+    s = c2_shift(n)
     entries = []
     for theta in theta_samples:
         t = _phase_twist(s, (n + 1) // 2, theta)

@@ -24,15 +24,16 @@ import numpy as np
 from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            discriminant, kernel_det, kernel_det_matrix,
                            kernel_det_state, mixed_identity_residual,
-                           oscillatory_closed_form, recurrence_roots)
+                           recurrence_roots, relative_residual)
 from .harnack import domination_constant, nullspace_equality
 from .kernel import DiscGrid, rho_kernel, roots_of_unity, torus_nullspace
 from .linalg import spectral_norm
-from .radius import (critical_rho, determinant_radius, omega_of_rho_curve,
-                     radius_bisect, shift_radius)
+from .radius import (angle_system_report, critical_rho, determinant_radius,
+                     omega_of_rho_curve, oscillatory_closed_form, radius_bisect,
+                     shift_radius)
 from .shifts import make_shift, normalized_shift
 from .structure import (STRUCTURE_TOL, NullProfile, _phase_twist, c2_orbit_report,
-                        canonical_form_c2, commutant_dimension,
+                        c2_shift, canonical_form_c2, commutant_dimension,
                         membership_necessary_conditions, rotation_family_check)
 
 
@@ -118,16 +119,21 @@ def _cap(spec_max: int, n_max: int | None) -> int:
     return spec_max if n_max is None else max(min(spec_max, n_max), 1)
 
 
+def _within(cid, paper_location, expected, computed, tolerance, note=""):
+    """A two-sided numeric check: passed when |computed - expected| <= tolerance."""
+    return CheckResult(id=cid, paper_location=paper_location, expected=expected,
+                       computed=computed, tolerance=tolerance,
+                       passed=abs(computed - expected) <= tolerance, note=note)
+
+
 # ----------------------------------------------------------------- criteria
 
 def _c00_sign_convention(n_max, seed):
     rho = 3.0
     k = rho_kernel(np.zeros((4, 4)), 0.37 + 0.11j, rho).matrix
     dev = float(np.max(np.abs(k - rho * np.eye(4))))
-    return [CheckResult(
-        id="c00-kernel-normalization",
-        paper_location="kernel normalization at the zero matrix",
-        expected=0.0, computed=dev, tolerance=1e-13, passed=dev <= 1e-13,
+    return [_within(
+        "c00-kernel-normalization", "kernel normalization at the zero matrix", 0.0, dev, 1e-13,
         note="K(0) = rho*I = 3*I; the opposite sign convention would give (4-rho)*I = 1*I",
     )]
 
@@ -136,20 +142,12 @@ def _c01_closed_form_rho2(n_max, seed):
     checks = []
     for n in range(2, _cap(20, n_max) + 1):
         expected = math.cos(math.pi / (n + 2))
-        res = shift_radius(n, 2.0)
-        checks.append(CheckResult(
-            id=f"c01-closed-form-omega-n{n:02d}",
-            paper_location="closed form of the rho=2 shift radius",
-            expected=expected, computed=res.value, tolerance=1e-10,
-            passed=abs(res.value - expected) <= 1e-10,
-        ))
-        bis = radius_bisect(make_shift(n, 1.0), 2.0)
-        checks.append(CheckResult(
-            id=f"c01-closed-form-bisect-n{n:02d}",
-            paper_location="closed form of the rho=2 shift radius (level-set route)",
-            expected=expected, computed=bis.value, tolerance=1e-5,
-            passed=abs(bis.value - expected) <= 1e-5,
-        ))
+        checks.append(_within(f"c01-closed-form-omega-n{n:02d}",
+                              "closed form of the rho=2 shift radius",
+                              expected, shift_radius(n, 2.0).value, 1e-10))
+        checks.append(_within(f"c01-closed-form-bisect-n{n:02d}",
+                              "closed form of the rho=2 shift radius (level-set route)",
+                              expected, radius_bisect(make_shift(n, 1.0), 2.0).value, 1e-5))
     return checks
 
 
@@ -158,27 +156,16 @@ def _c02_critical_point(n_max, seed):
     for n in range(1, _cap(12, n_max) + 1):
         rho0, a0 = critical_rho(n)
         expected = n / (n + 2.0)
-        res = shift_radius(n, rho0)
-        checks.append(CheckResult(
-            id=f"c02-critical-value-n{n:02d}",
-            paper_location="critical parameter value for the truncated shift",
-            expected=expected, computed=res.value, tolerance=1e-8,
-            passed=abs(res.value - expected) <= 1e-8,
-        ))
+        checks.append(_within(f"c02-critical-value-n{n:02d}",
+                              "critical parameter value for the truncated shift",
+                              expected, shift_radius(n, rho0).value, 1e-8))
         det = determinant_radius(n, rho0)
-        checks.append(CheckResult(
-            id=f"c02-critical-determinant-n{n:02d}",
-            paper_location="critical radius recomputed from the kernel determinant",
-            expected=expected, computed=det.value, tolerance=1e-8,
-            passed=abs(det.value - expected) <= 1e-8,
-        ))
-        disc = discriminant(1.0 / det.value, rho0)
-        checks.append(CheckResult(
-            id=f"c02-critical-discriminant-n{n:02d}",
-            paper_location="recurrence discriminant vanishes at the critical point",
-            expected=0.0, computed=disc, tolerance=1e-8,
-            passed=abs(disc) <= 1e-8,
-        ))
+        checks.append(_within(f"c02-critical-determinant-n{n:02d}",
+                              "critical radius recomputed from the kernel determinant",
+                              expected, det.value, 1e-8))
+        checks.append(_within(f"c02-critical-discriminant-n{n:02d}",
+                              "recurrence discriminant vanishes at the critical point",
+                              0.0, discriminant(1.0 / det.value, rho0), 1e-8))
     return checks
 
 
@@ -211,24 +198,18 @@ def _c04_determinant_oracle(n_max, seed):
                                             for a, rho in points]))
         for (a, rho), lu_k, lu_c in zip(points, lu_kernel.tolist(), lu_capped.tolist()):
             rec = kernel_det(m, a, rho)
-            worst_kernel = max(worst_kernel, abs(lu_k - rec) / max(abs(lu_k), abs(rec), 1.0))
+            worst_kernel = max(worst_kernel, relative_residual(lu_k, rec))
             rec = capped_kernel_det(m, a, rho)
-            worst_capped = max(worst_capped, abs(lu_c - rec) / max(abs(lu_c), abs(rec), 1.0))
+            worst_capped = max(worst_capped, relative_residual(lu_c, rec))
             if m >= 2:
                 worst_mixed = max(worst_mixed, mixed_identity_residual(m, a, rho))
     return [
-        CheckResult(id="c04-kernel-dets-vs-lu",
-                    paper_location="kernel determinant recurrence vs LU factorization",
-                    expected=0.0, computed=worst_kernel, tolerance=1e-10,
-                    passed=worst_kernel <= 1e-10),
-        CheckResult(id="c04-capped-dets-vs-lu",
-                    paper_location="capped determinant recurrence vs LU factorization",
-                    expected=0.0, computed=worst_capped, tolerance=1e-10,
-                    passed=worst_capped <= 1e-10),
-        CheckResult(id="c04-mixed-identity",
-                    paper_location="cross-family determinant identity",
-                    expected=0.0, computed=worst_mixed, tolerance=1e-10,
-                    passed=worst_mixed <= 1e-10),
+        _within("c04-kernel-dets-vs-lu", "kernel determinant recurrence vs LU factorization",
+                0.0, worst_kernel, 1e-10),
+        _within("c04-capped-dets-vs-lu", "capped determinant recurrence vs LU factorization",
+                0.0, worst_capped, 1e-10),
+        _within("c04-mixed-identity", "cross-family determinant identity",
+                0.0, worst_mixed, 1e-10),
     ]
 
 
@@ -275,12 +256,9 @@ def _c06_rotation_family(n_max, seed):
         worst = 0.0
         for rho in _rho_sweep(n):
             worst = max(worst, rotation_family_check(n, rho, roots))
-        checks.append(CheckResult(
-            id=f"c06-rotation-family-n{n:02d}",
-            paper_location="rotation covariance of the kernel null spaces",
-            expected=0.0, computed=worst, tolerance=STRUCTURE_TOL,
-            passed=worst <= STRUCTURE_TOL,
-        ))
+        checks.append(_within(f"c06-rotation-family-n{n:02d}",
+                              "rotation covariance of the kernel null spaces",
+                              0.0, worst, STRUCTURE_TOL))
     return checks
 
 
@@ -291,9 +269,9 @@ def _c07_angle_system(n_max, seed):
         worst_main = 0.0
         worst_closed = 0.0
         for rho in rhos:
-            res = shift_radius(n, rho)
-            a, w = 1.0 / res.value, res.omega
-            worst_main = max(worst_main, abs(math.sin(n * w) - (rho / a) * math.sin(w)))
+            report = angle_system_report(n, rho)
+            a = report.a
+            worst_main = max(worst_main, report.main_residual)
             for k in range(0, n + 1):
                 closed = oscillatory_closed_form(k, n, rho)
                 rec = kernel_det(k, a, rho)
@@ -301,12 +279,8 @@ def _c07_angle_system(n_max, seed):
                 # relative scale where both sides cancel to ~0 (k = n)
                 scale = max(abs(closed), abs(rec), rho * (a * (rho - 1.0)) ** k)
                 worst_closed = max(worst_closed, abs(closed - rec) / scale)
-        checks.append(CheckResult(
-            id=f"c07-main-identity-n{n:02d}",
-            paper_location="sine identity at the radius solution",
-            expected=0.0, computed=worst_main, tolerance=1e-9,
-            passed=worst_main <= 1e-9,
-        ))
+        checks.append(_within(f"c07-main-identity-n{n:02d}",
+                              "sine identity at the radius solution", 0.0, worst_main, 1e-9))
         try:
             curve = omega_of_rho_curve(n, np.linspace(1.05, n + 2 - 0.05, 16))
             drops = [w1 - w2 for (_, w1), (_, w2) in zip(curve, curve[1:])]
@@ -318,12 +292,9 @@ def _c07_angle_system(n_max, seed):
             paper_location="strict decrease of the auxiliary angle in rho",
             expected="decreasing", computed=computed, tolerance=0.0, passed=ok,
         ))
-        checks.append(CheckResult(
-            id=f"c07-closed-form-n{n:02d}",
-            paper_location="oscillatory-regime determinant closed form",
-            expected=0.0, computed=worst_closed, tolerance=1e-8,
-            passed=worst_closed <= 1e-8,
-        ))
+        checks.append(_within(f"c07-closed-form-n{n:02d}",
+                              "oscillatory-regime determinant closed form",
+                              0.0, worst_closed, 1e-8))
     return checks
 
 
@@ -378,7 +349,7 @@ def _c09_oracle(n, thetas):
     shift, and the sampled route's on both operands conjugated by one
     Householder reflection Q (K_z(Q T Q^T) = Q K_z(T) Q^T, so principal
     angles agree): the cases where route, verdict or nullities differ."""
-    s = make_shift(n, 1.0 / math.cos(math.pi / (n + 2)))
+    s = c2_shift(n)
     q = _householder(n + 1)
     mismatches = []
     for theta in thetas:
@@ -409,7 +380,7 @@ def _c09_harnack_part(n_max, seed):
                 expected=True, computed=entry.nullspace_equal, tolerance=0.0,
                 passed=entry.nullspace_equal,
             ))
-        s = make_shift(n, 1.0 / math.cos(math.pi / (n + 2)))
+        s = c2_shift(n)
         t = canonical_form_c2(n, 0.7)
         ratios = []
         for t1, t0 in ((t, s), (s, t)):
@@ -450,11 +421,9 @@ def _c10_membership(n_max, seed):
             t = canonical_form_c2(n, theta)
             rep = membership_necessary_conditions(t, tol=1e-9)
             worst = max(worst, rep.first_column_norm, rep.last_row_norm, rep.corner_value)
-        checks.append(CheckResult(
-            id=f"c10-membership-n{n}",
-            paper_location="necessary conditions on members of the shift's part",
-            expected=0.0, computed=worst, tolerance=1e-9, passed=worst <= 1e-9,
-        ))
+        checks.append(_within(f"c10-membership-n{n}",
+                              "necessary conditions on members of the shift's part",
+                              0.0, worst, 1e-9))
     return checks
 
 

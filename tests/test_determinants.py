@@ -258,3 +258,13 @@ class TestAngleSystemReport:
 
     def test_no_rows_for_small_n(self):
         assert angle_system_report(2, 1.7).rows == ()
+
+
+@pytest.mark.parametrize("rho", [1.5, 2.0, 2.9])
+def test_no_angle_refused_at_n1(rho):
+    # the 2 x 2 shift has a radius, 1/rho, but no angle in 1 < rho < 3:
+    # both angle routes refuse rather than guess one
+    with pytest.raises(ValueError, match="no angle available"):
+        angle_system_report(1, rho)
+    with pytest.raises(ValueError, match="no angle available"):
+        oscillatory_closed_form(0, 1, rho)

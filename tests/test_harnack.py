@@ -285,7 +285,7 @@ class TestMinimumPrinciple:
     @staticmethod
     def certificates(t1, t0, rho, zs):
         k1, k0 = kernel._resolvent_sum(t1, zs, rho), kernel._resolvent_sum(t0, zs, rho)
-        return [harnack._dominate(a, b, zs, DiscGrid(), ("T1", "T0"), harnack.LEAK_TOL)
+        return [harnack._dominate(a, b, zs, harnack.LEAK_TOL)
                 for a, b in ((k1, k0), (k0, k1))]
 
     def assert_ring_decides(self, t1, t0, rho):
