@@ -17,7 +17,7 @@ from .kernel import (ContractionReport, DiscGrid, KernelEval, congruence_factor,
                      torus_nullspace)
 from .linalg import as_cmatrix, nullspace, spectral_norm, spectral_radius
 from .radius import (AngleSystemReport, RadiusResult, angle_system_report, critical_rho,
-                     determinant_radius, nilpotent_bound, omega_of_rho_curve,
+                     determinant_radius, nilpotent_bound, nilpotent_margin, omega_of_rho_curve,
                      oscillatory_closed_form, radius_bisect, shift_radius)
 from .shifts import make_shift, normalized_shift
 from .structure import (C2OrbitEntry, MembershipReport, NullProfile,

@@ -64,11 +64,16 @@ class MatrixDocument:
 
 
 def load_matrix(path: str) -> np.ndarray:
+    """The matrix of a JSON document; ValueError (a usage error) when the
+    document is malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    doc = MatrixDocument(dim=int(raw["dim"]), entries=raw["entries"],
-                         label=raw.get("label"))
-    return doc.to_matrix()
+    try:
+        doc = MatrixDocument(dim=int(raw["dim"]), entries=raw["entries"],
+                             label=raw.get("label"))
+        return doc.to_matrix()
+    except TypeError as exc:  # an entry, the dim or the document of the wrong JSON type
+        raise ValueError(f"{path} is not a matrix document: {exc}") from exc
 
 
 def save_matrix(path: str, m, label: str | None = None) -> None:

@@ -27,8 +27,7 @@ from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            recurrence_roots, relative_residual)
 from .harnack import domination_constant, nullspace_equality
 from .kernel import DiscGrid, rho_kernel, roots_of_unity, torus_nullspace
-from .linalg import spectral_norm
-from .radius import (angle_system_report, critical_rho, determinant_radius,
+from .radius import (angle_system_report, critical_rho, determinant_radius, nilpotent_margin,
                      omega_of_rho_curve, oscillatory_closed_form, radius_bisect,
                      shift_radius)
 from .shifts import make_shift, normalized_shift
@@ -434,9 +433,7 @@ def _c11_nilpotent_bound(n_max, seed):
         worst = -math.inf
         for _ in range(30):
             t = np.triu(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)), k=1)
-            norm = spectral_norm(t)
-            w = radius_bisect(t, float(m + 1)).value
-            worst = max(worst, w - (m - 1.0) / (m + 1.0) * norm)
+            worst = max(worst, nilpotent_margin(m, t))
         checks.append(CheckResult(
             id=f"c11-nilpotent-bound-m{m}",
             paper_location="radius bound for nilpotent matrices",

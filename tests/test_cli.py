@@ -111,9 +111,26 @@ class TestRadiusCommand:
         assert stats["iterations"] >= 1 and stats["threshold_points"] >= 8
         assert stats["crossing_tol"] == CROSSING_TOL
         assert stats["threshold_solver"] == "eigvalsh"
+        assert stats["start"] == "sampled"
         assert abs(complex(*stats["witness"])) == pytest.approx(1.0, abs=1e-12)
+        # rho > 2: the shift's flat threshold passes the screen, a dense input does not
+        assert main(["radius", "--matrix", path, "--rho", "3", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["start"] == "screened" and stats["threshold_points"] == 1
+        dense = np.array([[1.0, 2.0, 0.0], [0.0, -1.0, 3.0], [1.0, 0.0, 0.5j]])
+        path = write_matrix(tmp_path, "dense.json", dense)
+        assert main(["radius", "--matrix", path, "--rho", "3", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["start"] == "sampled" and stats["threshold_points"] >= 8
         assert main(["radius", "--shift", "3", "--rho", "2.5", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["stats"]["threshold_solver"] == "eigvals"
+
+    @pytest.mark.parametrize("entry", [["a", 0], None, 5])
+    def test_malformed_entry_is_usage_error(self, tmp_path, capsys, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 1, "entries": [entry]}))
+        assert main(["radius", "--matrix", str(path), "--rho", "2"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_usage_error_both_sources(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "s.json", make_shift(1, 1.0))

@@ -423,7 +423,7 @@ class TestLevelSet:
             stats = res.stats
             assert stats["crossing_tol"] == CROSSING_TOL
             assert 1 <= stats["iterations"] <= 6
-            assert stats["threshold_points"] >= 8
+            assert stats["threshold_points"] >= (1 if stats["start"] == "screened" else 8)
             assert abs(stats["witness"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_invariant_shift_stops_after_one_step(self):
@@ -432,8 +432,66 @@ class TestLevelSet:
         for t in (make_shift(7, 1.3), u @ make_shift(7, 1.3) @ u.conj().T):
             res = radius_bisect(t, 4.0)
             assert res.stats["iterations"] == 1
-            assert res.stats["threshold_points"] == 8
+            assert res.stats["threshold_points"] == 1
             assert res.value == pytest.approx(1.3 * shift_radius(7, 4.0).value, rel=1e-10)
+
+    @pytest.mark.parametrize("rho, d", [(3.0, 5), (7.0, 8), (30.0, 48)])
+    def test_rotated_shifts_take_the_screen(self, rho, d):
+        # the ratio the screen reads stays below LEVEL_GAP / rho, lower still at
+        # small d, so at rho = 30 a rotated shift clears SCREEN_MARGIN only from
+        # d of about 44
+        rng = np.random.default_rng([17, d])
+        for _ in range(2):
+            b = rng.uniform(0.5, 2.0)
+            u = random_unitary(rng, d)
+            res = radius_bisect(u @ make_shift(d - 1, b) @ u.conj().T, rho)
+            assert res.stats["start"] == "screened"
+            assert res.value == pytest.approx(b * shift_radius(d - 1, rho).value, rel=1e-10)
+
+    def test_screen_agrees_with_the_eight_sample_start(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        inputs = []
+        for rho in (3.0, 7.0, 30.0):
+            for d in (3, 4, 5, 6):
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                inputs += [(t, rho) for t in (g, np.triu(g), np.triu(g, 1))]
+        screened = [radius_bisect(t, rho) for t, rho in inputs]
+        monkeypatch.setattr(radius, "SCREEN_MARGIN", math.inf)
+        for (t, rho), res in zip(inputs, screened):
+            ref = radius_bisect(t, rho)
+            assert ref.stats["start"] == "sampled"
+            if res.stats["start"] == "sampled":
+                assert (res.value, res.stats["witness"]) == (ref.value, ref.stats["witness"])
+            else:
+                assert res.value == pytest.approx(ref.value, rel=1e-13)
+                assert abs(res.stats["witness"] - ref.stats["witness"]) <= 1e-9
+        assert {res.stats["start"] for res in screened} == {"screened", "sampled"}
+
+    def test_roundoff_flat_start_is_sampled(self, monkeypatch):
+        # a 2 x 2 rotated shift's threshold is flat on the circle, and at large
+        # rho Q_z one LEVEL_GAP above it is singular to roundoff; screened
+        # (SCREEN_MARGIN = 0), about 1 in 100 draws at rho = 60 or 300 would
+        # anchor where the Cholesky of Q_z0 fails, so such inputs keep the
+        # eight-sample start and its outcome, its own refusals included
+        from rho_toolkit import NoRootError
+
+        rng = np.random.default_rng(29)
+        for rho in (15.0, 60.0, 300.0):
+            for _ in range(20):
+                b = rng.uniform(0.5, 2.0)
+                u = random_unitary(rng, 2)
+                t = u @ make_shift(1, b) @ u.conj().T
+                outcomes = []
+                for margin in (radius.SCREEN_MARGIN, math.inf):
+                    monkeypatch.setattr(radius, "SCREEN_MARGIN", margin)
+                    try:
+                        res = radius_bisect(t, rho)
+                    except NoRootError:
+                        outcomes.append("refused")
+                    else:
+                        assert res.stats["start"] == "sampled"
+                        outcomes.append((res.value, res.stats["witness"]))
+                assert outcomes[0] == outcomes[1]
 
     def test_twin_peaks(self, rng):
         # w_rho(A (+) e^{i phi} A) = w_rho(A): two equal maxima, apart on the circle
@@ -493,7 +551,8 @@ class TestLevelSet:
 
     def test_eight_point_start_leaves_no_point_above(self):
         # the start is load-bearing: from 3 roots of unity the worst ratio on
-        # these 36 inputs is about -5e-7, and misses of 2e-4 relative occur
+        # these 36 inputs is about -5e-7, and misses of 2e-4 relative occur;
+        # at rho > 2 the screen still looks at all eight samples
         zs = roots_of_unity(2048)[:, None, None]
         worst = 0.0
         for t in self.cyclic_nilpotents():
