@@ -165,8 +165,7 @@ def quadratic_threshold(h: np.ndarray, tail: np.ndarray, rho: float) -> np.ndarr
     return np.where(real, eigs.real, -np.inf).max(axis=1)
 
 
-def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float,
-                        gram: np.ndarray | None = None) -> np.ndarray:
+def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray:
     """Membership threshold of T/gamma at each z: the largest real root g of
     det Q_z(g) (``radius``; -inf where none, which only rho > 2 allows), from
     ``quadratic_threshold`` of Q_z/rho, with c = (rho-1)/rho and
@@ -175,13 +174,10 @@ def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float,
     For rho <= 2 that term is -F* F, F = r T, r = sqrt((2-rho)/rho) |z|
     (``eigvalsh``; at rho = 2, r = 0 and the threshold is
     max(lambda_max(H_z)/2, 0) from the d x d block).  For rho > 2 it goes to
-    the companion (``eigvals``), with T*T taken from gram when the caller
-    has it.  The dtype follows t and zs; COMPANION_CHUNK points per solver
-    call bound memory."""
+    the companion (``eigvals``).  The dtype follows t and zs;
+    COMPANION_CHUNK points per solver call bound memory."""
     tstar = np.conj(t.T)
     hermitian = threshold_solver(rho) == "eigvalsh"
-    if gram is None and not hermitian:
-        gram = tstar @ t
     out = np.empty(len(zs))
     for i in range(0, len(zs), COMPANION_CHUNK):
         z = zs[i:i + COMPANION_CHUNK, None, None]
@@ -190,7 +186,7 @@ def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float,
             out[i:i + len(z)] = np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0)
             continue
         tail = (math.sqrt((2.0 - rho) / rho) * np.abs(z) * t if hermitian
-                else (rho - 2.0) / rho * np.abs(z) ** 2 * gram)
+                else (rho - 2.0) / rho * np.abs(z) ** 2 * (tstar @ t))
         out[i:i + len(z)] = quadratic_threshold(h, tail, rho)
     return out
 

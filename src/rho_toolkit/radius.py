@@ -77,6 +77,7 @@ BISECT_MAX_ITER = 200
 CERTIFICATE_TOL = 1e-6  # |lambda_min| at a radius, relative to the kernel's scale
 LEVEL_GAP = 1e-10  # relative height above the level set's value that no threshold reaches
 SCREEN_MARGIN = 1e-12  # lambda_min/||Q_z|| above which every rho > 2 start sample passes the screen
+CIRCULAR_TOL = 1e-14  # |tr T|, |tr T^2|, |tr T^2 T*| over ||T||_F^k that count as 0 (``_circular``)
 CROSSING_TOL = 1e-2  # |Im s| cut-off, relative to max(1, |s|), of a candidate crossing
 NILPOTENT_TOL = 1e-10  # ||T^m|| relative to ||T||^m that counts as T^m = 0
 ROUTE_AGREEMENT = 100.0  # half-width, in tol max(1, a*), of determinant_radius's eigenvalue window
@@ -347,16 +348,16 @@ def angle_system_report(n: int, rho: float) -> AngleSystemReport:
     return AngleSystemReport(omega=w, a=a, main_residual=main, rows=tuple(rows))
 
 
-def _q(a: np.ndarray, rho: float, g: float, z, gram: np.ndarray) -> np.ndarray:
+def _q(a: np.ndarray, rho: float, g: float, z) -> np.ndarray:
     """Q_z(g) at a unit-circle point z, or their stack over a 1-d array of
-    points (module docstring); gram is T*T."""
+    points (module docstring)."""
+    astar = np.conj(a.T)
     z = np.asarray(z)[..., None, None]
-    return (rho * g * g * np.eye(a.shape[0]) - (rho - 1.0) * g * (np.conj(z) * a + z * np.conj(a.T))
-            + (rho - 2.0) * gram)
+    return (rho * g * g * np.eye(a.shape[0]) - (rho - 1.0) * g * (np.conj(z) * a + z * astar)
+            + (rho - 2.0) * (astar @ a))
 
 
-def _crossing_angles(a: np.ndarray, rho: float, g: float, z0: complex,
-                     gram: np.ndarray) -> np.ndarray:
+def _crossing_angles(a: np.ndarray, rho: float, g: float, z0: complex) -> np.ndarray:
     """Angles psi in (0, 2 pi), increasing, of the candidate points z0 e^{i psi}
     where Q_z(g) is singular.
 
@@ -370,21 +371,35 @@ def _crossing_angles(a: np.ndarray, rho: float, g: float, z0: complex,
     than some complex pairs near a peak lie, so no cut-off tells them apart:
     every root within CROSSING_TOL is a candidate and the caller judges each
     arc at its midpoint.  NoRootError unless Q_z0(g) is positive definite.
-    gram is T*T.
     """
     try:
-        inv = np.linalg.inv(np.linalg.cholesky(_q(a, rho, g, z0, gram)))
+        inv = np.linalg.inv(np.linalg.cholesky(_q(a, rho, g, z0)))
     except np.linalg.LinAlgError as exc:
         raise NoRootError(f"Q_z0 is not positive definite at z0={z0!r}, level {g!r}") from exc
     d = a.shape[0]
     mid = inv @ (2j * (rho - 1.0) * g * (np.conj(z0) * a - z0 * np.conj(a.T))) @ np.conj(inv.T)
-    low = inv @ _q(a, rho, g, -z0, gram) @ np.conj(inv.T)
+    low = inv @ _q(a, rho, g, -z0) @ np.conj(inv.T)
     alpha = math.sqrt(np.linalg.norm(low))
     c = np.zeros((2 * d, 2 * d), dtype=complex)
     c[:d, :d], c[:d, d:], c[d:, :d] = -mid / alpha, -low / alpha ** 2, np.eye(d)
     s = alpha * np.linalg.eigvals(c)
     s = s[np.abs(s.imag) <= CROSSING_TOL * np.maximum(1.0, np.abs(s))].real
     return np.sort(2.0 * np.arctan2(1.0, s))
+
+
+def _circular(a: np.ndarray) -> bool:
+    """Whether T passes a cheap necessary test for being circular, unitarily
+    similar to e^{i theta} T for every theta, which makes Q_z the same up to
+    unitary similarity all round the circle.  For such T the trace of every
+    product with more factors T than T* vanishes; tr T, tr T^2 and tr T^2 T*
+    are checked, each over ||T||_F^k, against CIRCULAR_TOL.  That tolerance
+    admits roundoff only: a T circular to 1e-12 has a threshold that varies
+    by about that much, and a screened start would land elsewhere in the
+    bracket than the sampled one."""
+    f = float(np.linalg.norm(a))
+    t2 = a @ a
+    return max(abs(np.trace(a)) / f, abs(np.trace(t2)) / f ** 2,
+               abs(np.vdot(a, t2)) / f ** 3) <= CIRCULAR_TOL
 
 
 def radius_bisect(t, rho: float) -> RadiusResult:
@@ -395,28 +410,30 @@ def radius_bisect(t, rho: float) -> RadiusResult:
     in z there, so lambda_min K_z is least on the circle).
 
     lo >= norm (rho = 1, normal T, T = 0) is exact: ``closed_form``.
-    Otherwise the start looks at the 8 roots of unity.  For rho <= 2, g
-    starts at max(lo, largest ``companion_threshold`` over them), anchored at
-    z0, the sample of least threshold (``stats["start"]`` ``"sampled"``).
-    For rho > 2, where a threshold costs a nonsymmetric companion solve, only
-    z = 1 is solved, giving v, and the other seven samples are screened at
-    g = max(lo, v) (1 + LEVEL_GAP) by one stacked ``eigvalsh`` of Q_z(g).  If
-    lambda_min/||Q_z|| exceeds SCREEN_MARGIN at all seven (a weighted shift,
-    whose threshold is constant on the circle, away from roundoff), g starts
-    at max(lo, v), anchored at the sample of largest ratio (``"screened"``).
-    A positive definite Q_z(g) does not prove the threshold below g there
-    (the positive set in g need not be a half-line), but every step still
-    judges each arc by its exact midpoint threshold.  Otherwise the other
-    seven thresholds are solved and the start is the rho <= 2 one
-    (``"sampled"``).  Each step finds the candidate crossings of the level
-    g (1 + LEVEL_GAP) (``_crossing_angles``) and the thresholds at the
-    midpoints of consecutive ones; g becomes the largest of them while it exceeds the level, and the
-    iteration stops when none does (NoRootError after BISECT_MAX_ITER
-    steps).  An arc above the level lies between two crossings, so its
-    midpoint would exceed the level: the result is ``level_set`` with
-    bracket (x, x (1 + LEVEL_GAP)), x attained (or lo) and no circle
-    threshold above the upper end, to the accuracy of ``companion_threshold``
-    (about 3e-10 relative at rho = 300).  A threshold x > lo is certified by
+    Otherwise g starts at max(lo, largest ``companion_threshold`` over the 8
+    roots of unity), anchored at z0, the sample of least threshold
+    (``stats["start"]`` ``"sampled"``).  For rho > 2 a threshold costs a
+    nonsymmetric companion solve, and a circular T (``_circular``; a weighted
+    shift and its unitary orbit) has the same threshold all round the
+    circle.  There only z = 1 is solved, giving v, and the other seven
+    samples are screened at g = max(lo, v) (1 + LEVEL_GAP) by one stacked
+    ``eigvalsh`` of Q_z(g).  If lambda_min/||Q_z|| exceeds SCREEN_MARGIN at
+    all seven, g starts at max(lo, v), anchored at the sample of largest ratio
+    (``"screened"``); otherwise the seven are solved as well (``"sampled"``,
+    the same result as without the screen).  Each step finds the candidate
+    crossings of the level g (1 + LEVEL_GAP) (``_crossing_angles``) and the
+    thresholds at the midpoints of consecutive ones; g becomes the largest of
+    them while it exceeds the level, and the iteration stops when none does
+    (NoRootError after BISECT_MAX_ITER steps).  An arc above the level lies
+    between two crossings, so its midpoint would exceed the level.  At the
+    stop Q_z is thus positive semidefinite on the whole circle at the level,
+    and by the minimum principle no threshold exceeds it, the seven samples a
+    screened start leaves unsolved included (a positive definite Q_z(g) at
+    one point alone would not show this for rho > 2, where the positive set
+    in g need not be a half-line).  The result is ``level_set`` with bracket
+    (x, x (1 + LEVEL_GAP)), x attained (or lo) and no circle threshold above
+    the upper end, to the accuracy of ``companion_threshold`` (about 3e-10
+    relative at rho = 300).  A threshold x > lo is certified by
     |lambda_min Q_w(x)| <= CERTIFICATE_TOL rho x^2 at its witness w
     (NoRootError if not); x above the norm is a bug (BracketInvalidError).
     ``stats`` holds the steps, the threshold points (companion thresholds
@@ -431,20 +448,19 @@ def radius_bisect(t, rho: float) -> RadiusResult:
     if lo >= norm:
         return RadiusResult(value=lo, method="closed_form", omega=None,
                             residual=0.0, bracket=(lo, lo))
-    gram = np.conj(a.T) @ a
     zs = roots_of_unity(8)
     start, z0 = "sampled", None
-    if threshold_solver(rho) == "eigvals":
-        values = companion_threshold(a, zs[:1], rho, gram)
+    if threshold_solver(rho) == "eigvals" and _circular(a):
+        values = companion_threshold(a, zs[:1], rho)
         level = max(lo, float(values[0])) * (1.0 + LEVEL_GAP)
-        eigs = np.linalg.eigvalsh(_q(a, rho, level, zs[1:], gram))
+        eigs = np.linalg.eigvalsh(_q(a, rho, level, zs[1:]))
         ratio = eigs[:, 0] / np.abs(eigs).max(axis=1)
         if ratio.min() > SCREEN_MARGIN:
             start, z0 = "screened", complex(zs[1 + np.argmax(ratio)])
         else:
-            values = np.concatenate([values, companion_threshold(a, zs[1:], rho, gram)])
+            values = np.concatenate([values, companion_threshold(a, zs[1:], rho)])
     else:
-        values = companion_threshold(a, zs, rho, gram)
+        values = companion_threshold(a, zs, rho)
     if z0 is None:
         z0 = complex(zs[np.argmin(values)])
     i = int(np.argmax(values))
@@ -452,9 +468,9 @@ def radius_bisect(t, rho: float) -> RadiusResult:
     points = len(values)
     for step in range(1, BISECT_MAX_ITER + 1):
         level = x * (1.0 + LEVEL_GAP)
-        psi = _crossing_angles(a, rho, level, z0, gram)
+        psi = _crossing_angles(a, rho, level, z0)
         zs = z0 * np.exp(0.5j * (psi[:-1] + psi[1:]))
-        values = companion_threshold(a, zs, rho, gram)
+        values = companion_threshold(a, zs, rho)
         points += len(zs)
         if not (len(zs) and values.max() > level):
             break
@@ -467,7 +483,7 @@ def radius_bisect(t, rho: float) -> RadiusResult:
                                   f"rho={rho}: w_rho <= ||T|| fails, a bug")
     certificate = 0.0  # the floor lo needs none: w_rho >= lo always
     if w is not None:
-        certificate = abs(float(np.linalg.eigvalsh(_q(a, rho, x, w, gram))[0]))
+        certificate = abs(float(np.linalg.eigvalsh(_q(a, rho, x, w))[0]))
         if certificate > CERTIFICATE_TOL * rho * x * x:
             raise NoRootError(f"level-set value {x!r} is off the positivity boundary "
                               f"at z={w!r} (certificate {certificate:.3e}), rho={rho}")

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import rho_toolkit.radius as radius
-from rho_toolkit import (BracketInvalidError, NotNilpotentError, critical_rho,
+from rho_toolkit import (BracketInvalidError, NoRootError, NotNilpotentError, critical_rho,
                          determinant_radius, discriminant, make_shift,
                          nilpotent_bound, omega_of_rho_curve, radius_bisect,
                          run_battery, shift_radius, spectral_norm)
 
 from conftest import random_unitary
-from rho_toolkit.kernel import roots_of_unity
+from rho_toolkit.kernel import companion_threshold, roots_of_unity
 
 
 class TestShiftRadius:
@@ -423,7 +423,8 @@ class TestLevelSet:
             stats = res.stats
             assert stats["crossing_tol"] == CROSSING_TOL
             assert 1 <= stats["iterations"] <= 6
-            assert stats["threshold_points"] >= (1 if stats["start"] == "screened" else 8)
+            assert stats["start"] == "sampled"  # a dense input is not circular
+            assert stats["threshold_points"] >= 8
             assert abs(stats["witness"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_invariant_shift_stops_after_one_step(self):
@@ -448,24 +449,68 @@ class TestLevelSet:
             assert res.stats["start"] == "screened"
             assert res.value == pytest.approx(b * shift_radius(d - 1, rho).value, rel=1e-10)
 
+    @staticmethod
+    def circular_inputs(rng, d):
+        """Rotations of a weighted shift and of a direct sum of two, random
+        weights (d >= 3 for the sum): circular, so the threshold is flat on
+        the circle."""
+        shift = np.diag(rng.uniform(0.5, 2.0, d - 1) + 0j, 1)
+        split = shift.copy()
+        split[d // 2 - 1, d // 2] = 0.0
+        for s in (shift, split)[:1 if d == 2 else 2]:
+            u = random_unitary(rng, d)
+            yield u @ s @ u.conj().T
+
+    def test_only_circular_inputs_are_screened(self):
+        rng = np.random.default_rng(41)
+        for d in (2, 3, 5, 8, 21):
+            for t in self.circular_inputs(rng, d):
+                assert radius._circular(t)
+                e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                assert not radius._circular(t + 1e-12 * np.linalg.norm(t) / np.linalg.norm(e) * e)
+            if d > 2:
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                for t in (g, np.triu(g), np.triu(g, 1)):
+                    assert not radius._circular(t)
+                    assert radius_bisect(t, 3.0).stats["start"] == "sampled"
+
     def test_screen_agrees_with_the_eight_sample_start(self, monkeypatch):
         rng = np.random.default_rng(31)
         inputs = []
-        for rho in (3.0, 7.0, 30.0):
+        for rho in (3.0, 7.0, 30.0, 60.0, 300.0):
             for d in (3, 4, 5, 6):
                 g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 inputs += [(t, rho) for t in (g, np.triu(g), np.triu(g, 1))]
-        screened = [radius_bisect(t, rho) for t, rho in inputs]
+            for d in (2, 4, 8, 21):
+                inputs += [(t, rho) for t in self.circular_inputs(rng, d)]
+        def outcome(t, rho):
+            try:
+                res = radius_bisect(t, rho)
+            except NoRootError:  # 2 x 2 shifts at large rho, with either start
+                return "refused", None
+            return res.stats["start"], (res.value, res.stats["witness"])
+
+        screened = [outcome(t, rho) for t, rho in inputs]
         monkeypatch.setattr(radius, "SCREEN_MARGIN", math.inf)
-        for (t, rho), res in zip(inputs, screened):
-            ref = radius_bisect(t, rho)
-            assert ref.stats["start"] == "sampled"
-            if res.stats["start"] == "sampled":
-                assert (res.value, res.stats["witness"]) == (ref.value, ref.stats["witness"])
+        for (t, rho), (start, res) in zip(inputs, screened):
+            ref_start, ref = outcome(t, rho)
+            assert ref_start in ("sampled", "refused")
+            if start == "screened":
+                assert res[0] == pytest.approx(ref[0], rel=1e-13)
             else:
-                assert res.value == pytest.approx(ref.value, rel=1e-13)
-                assert abs(res.stats["witness"] - ref.stats["witness"]) <= 1e-9
-        assert {res.stats["start"] for res in screened} == {"screened", "sampled"}
+                assert res == ref
+        assert {"screened", "sampled"} <= {start for start, _ in screened}
+
+    def test_screened_start_never_below_the_sampled_maximum(self):
+        # the seven samples a screened start leaves unsolved stay below the
+        # result: at the stop Q_z is positive semidefinite all round the circle
+        rng = np.random.default_rng(43)
+        for rho, d in ((2.5, 5), (3.0, 8), (3.0, 13), (7.0, 8), (7.0, 13)):
+            for t in self.circular_inputs(rng, d):
+                res = radius_bisect(t, rho)
+                assert res.stats["start"] == "screened"
+                sampled = float(companion_threshold(t, roots_of_unity(512), rho).max())
+                assert res.value >= sampled * (1 - 1e-12)
 
     def test_roundoff_flat_start_is_sampled(self, monkeypatch):
         # a 2 x 2 rotated shift's threshold is flat on the circle, and at large
@@ -473,8 +518,6 @@ class TestLevelSet:
         # (SCREEN_MARGIN = 0), about 1 in 100 draws at rho = 60 or 300 would
         # anchor where the Cholesky of Q_z0 fails, so such inputs keep the
         # eight-sample start and its outcome, its own refusals included
-        from rho_toolkit import NoRootError
-
         rng = np.random.default_rng(29)
         for rho in (15.0, 60.0, 300.0):
             for _ in range(20):
@@ -552,7 +595,8 @@ class TestLevelSet:
     def test_eight_point_start_leaves_no_point_above(self):
         # the start is load-bearing: from 3 roots of unity the worst ratio on
         # these 36 inputs is about -5e-7, and misses of 2e-4 relative occur;
-        # at rho > 2 the screen still looks at all eight samples
+        # they pass _circular (no trace of length <= 3 tells an m-fold peak
+        # from a flat threshold) but not the screen, so all eight are solved
         zs = roots_of_unity(2048)[:, None, None]
         worst = 0.0
         for t in self.cyclic_nilpotents():
