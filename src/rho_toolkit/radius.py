@@ -388,14 +388,10 @@ def _crossing_angles(a: np.ndarray, rho: float, g: float, z0: complex) -> np.nda
 
 
 def _circular(a: np.ndarray) -> bool:
-    """Whether T passes a cheap necessary test for being circular, unitarily
-    similar to e^{i theta} T for every theta, which makes Q_z the same up to
-    unitary similarity all round the circle.  For such T the trace of every
-    product with more factors T than T* vanishes; tr T, tr T^2 and tr T^2 T*
-    are checked, each over ||T||_F^k, against CIRCULAR_TOL.  That tolerance
-    admits roundoff only: a T circular to 1e-12 has a threshold that varies
-    by about that much, and a screened start would land elsewhere in the
-    bracket than the sampled one."""
+    """Whether tr T, tr T^2 and tr T^2 T*, over ||T||_F^k, are 0 to roundoff
+    (CIRCULAR_TOL): a cheap necessary test for T unitarily similar to
+    e^{i theta} T for every theta, as a weighted shift is, whose threshold is
+    then the same all round the circle."""
     f = float(np.linalg.norm(a))
     t2 = a @ a
     return max(abs(np.trace(a)) / f, abs(np.trace(t2)) / f ** 2,
@@ -409,33 +405,31 @@ def radius_bisect(t, rho: float) -> RadiusResult:
     K_z(T/gamma) >= 0 on the whole disc (minimum principle: K_z is harmonic
     in z there, so lambda_min K_z is least on the circle).
 
-    lo >= norm (rho = 1, normal T, T = 0) is exact: ``closed_form``.
-    Otherwise g starts at max(lo, largest ``companion_threshold`` over the 8
-    roots of unity), anchored at z0, the sample of least threshold
-    (``stats["start"]`` ``"sampled"``).  For rho > 2 a threshold costs a
-    nonsymmetric companion solve, and a circular T (``_circular``; a weighted
-    shift and its unitary orbit) has the same threshold all round the
-    circle.  There only z = 1 is solved, giving v, and the other seven
-    samples are screened at g = max(lo, v) (1 + LEVEL_GAP) by one stacked
-    ``eigvalsh`` of Q_z(g).  If lambda_min/||Q_z|| exceeds SCREEN_MARGIN at
-    all seven, g starts at max(lo, v), anchored at the sample of largest ratio
-    (``"screened"``); otherwise the seven are solved as well (``"sampled"``,
-    the same result as without the screen).  Each step finds the candidate
-    crossings of the level g (1 + LEVEL_GAP) (``_crossing_angles``) and the
-    thresholds at the midpoints of consecutive ones; g becomes the largest of
-    them while it exceeds the level, and the iteration stops when none does
-    (NoRootError after BISECT_MAX_ITER steps).  An arc above the level lies
-    between two crossings, so its midpoint would exceed the level.  At the
-    stop Q_z is thus positive semidefinite on the whole circle at the level,
-    and by the minimum principle no threshold exceeds it, the seven samples a
-    screened start leaves unsolved included (a positive definite Q_z(g) at
-    one point alone would not show this for rho > 2, where the positive set
-    in g need not be a half-line).  The result is ``level_set`` with bracket
-    (x, x (1 + LEVEL_GAP)), x attained (or lo) and no circle threshold above
-    the upper end, to the accuracy of ``companion_threshold`` (about 3e-10
-    relative at rho = 300).  A threshold x > lo is certified by
-    |lambda_min Q_w(x)| <= CERTIFICATE_TOL rho x^2 at its witness w
-    (NoRootError if not); x above the norm is a bug (BracketInvalidError).
+    lo >= norm (rho = 1, normal T, T = 0) is exact: ``closed_form``.  Otherwise
+    g starts at max(lo, largest ``companion_threshold`` over the 8 roots of
+    unity), anchored at z0, the sample of least threshold (``stats["start"]``
+    ``"sampled"``).  For rho > 2, where a threshold is a nonsymmetric
+    companion solve, a T that passes ``_circular`` has only z = 1 solved,
+    giving v; the other seven samples are screened at g = max(lo, v) (1 +
+    LEVEL_GAP) by one stacked ``eigvalsh`` of Q_z(g).  If lambda_min/||Q_z||
+    exceeds SCREEN_MARGIN at all seven, g starts at max(lo, v), anchored at
+    the sample of largest ratio (``"screened"``); otherwise the seven are
+    solved too (``"sampled"``).  Each step finds the candidate crossings of
+    the level g (1 + LEVEL_GAP) (``_crossing_angles``) and the thresholds at
+    the midpoints of consecutive ones; g becomes the largest of them while it
+    exceeds the level, and the iteration stops when none does (NoRootError
+    after BISECT_MAX_ITER steps).  An arc above the level lies between two
+    crossings, so its midpoint would exceed the level.  At the stop Q_z is
+    thus positive semidefinite all round the circle at the level, so by the
+    minimum principle no threshold exceeds it, the samples a screened start
+    leaves unsolved included (Q_z(g) > 0 at one point alone would not show
+    that for rho > 2: the positive set in g need not be a half-line).  The
+    result is ``level_set`` with bracket (x, x (1 + LEVEL_GAP)), x attained
+    (or lo) and no circle threshold above the upper end, to the accuracy of
+    ``companion_threshold`` (about 3e-10 relative at rho = 300).  A threshold
+    x > lo is certified by |lambda_min Q_w(x)| <= CERTIFICATE_TOL rho x^2 at
+    its witness w (NoRootError if not); x above the norm is a bug
+    (BracketInvalidError).
     ``stats`` holds the steps, the threshold points (companion thresholds
     solved, the start's included), the threshold solver, the start, the
     crossing cut-off and the witness.
