@@ -10,9 +10,11 @@ unlike direct inversion.
 
 The decisive equivalence predicate is equality of the kernel null spaces on
 the unit circle (with constant nullity); the domination constants are
-corroborating evidence only.  The circle comparison is one stacked pass: one
-``eigh`` of each matrix's kernels over all sample points and one stacked SVD
-of the masked null frames give every nullity and principal-angle residual.
+corroborating evidence only.  A pair is scored from one stacked evaluation
+of [T1, T0]: one ``eigvals`` tests both spectra, one ``inv`` gives the kernels
+at the torus and ring points together, one ``eigh`` of both operands' null
+frames and one SVD give every nullity and principal-angle residual, and one
+``eigh`` and one ``eigvalsh`` give both directed constants.
 
 When both operands are weighted shifts (every entry off the first
 superdiagonal exactly zero), D_z T D_z* = conj(z) T for D_z = diag(1, z, ...,
@@ -34,8 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InteriorSingularError, TorusSpectrumError
-from .kernel import DiscGrid, _resolvent_sum, near_torus, roots_of_unity, torus_null_frames
-from .linalg import NULLSPACE_TOL, as_cmatrix
+from .kernel import (DiscGrid, _resolvent_sum, _torus_frames, _torus_spectrum, near_torus,
+                     roots_of_unity)
+from .linalg import NULLSPACE_TOL, SCALE_FLOOR, as_cmatrix
 
 # relative floor under which K(T0) counts as not positive definite
 PD_FLOOR = 1e-12
@@ -45,6 +48,7 @@ LEAK_TOL = 1e-9
 EIG_MATCH_TOL = 1e-6
 # largest principal-angle residual 1 - sigma_k at which two null spaces are equal
 NULLSPACE_MATCH_TOL = 1e-7
+_GRID = DiscGrid()  # the default ring, built once
 
 
 @dataclass(frozen=True)
@@ -71,57 +75,63 @@ class HarnackCertificate:
         return self.feasible
 
 
-def _route(*mats: np.ndarray) -> str:
-    """The Harnack route of the operands: "rotation" when every matrix is a
-    weighted shift (all its nonzero entries on the first superdiagonal),
-    else "sampled"."""
-    shifts = all(np.count_nonzero(a) == np.count_nonzero(np.diagonal(a, 1)) for a in mats)
-    return "rotation" if shifts else "sampled"
-
-
-def _dominate(k1: np.ndarray, k0: np.ndarray, zs: np.ndarray, tol: float,
-              route: str = "sampled") -> HarnackCertificate:
-    """``domination_constant`` on the stacked ring kernels k1, k0 at zs."""
-    mu, v = np.linalg.eigh(k0)
-
-    scale = np.max(np.abs(mu), axis=1)
-    stats = {"route": route, "interior_points": len(zs),
-             "k0_relative_min": float(np.min(mu[:, 0] / np.maximum(scale, 1e-300)))}
-    degenerate = mu[:, 0] <= PD_FLOOR * scale
-    if np.any(degenerate):
-        for i in np.nonzero(degenerate)[0]:
-            null_dirs = v[i][:, mu[i] <= PD_FLOOR * scale[i]]
-            leak = np.linalg.norm(k1[i] @ null_dirs, axis=0)
-            if np.any(leak > tol * max(np.max(np.abs(k1[i])), 1.0)):
-                return HarnackCertificate(c_squared=math.inf, feasible=False,
-                                          worst_z=complex(zs[i]), stats=stats)
-        i = int(np.nonzero(degenerate)[0][0])
-        raise InteriorSingularError(
-            f"K_z(T0) is not positive definite at interior sample z={zs[i]}",
-            z=complex(zs[i]),
-        )
-
-    # W = K0^(-1/2) via the eigendecomposition, then lambda_max(W K1 W)
-    inv_sqrt = v * (mu ** -0.5)[:, None, :]
-    w = inv_sqrt @ np.conj(np.swapaxes(v, -1, -2))
-    pencil = w @ k1 @ w
-    lams = np.linalg.eigvalsh(pencil)[:, -1]
-    i = int(np.argmax(lams))
-    return HarnackCertificate(c_squared=max(float(lams[i]), 1.0), feasible=True,
-                              worst_z=complex(zs[i]), stats=stats)
-
-
-def _interior_kernels(t1, t0, rho: float, grid: DiscGrid):
-    """The route, the ring points of grid it evaluates (z = radii[-1] alone
-    on the rotation route) and the stacked kernels of T1 and T0 there."""
+def _operands(t1, t0) -> tuple:
+    """The validated stack [T1, T0] and its route: "rotation" when both are weighted
+    shifts (all nonzero entries on the first superdiagonal), else "sampled"."""
     a1, a0 = as_cmatrix(t1), as_cmatrix(t0)
     if a1.shape != a0.shape:
         raise ValueError("matrices must have equal dimensions")
-    route = _route(a1, a0)
-    zs = grid.interior_points()
-    if route == "rotation":
-        zs = zs[:1]
-    return route, zs, _resolvent_sum(a1, zs, rho), _resolvent_sum(a0, zs, rho)
+    pair = np.stack([a1, a0])
+    shifts = np.count_nonzero(pair) == np.count_nonzero(np.diagonal(pair, 1, -2, -1))
+    return pair, "rotation" if shifts else "sampled"
+
+
+def _samples(route: str, zs: np.ndarray) -> np.ndarray:
+    """The points of zs that route evaluates: the first alone on "rotation"."""
+    return zs[:1] if route == "rotation" else zs
+
+
+def _certificates(k: np.ndarray, zs: np.ndarray, tol: float, route: str,
+                  dens: tuple = (1, 0)) -> list:
+    """``domination_constant`` from the ring kernels k = [K(T1), K(T0)] at zs, one
+    certificate per denominator in dens ((1, 0): forward and backward), from one
+    ``eigh`` of the denominators and one ``eigvalsh`` of the feasible pencils."""
+    mu, v = np.linalg.eigh(k[list(dens)])
+    scale = np.max(np.abs(mu), axis=-1)
+    margin = mu[..., 0] / np.maximum(scale, SCALE_FLOOR)
+    stats = [{"route": route, "interior_points": len(zs), "k0_relative_min": float(np.min(m))}
+             for m in margin]
+    certs = [_infeasible(k[1 - den], mu[j], v[j], scale[j], zs, tol, stats[j])
+             for j, den in enumerate(dens)]
+    pd = [j for j, cert in enumerate(certs) if cert is None]
+    if pd:
+        # W = K0^(-1/2) via the eigendecomposition, then lambda_max(W K1 W)
+        w = (v[pd] * (mu[pd] ** -0.5)[..., None, :]) @ np.conj(np.swapaxes(v[pd], -1, -2))
+        lams = np.linalg.eigvalsh(w @ k[[1 - dens[j] for j in pd]] @ w)[..., -1]
+        for j, lam in zip(pd, lams):
+            i = int(np.argmax(lam))
+            certs[j] = HarnackCertificate(c_squared=max(float(lam[i]), 1.0), feasible=True,
+                                          worst_z=complex(zs[i]), stats=stats[j])
+    return certs
+
+
+def _infeasible(k1: np.ndarray, mu: np.ndarray, v: np.ndarray, scale: np.ndarray,
+                zs: np.ndarray, tol: float, stats: dict) -> HarnackCertificate | None:
+    """None when K(T0), of eigenpairs mu, v, is positive definite at every z;
+    else the infeasible certificate where K(T1) first leaks out of the null
+    directions, InteriorSingularError where it leaks nowhere."""
+    degenerate = mu[:, 0] <= PD_FLOOR * scale
+    if not degenerate.any():
+        return None
+    for i in np.nonzero(degenerate)[0]:
+        null_dirs = v[i][:, mu[i] <= PD_FLOOR * scale[i]]
+        leak = np.linalg.norm(k1[i] @ null_dirs, axis=0)
+        if (leak > tol * max(np.max(np.abs(k1[i])), 1.0)).any():
+            return HarnackCertificate(c_squared=math.inf, feasible=False,
+                                      worst_z=complex(zs[i]), stats=stats)
+    i = int(np.nonzero(degenerate)[0][0])
+    raise InteriorSingularError(f"K_z(T0) is not positive definite at interior sample "
+                                f"z={zs[i]}", z=complex(zs[i]))
 
 
 def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
@@ -133,9 +143,9 @@ def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
     ill-posed); returns an infeasible certificate when K_z(T1) does not
     vanish there (no finite constant can work).
     """
-    grid = grid or DiscGrid()
-    route, zs, k1, k0 = _interior_kernels(t1, t0, rho, grid)
-    return _dominate(k1, k0, zs, tol, route)
+    pair, route = _operands(t1, t0)
+    zs = _samples(route, (grid or _GRID).interior_points())
+    return _certificates(_resolvent_sum(pair, zs, rho), zs, tol, route, dens=(1,))[0]
 
 
 def torus_spectrum_check(t1, t0) -> bool:
@@ -168,39 +178,50 @@ class NullspaceComparison:
         return set(self.dims1.tolist()), set(self.dims0.tolist())
 
 
+def _torus(pair: np.ndarray, route: str, torus_angles: int) -> tuple:
+    """The torus_angles unit-circle samples and the points route evaluates,
+    once neither operand has unit-circle spectrum (one ``eigvals``, T1 first)."""
+    if torus_angles < 1:
+        raise ValueError("torus_angles must be positive")
+    for label, torus in zip(("T1", "T0"), _torus_spectrum(pair)):
+        if torus:
+            raise TorusSpectrumError(f"{label} has spectrum on the unit circle")
+    zs = roots_of_unity(torus_angles)
+    return zs, _samples(route, zs)
+
+
+def _compare(k: np.ndarray, route: str, zs: np.ndarray, points: np.ndarray,
+             tol: float) -> NullspaceComparison:
+    """``nullspace_equality`` from the kernels k = [K(T1), K(T0)] at points:
+    one ``eigh`` of both operands' null frames, then one stacked SVD."""
+    vectors, mask = _torus_frames(k, points, NULLSPACE_TOL)
+    frames, dims = vectors * mask[:, None, :], mask.sum(axis=1)
+    p = len(points)
+    f1, f0, dims1, dims0 = frames[:p], frames[p:], dims[:p], dims[p:]
+    sigma = np.linalg.svd(np.conj(np.swapaxes(f1, -1, -2)) @ f0, compute_uv=False)
+    cosine = sigma[np.arange(p), np.maximum(dims1 - 1, 0)]
+    residuals = np.where(dims1 != dims0, 1.0, np.where(dims1 == 0, 0.0, 1.0 - cosine))
+    equal = bool(((dims1 == dims0) & (residuals <= tol)).all())
+    if route == "rotation":
+        dims1, dims0, residuals = (np.repeat(x, len(zs)) for x in (dims1, dims0, residuals))
+    return NullspaceComparison(equal=equal, z=zs, dims1=dims1, dims0=dims0,
+                               residuals=residuals, route=route)
+
+
 def nullspace_equality(t1, t0, rho: float, torus_angles: int = 256,
                        tol: float = NULLSPACE_MATCH_TOL) -> NullspaceComparison:
     """True iff the kernel null spaces of T1 and T0 agree at every sampled
     unit-circle point (equal dimension, principal angle within tol); for a
     pair of weighted shifts, read at z = 1, at every unit-circle point.
 
-    Both matrices must be free of unit-circle spectrum (checked once each,
+    Both matrices must be free of unit-circle spectrum (one test of both,
     TorusSpectrumError naming T1 or T0).  A GapTooSmallError from the
     null-space extraction names the offending z.  The residual is 1 - sigma_k,
     k the nullity, from one stacked SVD of the masked frames (V1 M1)* (V0 M0).
     """
-    if np.shape(t1) != np.shape(t0):
-        raise ValueError("matrices must have equal dimensions")
-    a1, a0 = as_cmatrix(t1), as_cmatrix(t0)
-    route = _route(a1, a0)
-    zs = roots_of_unity(torus_angles)
-    points = zs[:1] if route == "rotation" else zs
-    frames = []
-    for label, t in (("T1", a1), ("T0", a0)):
-        try:
-            vectors, mask = torus_null_frames(t, rho, points, NULLSPACE_TOL)
-        except TorusSpectrumError as exc:
-            raise TorusSpectrumError(f"{label} has spectrum on the unit circle") from exc
-        frames.append((vectors * mask[:, None, :], mask.sum(axis=1)))
-    (f1, dims1), (f0, dims0) = frames
-    sigma = np.linalg.svd(np.conj(np.swapaxes(f1, -1, -2)) @ f0, compute_uv=False)
-    cosine = sigma[np.arange(len(points)), np.maximum(dims1 - 1, 0)]
-    residuals = np.where(dims1 != dims0, 1.0, np.where(dims1 == 0, 0.0, 1.0 - cosine))
-    equal = bool(np.all((dims1 == dims0) & (residuals <= tol)))
-    if route == "rotation":
-        dims1, dims0, residuals = (np.repeat(x, len(zs)) for x in (dims1, dims0, residuals))
-    return NullspaceComparison(equal=equal, z=zs, dims1=dims1, dims0=dims0,
-                               residuals=residuals, route=route)
+    pair, route = _operands(t1, t0)
+    zs, points = _torus(pair, route, torus_angles)
+    return _compare(_resolvent_sum(pair, points, rho), route, zs, points, tol)
 
 
 @dataclass(frozen=True)
@@ -219,16 +240,15 @@ def are_harnack_equivalent(t1, t0, rho: float, grid: DiscGrid | None = None,
     The verdict is the null-space condition (equality at every sampled torus
     point, or at every unit-circle point for a pair of weighted shifts)
     together with constant nullity across the samples; the two directed ring
-    domination constants, scored from one evaluation of each ring kernel, are
-    attached as corroboration, never as the verdict.
+    domination constants, scored from the same stacked kernel evaluation of
+    both operands, are attached as corroboration, never as the verdict.
     """
-    grid = grid or DiscGrid()
-    comparison = nullspace_equality(t1, t0, rho, torus_angles=torus_angles, tol=tol)
+    pair, route = _operands(t1, t0)
+    zs, points = _torus(pair, route, torus_angles)
+    ring = _samples(route, (grid or _GRID).interior_points())
+    k = _resolvent_sum(pair, np.concatenate([points, ring]), rho)
+    comparison = _compare(k[:, :len(points)], route, zs, points, tol)
     dims1, dims0 = comparison.nullities()
     constant = len(dims1) == 1 and len(dims0) == 1
-    route, zs, k1, k0 = _interior_kernels(t1, t0, rho, grid)
-    forward = _dominate(k1, k0, zs, LEAK_TOL, route)
-    backward = _dominate(k0, k1, zs, LEAK_TOL, route)
-    verdict = bool(comparison) and constant
-    return verdict, HarnackEvidence(nullspaces=comparison, constant_nullity=constant,
-                                    forward=forward, backward=backward)
+    forward, backward = _certificates(k[:, len(points):], ring, LEAK_TOL, route)
+    return bool(comparison) and constant, HarnackEvidence(comparison, constant, forward, backward)

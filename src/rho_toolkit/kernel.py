@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import GapTooSmallError, SingularError, TorusSpectrumError
-from .linalg import NULLSPACE_TOL, as_cmatrix, null_bases, null_frames
+from .linalg import NULLSPACE_TOL, _null_frames, as_cmatrix, null_bases
 
 if TYPE_CHECKING:
     from .radius import RadiusResult
@@ -84,16 +84,17 @@ class KernelEval:
 
 
 def _resolvent_sum(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray:
-    """Stacked kernels K_z^rho(T) for a 1-d array of points zs."""
-    d = t.shape[0]
-    eye = np.eye(d, dtype=complex)
-    pencil = eye[None, :, :] - np.conj(zs)[:, None, None] * t[None, :, :]
+    """Stacked kernels K_z^rho(T) for a 1-d array of points zs: (p, d, d) for
+    one T, (m, p, d, d) for an (m, d, d) stack of operands, from one ``inv``.
+    The sum is exactly Hermitian in floating point and checked finite."""
+    eye = np.eye(t.shape[-1], dtype=complex)
+    pencil = eye - np.conj(zs)[:, None, None] * t[..., None, :, :]
     try:
         res = np.linalg.inv(pencil)
     except np.linalg.LinAlgError as exc:
         raise SingularError(f"I - conj(z) T is singular on the sample set: {exc}") from exc
-    k = res + np.conj(np.swapaxes(res, -1, -2)) + (rho - 2.0) * eye[None, :, :]
-    if not np.all(np.isfinite(k.view(float))):
+    k = res + np.conj(np.swapaxes(res, -1, -2)) + (rho - 2.0) * eye
+    if not np.isfinite(k.view(float)).all():
         raise SingularError("kernel evaluation overflowed (I - conj(z) T nearly singular)")
     return k
 
@@ -131,9 +132,14 @@ def near_torus(eigs: np.ndarray, margin: float = TORUS_MARGIN) -> np.ndarray:
     return np.abs(np.abs(eigs) - 1.0) <= margin
 
 
+def _torus_spectrum(a: np.ndarray, margin: float = TORUS_MARGIN) -> np.ndarray:
+    """Per matrix of a stack, from one ``eigvals``: some eigenvalue within margin of |z| = 1."""
+    return near_torus(np.linalg.eigvals(a), margin).any(axis=-1)
+
+
 def has_torus_spectrum(t, margin: float = TORUS_MARGIN) -> bool:
     """True when some eigenvalue of T lies within ``margin`` of the unit circle."""
-    return bool(np.any(near_torus(np.linalg.eigvals(as_cmatrix(t)), margin)))
+    return bool(_torus_spectrum(as_cmatrix(t), margin))
 
 
 def threshold_solver(rho: float) -> str:
@@ -231,16 +237,22 @@ def torus_null_frames(t, rho: float, zs, tol: float = NULLSPACE_TOL) -> tuple:
     """
     points = np.asarray(zs, dtype=complex)
     off = np.abs(np.abs(points) - 1.0) > UNIT_CIRCLE_TOL
-    if np.any(off):
+    if off.any():
         raise ValueError(f"z must lie on the unit circle, got |z| = {abs(points[off][0])}")
     a = as_cmatrix(t)
-    if has_torus_spectrum(a):
+    if _torus_spectrum(a):
         raise TorusSpectrumError("T has spectrum within tolerance of the unit circle")
+    return _torus_frames(_resolvent_sum(a, points, rho), points, tol)
+
+
+def _torus_frames(k: np.ndarray, points: np.ndarray, tol: float) -> tuple:
+    """Unchecked ``null_frames`` of the kernels k at points, one stack for one
+    or more operands; GapTooSmallError names the z at fault and its index."""
     try:
-        return null_frames(_resolvent_sum(a, points, rho), tol)
+        return _null_frames(k.reshape(-1, *k.shape[-2:]), tol)
     except GapTooSmallError as exc:
-        raise GapTooSmallError(f"{exc} (at z = {complex(points[exc.index])})",
-                               index=exc.index) from exc
+        i = exc.index % len(points)
+        raise GapTooSmallError(f"{exc} (at z = {complex(points[i])})", index=i) from exc
 
 
 def torus_nullspace(t, rho: float, z, tol: float = NULLSPACE_TOL) -> list:

@@ -23,6 +23,8 @@ from .errors import GapTooSmallError, NotHermitianError
 # kernels up to dimension ~24 in double precision.
 HERMITIAN_RTOL = 1e-12
 NULLSPACE_TOL = 1e-8
+# floor under a matrix's scale, so that relative tests of the zero matrix divide safely
+SCALE_FLOOR = 1e-300
 
 
 def as_cmatrix(m) -> np.ndarray:
@@ -55,7 +57,7 @@ def _require_hermitian(a: np.ndarray, rtol: float = HERMITIAN_RTOL) -> np.ndarra
     """Check the symmetry residual of each matrix (the last two axes), at its
     own scale, and return the symmetrized array."""
     ah = np.conj(np.swapaxes(a, -1, -2))
-    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), SCALE_FLOOR)
     resid = np.max(np.abs(a - ah), axis=(-2, -1))
     bad = np.ravel(resid > rtol * scale)
     if np.any(bad):
@@ -80,12 +82,17 @@ def null_frames(m, tol: float = NULLSPACE_TOL) -> tuple[np.ndarray, np.ndarray]:
     a = a if stacked else as_cmatrix(a)[None]
     if a.shape[1] != a.shape[2] or not np.all(np.isfinite(a)):
         raise ValueError(f"expected a stack of finite square matrices, got shape {a.shape}")
-    values, vectors = np.linalg.eigh(_require_hermitian(a))
+    return _null_frames(_require_hermitian(a), tol, stacked)
+
+
+def _null_frames(a: np.ndarray, tol: float, stacked: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """``null_frames`` of a finite, exactly Hermitian (k, d, d) stack, unchecked."""
+    values, vectors = np.linalg.eigh(a)
     size = np.abs(values)
-    scale = np.maximum(np.max(size, axis=1), 1e-300)[:, None]
+    scale = np.maximum(np.max(size, axis=1), SCALE_FLOOR)[:, None]
     null_mask = size <= tol * scale
     gap = ~null_mask & (size < 10.0 * tol * scale)
-    if np.any(gap):
+    if gap.any():
         i = int(np.argmax(gap.any(axis=1)))
         raise GapTooSmallError(
             f"eigenvalues {values[i][gap[i]]} fall between the null threshold "

@@ -297,6 +297,13 @@ class TestHarnackCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["equivalent"] is False
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_empty_torus_sample_is_usage_error(self, count, tmp_path, capsys):
+        path = write_matrix(tmp_path, "s.json", normalized_shift(1, 2.0))
+        assert main(["harnack", "--t1", path, "--t0", path, "--rho", "2",
+                     "--torus", count, "--angles", "8"]) == 2
+        assert capsys.readouterr().err == "usage error: torus_angles must be positive\n"
+
     def test_torus_spectrum_rejected_with_numeric_exit(self, tmp_path):
         t1 = write_matrix(tmp_path, "u.json", np.diag([1.0 + 0j, 0.2]))
         t0 = write_matrix(tmp_path, "s.json", normalized_shift(1, 2.0))

@@ -161,14 +161,25 @@ class TestNullspaceEquality:
         with pytest.raises(GapTooSmallError, match=r"\(at z = \(1\+0j\)\)"):
             nullspace_equality(normalized_shift(1, 2.0), bad, 2.0, torus_angles=8)
 
-    def test_one_spectrum_check_per_matrix(self, monkeypatch):
+    def test_one_spectrum_check_per_matrix(self, monkeypatch, quick_grid):
+        # one eigvals of the stack [T1, T0]: each operand's spectrum once
         calls = []
-        original = kernel.has_torus_spectrum
-        monkeypatch.setattr(kernel, "has_torus_spectrum",
-                            lambda t: calls.append(t) or original(t))
+        original = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(np.shape(a)) or original(a))
         s = normalized_shift(2, 2.0)
         nullspace_equality(s, s, 2.0, torus_angles=32)
-        assert len(calls) == 2
+        assert calls == [(2, 3, 3)]
+        are_harnack_equivalent(s, s, 2.0, quick_grid, torus_angles=32)
+        assert calls == [(2, 3, 3)] * 2
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_rejects_empty_torus_sample(self, count, quick_grid):
+        s = normalized_shift(2, 2.0)
+        with pytest.raises(ValueError, match="torus_angles must be positive"):
+            nullspace_equality(s, s, 2.0, torus_angles=count)
+        with pytest.raises(ValueError, match="torus_angles must be positive"):
+            are_harnack_equivalent(s, s, 2.0, quick_grid, torus_angles=count)
 
     @pytest.mark.parametrize("case", ["nullity-0-1", "nullity-1", "twist-1",
                                       "nullity-2", "mismatched-2-1"])
@@ -229,41 +240,75 @@ class TestAreHarnackEquivalent:
 
     @staticmethod
     def counted_pair(monkeypatch, quick_grid, t, s):
-        """are_harnack_equivalent on (t, s) and the sizes of the kernel
-        stacks it evaluated."""
+        """are_harnack_equivalent on (t, s) and, per kernel evaluation, the
+        operands and the points it evaluated."""
         calls = []
         original = kernel._resolvent_sum
 
-        def counted(t, zs, rho):
-            calls.append(len(zs))
-            return original(t, zs, rho)
+        def counted(a, zs, rho):
+            calls.append((a.copy(), zs.copy()))
+            return original(a, zs, rho)
 
         monkeypatch.setattr(kernel, "_resolvent_sum", counted)
         monkeypatch.setattr(harnack, "_resolvent_sum", counted)
         verdict, evidence = are_harnack_equivalent(t, s, 2.0, quick_grid, torus_angles=32)
         monkeypatch.undo()
         assert verdict
-        # the shared kernels give the same constants as the directed calls
-        assert evidence.forward.c_squared == domination_constant(t, s, 2.0, quick_grid).c_squared
-        assert evidence.backward.c_squared == domination_constant(s, t, 2.0, quick_grid).c_squared
-        return evidence, sorted(calls)
+        # the shared kernels give the same certificates as the directed calls
+        assert evidence.forward == domination_constant(t, s, 2.0, quick_grid)
+        assert evidence.backward == domination_constant(s, t, 2.0, quick_grid)
+        return evidence, calls
+
+    @staticmethod
+    def assert_one_evaluation(calls, t, s, points):
+        # one stack [T1, T0] at every point once: each kernel evaluated once
+        assert len(calls) == 1
+        operands, zs = calls[0]
+        np.testing.assert_array_equal(operands, [t, s])
+        np.testing.assert_array_equal(zs, points)
 
     def test_evaluates_each_kernel_once(self, monkeypatch, quick_grid):
-        # two torus stacks and two interior stacks: the backward direction
-        # reuses the forward direction's kernels.  Conjugated by an
-        # orthogonal Q the pair is no longer one of weighted shifts, so
-        # every sample point is evaluated
+        # the 32 torus samples and the 16 ring samples in one evaluation of
+        # both operands: the backward direction reuses the forward
+        # direction's kernels.  Conjugated by an orthogonal Q the pair is no
+        # longer one of weighted shifts, so every sample point is evaluated
         t, s = orthogonal_conjugates(canonical_form_c2(2, 0.7), make_shift(2, math.sqrt(2)))
         evidence, calls = self.counted_pair(monkeypatch, quick_grid, t, s)
         assert evidence.nullspaces.route == evidence.forward.stats["route"] == "sampled"
-        assert calls == [16, 16, 32, 32]
+        self.assert_one_evaluation(calls, t, s, np.concatenate(
+            [roots_of_unity(32), quick_grid.interior_points()]))
 
     def test_evaluates_weighted_shifts_at_one_point(self, monkeypatch, quick_grid):
-        # the same four stacks, each at z = 1 or z = radii[-1] alone
+        # the same evaluation at z = 1 and z = radii[-1] alone
         t, s = canonical_form_c2(2, 0.7), make_shift(2, math.sqrt(2))
         evidence, calls = self.counted_pair(monkeypatch, quick_grid, t, s)
         assert evidence.nullspaces.route == evidence.forward.stats["route"] == "rotation"
-        assert calls == [1, 1, 1, 1]
+        self.assert_one_evaluation(calls, t, s, [1.0, quick_grid.radii[-1]])
+
+    @pytest.mark.parametrize("route", ["rotation", "sampled"])
+    def test_certificates_match_directed_calls(self, route):
+        # both directions of a pair are the whole certificates of
+        # domination_constant: feasible both ways, infeasible backward (the
+        # weight-2rho shift is singular at z = 1/2, see
+        # test_infeasible_when_reference_degenerates) and, for the shift
+        # against itself, InteriorSingularError from either call
+        grid = DiscGrid(radii=(0.5,), angles_per_radius=4, torus_angles=4)
+        conj = (lambda *ts: ts) if route == "rotation" else orthogonal_conjugates
+        for t1, t0 in ((0.7 * normalized_shift(1, 2.0), normalized_shift(1, 2.0)),
+                       (make_shift(1, 4.0), make_shift(1, 1.0))):
+            t1, t0 = conj(t1, t0)
+            _, evidence = are_harnack_equivalent(t1, t0, 2.0, grid, torus_angles=4)
+            assert evidence.forward.stats["route"] == route
+            assert evidence.forward == domination_constant(t1, t0, 2.0, grid)
+            assert evidence.backward == domination_constant(t0, t1, 2.0, grid)
+        assert evidence.forward.feasible and not evidence.backward.feasible
+        t = conj(make_shift(1, 4.0))[0]
+        with pytest.raises(InteriorSingularError) as pair_error:
+            are_harnack_equivalent(t, t, 2.0, grid, torus_angles=4)
+        with pytest.raises(InteriorSingularError) as directed_error:
+            domination_constant(t, t, 2.0, grid)
+        assert pair_error.value.z == directed_error.value.z
+        assert str(pair_error.value) == str(directed_error.value)
 
     def test_certificates_report_points_and_margin(self, quick_grid):
         pair = (0.7 * normalized_shift(1, 2.0), np.zeros((2, 2)))
@@ -284,9 +329,8 @@ class TestMinimumPrinciple:
 
     @staticmethod
     def certificates(t1, t0, rho, zs):
-        k1, k0 = kernel._resolvent_sum(t1, zs, rho), kernel._resolvent_sum(t0, zs, rho)
-        return [harnack._dominate(a, b, zs, harnack.LEAK_TOL)
-                for a, b in ((k1, k0), (k0, k1))]
+        k = kernel._resolvent_sum(np.stack([t1, t0]), zs, rho)
+        return harnack._certificates(k, zs, harnack.LEAK_TOL, "sampled")
 
     def assert_ring_decides(self, t1, t0, rho):
         ring = DiscGrid().interior_points()

@@ -536,6 +536,21 @@ class TestLevelSet:
                         outcomes.append((res.value, res.stats["witness"]))
                 assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.xfail(raises=NoRootError, strict=True,
+                       reason="Q_z0 is singular to roundoff one LEVEL_GAP above the flat threshold")
+    @pytest.mark.parametrize("rho, draw", [(60.0, 51), (60.0, 54), (60.0, 97),
+                                           (300.0, 1), (300.0, 2), (300.0, 37)])
+    def test_rotated_2x2_shift_at_large_rho(self, rho, draw):
+        # draws of U S_b U*, S_b the 2 x 2 shift of weight b in [0.5, 2], U
+        # Haar: w_rho is b/rho, but the anchor's Cholesky fails (13 of 400
+        # draws of this stream at rho = 60, 21 of 400 at rho = 300)
+        rng = np.random.default_rng(123)
+        for _ in range(draw + 1):
+            b = rng.uniform(0.5, 2.0)
+            u = random_unitary(rng, 2)
+        t = u @ make_shift(1, b) @ u.conj().T
+        assert radius_bisect(t, rho).value == pytest.approx(b / rho, rel=1e-9)
+
     def test_twin_peaks(self, rng):
         # w_rho(A (+) e^{i phi} A) = w_rho(A): two equal maxima, apart on the circle
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
