@@ -426,10 +426,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (UsageError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:

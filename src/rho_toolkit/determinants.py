@@ -80,9 +80,7 @@ def _unscale(value: float, count: int) -> float:
 
 def kernel_det(k: int, a: float, rho: float) -> float:
     """Determinant of the (k+1)x(k+1) shift-kernel matrix (diagonal rho)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    state = _run(rho, rho * rho - a * a, a, rho, k)
+    state = kernel_det_state(k, a, rho)
     return _unscale(state.values[k], state.scale_pow10)
 
 
@@ -112,6 +110,8 @@ def capped_kernel_det(m: int, a: float, rho: float) -> float:
 
 def kernel_det_state(k: int, a: float, rho: float) -> RecurrenceState:
     """The full recurrence run behind ``kernel_det`` (values 0..k)."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     return _run(rho, rho * rho - a * a, a, rho, k)
 
 

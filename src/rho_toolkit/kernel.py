@@ -35,7 +35,6 @@ DEFAULT_PSD_TOL = 1e-9
 # |Im| of a real companion eigenvalue, relative to the largest |eigenvalue|;
 # read for rho > 2 only, where the companion is not Hermitian
 REAL_EIG_TOL = 1e-6
-COMPANION_CHUNK = 256
 
 
 def roots_of_unity(k: int) -> np.ndarray:
@@ -180,21 +179,15 @@ def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray
     For rho <= 2 that term is -F* F, F = r T, r = sqrt((2-rho)/rho) |z|
     (``eigvalsh``; at rho = 2, r = 0 and the threshold is
     max(lambda_max(H_z)/2, 0) from the d x d block).  For rho > 2 it goes to
-    the companion (``eigvals``).  The dtype follows t and zs;
-    COMPANION_CHUNK points per solver call bound memory."""
+    the companion (``eigvals``).  The dtype follows t and zs."""
     tstar = np.conj(t.T)
-    hermitian = threshold_solver(rho) == "eigvalsh"
-    out = np.empty(len(zs))
-    for i in range(0, len(zs), COMPANION_CHUNK):
-        z = zs[i:i + COMPANION_CHUNK, None, None]
-        h = (rho - 1.0) / rho * (np.conj(z) * t + z * tstar)
-        if rho == 2.0:  # r = 0: the Hermitian form is diag(c H_z, 0)
-            out[i:i + len(z)] = np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0)
-            continue
-        tail = (math.sqrt((2.0 - rho) / rho) * np.abs(z) * t if hermitian
-                else (rho - 2.0) / rho * np.abs(z) ** 2 * (tstar @ t))
-        out[i:i + len(z)] = quadratic_threshold(h, tail, rho)
-    return out
+    z = zs[:, None, None]
+    h = (rho - 1.0) / rho * (np.conj(z) * t + z * tstar)
+    if rho == 2.0:  # r = 0: the Hermitian form is diag(c H_z, 0)
+        return np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0)
+    tail = (math.sqrt((2.0 - rho) / rho) * np.abs(z) * t if threshold_solver(rho) == "eigvalsh"
+            else (rho - 2.0) / rho * np.abs(z) ** 2 * (tstar @ t))
+    return quadratic_threshold(h, tail, rho)
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .radius import (angle_system_report, critical_rho, determinant_radius, nilp
                      omega_of_rho_curve, oscillatory_closed_form, radius_bisect,
                      shift_radius)
 from .shifts import make_shift, normalized_shift
-from .structure import (STRUCTURE_TOL, NullProfile, _phase_twist, c2_orbit_report,
-                        c2_shift, canonical_form_c2, commutant_dimension,
+from .structure import (STRUCTURE_TOL, NullProfile, _phase_twist, c2_shift,
+                        canonical_form_c2, commutant_dimension,
                         membership_necessary_conditions, rotation_family_check)
 
 
@@ -125,6 +125,12 @@ def _within(cid, paper_location, expected, computed, tolerance, note=""):
                        passed=abs(computed - expected) <= tolerance, note=note)
 
 
+def _equal(cid, paper_location, expected, computed, note=""):
+    """An exact check: passed when computed == expected."""
+    return CheckResult(id=cid, paper_location=paper_location, expected=expected,
+                       computed=computed, tolerance=0.0, passed=computed == expected, note=note)
+
+
 # ----------------------------------------------------------------- criteria
 
 def _c00_sign_convention(n_max, seed):
@@ -175,14 +181,10 @@ def _c03_discriminant_sign(n_max, seed):
             rho = n + 2 + delta
             a = 1.0 / determinant_radius(n, rho).value
             disc = discriminant(a, rho)
-            ok = math.copysign(1.0, disc) == math.copysign(1.0, delta)
-            checks.append(CheckResult(
-                id=f"c03-disc-sign-n{n:02d}-delta{delta:+.2f}",
-                paper_location="sign of the discriminant at the normalized weight",
-                expected=math.copysign(1.0, delta), computed=math.copysign(1.0, disc),
-                tolerance=0.0, passed=ok,
-                note=f"discriminant({a:.6f}, {rho}) = {disc:.6e}",
-            ))
+            checks.append(_equal(f"c03-disc-sign-n{n:02d}-delta{delta:+.2f}",
+                                 "sign of the discriminant at the normalized weight",
+                                 math.copysign(1.0, delta), math.copysign(1.0, disc),
+                                 note=f"discriminant({a:.6f}, {rho}) = {disc:.6e}"))
     return checks
 
 
@@ -316,19 +318,14 @@ def _c08_case2_monotone(n_max, seed):
         if rises:
             m, lo, hi = rises[0]
             note += f"; rises at k={m}: {lo:.6g} -> {hi:.6g}"
-        checks.append(CheckResult(
-            id=f"c08-case2-monotone-n{n:02d}",
-            paper_location="normalized determinant decrease in the positive-discriminant regime",
-            expected=True, computed=not rises, tolerance=0.0,
-            passed=not rises, note=note,
-        ))
-        checks.append(CheckResult(
-            id=f"c08-case2-roots-n{n:02d}",
-            paper_location="root split lambda1 < 1 < lambda2 of the normalized recurrence",
-            expected=True, computed=roots_ok, tolerance=0.0, passed=roots_ok,
+        checks.append(_equal(f"c08-case2-monotone-n{n:02d}",
+                             "normalized determinant decrease in the positive-discriminant regime",
+                             True, not rises, note=note))
+        checks.append(_equal(
+            f"c08-case2-roots-n{n:02d}",
+            "root split lambda1 < 1 < lambda2 of the normalized recurrence", True, roots_ok,
             note=(f"roots of r^2 - (alpha/(a(rho-1))) r + 1: "
-                  f"lambda1={l1.real:.6f}, lambda2={l2.real:.6f}"),
-        ))
+                  f"lambda1={l1.real:.6f}, lambda2={l2.real:.6f}")))
     return checks
 
 
@@ -343,42 +340,32 @@ def _householder(d: int) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(u, u) / (u @ u)
 
 
-def _c09_oracle(n, thetas):
-    """The rotation route's comparison of each middle twist against the
-    shift, and the sampled route's on both operands conjugated by one
-    Householder reflection Q (K_z(Q T Q^T) = Q K_z(T) Q^T, so principal
-    angles agree): the cases where route, verdict or nullities differ."""
-    s = c2_shift(n)
-    q = _householder(n + 1)
-    mismatches = []
+def _c09_comparisons(n, thetas):
+    """For each theta, the middle twist against the shift twice: by the
+    rotation route, and by the sampled route on both operands conjugated by
+    one Householder reflection Q (K_z(Q T Q^T) = Q K_z(T) Q^T, so principal
+    angles agree)."""
+    s, q = c2_shift(n), _householder(n + 1)
+    cases = []
     for theta in thetas:
         t = _phase_twist(s, (n + 1) // 2, theta)
-        direct = nullspace_equality(t, s, 2.0, tol=STRUCTURE_TOL)
-        oracle = nullspace_equality(q @ t @ q.T, q @ s @ q.T, 2.0, tol=STRUCTURE_TOL)
-        agree = ((direct.route, oracle.route) == ("rotation", "sampled")
-                 and direct.equal == oracle.equal
-                 and np.array_equal(direct.dims1, oracle.dims1)
-                 and np.array_equal(direct.dims0, oracle.dims0))
-        if not agree:
-            mismatches.append(f"theta={theta:.2f}: {direct.route} {direct.equal} "
-                              f"{direct.nullities()} vs {oracle.route} {oracle.equal} "
-                              f"{oracle.nullities()}")
-    return mismatches
+        cases.append((theta, nullspace_equality(t, s, 2.0, tol=STRUCTURE_TOL),
+                      nullspace_equality(q @ t @ q.T, q @ s @ q.T, 2.0, tol=STRUCTURE_TOL)))
+    return cases
 
 
 def _c09_harnack_part(n_max, seed):
+    # even n: every twist stays in the part; odd n: off-support twists leave it
+    cases = {n: _c09_comparisons(n, _OFFSUPPORT_THETAS_C9 if n % 2 else _THETAS_C9)
+             for n in range(1, 5)}
     checks = []
     coarse = DiscGrid(radii=(0.99,))
     fine = DiscGrid()
     for n in (2, 4):
-        entries = c2_orbit_report(n, _THETAS_C9)
-        for theta, entry in zip(_THETAS_C9, entries):
-            checks.append(CheckResult(
-                id=f"c09-part-n{n}-theta{theta:.2f}",
-                paper_location="canonical family stays in the shift's Harnack part",
-                expected=True, computed=entry.nullspace_equal, tolerance=0.0,
-                passed=entry.nullspace_equal,
-            ))
+        for theta, direct, _ in cases[n]:
+            checks.append(_equal(f"c09-part-n{n}-theta{theta:.2f}",
+                                 "canonical family stays in the shift's Harnack part",
+                                 True, direct.equal))
         s = c2_shift(n)
         t = canonical_form_c2(n, 0.7)
         ratios = []
@@ -393,22 +380,21 @@ def _c09_harnack_part(n_max, seed):
             expected="ratio <= 2", computed=max(ratios), tolerance=2.0, passed=ok,
         ))
     for n in (1, 3):
-        entries = c2_orbit_report(n, _OFFSUPPORT_THETAS_C9)
-        bad = [e for e in entries if e.nullspace_equal]
-        checks.append(CheckResult(
-            id=f"c09-offsupport-n{n}",
-            paper_location="off-support phase twists leave the Harnack part",
-            expected=False, computed=bool(bad), tolerance=0.0, passed=not bad,
-        ))
-    for n, thetas in ((1, _OFFSUPPORT_THETAS_C9), (2, _THETAS_C9),
-                      (3, _OFFSUPPORT_THETAS_C9), (4, _THETAS_C9)):
-        mismatches = _c09_oracle(n, thetas)
-        checks.append(CheckResult(
-            id=f"c09-oracle-n{n}",
-            paper_location="rotation-route Harnack verdicts match the sampled route",
-            expected=True, computed=not mismatches, tolerance=0.0, passed=not mismatches,
-            note="; ".join(mismatches),
-        ))
+        checks.append(_equal(f"c09-offsupport-n{n}",
+                             "off-support phase twists leave the Harnack part",
+                             False, any(direct.equal for _, direct, _ in cases[n])))
+    for n in range(1, 5):
+        mismatches = [f"theta={theta:.2f}: {direct.route} {direct.equal} "
+                      f"{direct.nullities()} vs {oracle.route} {oracle.equal} "
+                      f"{oracle.nullities()}"
+                      for theta, direct, oracle in cases[n]
+                      if not ((direct.route, oracle.route) == ("rotation", "sampled")
+                              and direct.equal == oracle.equal
+                              and np.array_equal(direct.dims1, oracle.dims1)
+                              and np.array_equal(direct.dims0, oracle.dims0))]
+        checks.append(_equal(f"c09-oracle-n{n}",
+                             "rotation-route Harnack verdicts match the sampled route",
+                             True, not mismatches, note="; ".join(mismatches)))
     return checks
 
 
@@ -451,12 +437,8 @@ def _c12_irreducibility(n_max, seed):
         ("c12-canonical-dim4", canonical_form_c2(3, 0.7)),
     ]
     for cid, t in cases:
-        dim = commutant_dimension(t)
-        checks.append(CheckResult(
-            id=cid,
-            paper_location="irreducibility via trivial commutant",
-            expected=1, computed=dim, tolerance=0.0, passed=dim == 1,
-        ))
+        checks.append(_equal(cid, "irreducibility via trivial commutant",
+                             1, commutant_dimension(t)))
     return checks
 
 

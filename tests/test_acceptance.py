@@ -68,6 +68,28 @@ def test_criterion_09_harnack_part_c2(battery):
     _assert_criterion(battery, "c09", "Harnack part at rho = 2")
 
 
+def test_criterion_09_compares_each_case_once(monkeypatch):
+    # n = 2, 4 at five angles and n = 1, 3 at two: 14 (n, theta) cases, each
+    # compared once by the rotation route and once by the sampled route
+    from collections import Counter
+
+    from rho_toolkit import harnack, structure, verify
+
+    compare, seen = harnack.nullspace_equality, []
+
+    def counting(t1, t0, *args, **kwargs):
+        result = compare(t1, t0, *args, **kwargs)
+        seen.append((t1.shape[0] - 1, result.route))
+        return result
+
+    for module in (harnack, structure, verify):  # every binding the battery can reach
+        monkeypatch.setattr(module, "nullspace_equality", counting)
+    assert verify.run_battery(criteria={"c09"}).ok
+    assert len(seen) == 28
+    assert Counter(seen) == {(n, route): 5 if n % 2 == 0 else 2
+                             for n in range(1, 5) for route in ("rotation", "sampled")}
+
+
 def test_criterion_10_membership_necessaries(battery):
     _assert_criterion(battery, "c10", "membership necessaries")
 

@@ -399,7 +399,8 @@ class TestVerifyCommand:
         out_file = tmp_path / "report.csv"
         assert main(["verify", "--only", "c00", "--format", "csv",
                      "--out", str(out_file)]) == 0
-        rows = list(csv.reader(out_file.open()))
+        with out_file.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][0] == "id"
         assert rows[1][0] == "c00-kernel-normalization"
 

@@ -125,6 +125,12 @@ class TestRecurrenceState:
         assert beta > 0
         assert len(state.values) == 6
 
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            kernel_det_state(-1, 1.4, 3.2)
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            kernel_det(-1, 1.4, 3.2)
+
     def test_rescaling_guard_avoids_nan(self):
         # lambda^m growth would overflow; the guard keeps signs and finiteness
         state = kernel_det_state(4000, 3.0, 4.0)

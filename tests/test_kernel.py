@@ -143,7 +143,7 @@ class TestDiscGrid:
 class TestCompanionThreshold:
     def test_rho2_is_numerical_range_edge(self, rng):
         # at rho = 2 the companion is block triangular: its real spectrum is
-        # that of Re(conj(z) T) together with d zeros; 300 points span two stacks
+        # that of Re(conj(z) T) together with d zeros
         t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         zs = np.exp(2j * np.pi * np.arange(300) / 300)
         herm = (np.conj(zs)[:, None, None] * t + zs[:, None, None] * t.conj().T) / 2
@@ -189,6 +189,21 @@ class TestCompanionThreshold:
                 np.testing.assert_allclose(companion_threshold(t, zs, rho),
                                            self.companion_oracle(t, zs, rho), rtol=1e-12,
                                            atol=0.0, err_msg=f"{family} d={d}")
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+    def test_slices_concatenate(self, rng, rho):
+        # each point is solved on its own: a stack gives what its slices give
+        t = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        zs = np.exp(2j * np.pi * rng.uniform(size=600)) * rng.uniform(0.05, 1, 600)
+        whole = companion_threshold(t, zs, rho)
+        parts = [companion_threshold(t, zs[i:j], rho)
+                 for i, j in ((0, 1), (1, 256), (256, 257), (257, 600))]
+        np.testing.assert_array_equal(whole, np.concatenate(parts))
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 3.0])
+    def test_no_points(self, rng, rho):
+        t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert companion_threshold(t, np.zeros(0, dtype=complex), rho).shape == (0,)
 
     @pytest.fixture
     def eigvals_calls(self, monkeypatch):
