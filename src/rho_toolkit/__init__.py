@@ -21,10 +21,10 @@ from .radius import (AngleSystemReport, RadiusResult, angle_system_report, criti
                      oscillatory_closed_form, radius_bisect, shift_radius)
 from .shifts import make_shift, normalized_shift
 from .structure import (C2OrbitEntry, MembershipReport, NullProfile,
-                        c2_orbit_report, canonical_form_c2, commutant_dimension,
-                        irreducibility_check, membership_necessary_conditions,
-                        null_profile, rotation_family_check,
-                        unitary_orbit_predicate)
+                        c2_orbit_report, canonical_form_c2, circle_null_vectors,
+                        commutant_dimension, irreducibility_check,
+                        membership_necessary_conditions, null_profile,
+                        rotation_family_check, unitary_orbit_predicate)
 from .verify import CheckResult, VerifyReport, run_battery
 
 __version__ = "0.1.0"

@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Matrices travel as JSON documents ``{"dim": d, "entries": [[re, im], ...],
-"label": "..."}`` with entries in row-major order.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 numeric error.
+"label": "..."}`` with entries in row-major order.  Each quantity has one
+route per operand: ``radius --shift`` solves the angle system
+(``shift_radius``), ``radius --matrix`` the level set (``radius_bisect``);
+the determinant oracle is cross-checked by ``verify`` only.  Exit codes:
+0 success, 1 verification failure, 2 usage error, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,45 +25,21 @@ from . import verify as verify_mod
 from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            discriminant, kernel_det, kernel_det_matrix,
                            mixed_identity_residual, relative_residual)
-from .errors import GapTooSmallError, ToolkitError, TorusSpectrumError
+from .errors import ToolkitError, TorusSpectrumError
 from .harnack import are_harnack_equivalent, nullspace_equality
 from .kernel import (UNIT_CIRCLE_TOL, DiscGrid, has_torus_spectrum, rho_kernel,
                      torus_nullspace)
 from .linalg import as_cmatrix
-from .radius import (SHIFT_TOL, determinant_radius, omega_of_rho_curve, radius_bisect,
-                     shift_radius)
+from .radius import omega_of_rho_curve, radius_bisect, shift_radius
 from .shifts import make_shift, normalized_shift
-from .structure import STRUCTURE_TOL, NullProfile, _phase_twist, null_profile
+from .structure import (STRUCTURE_TOL, NullProfile, _phase_twist, circle_null_vectors,
+                        null_profile)
 from .verify import _fmt
 
 
-@dataclass(frozen=True)
-class MatrixDocument:
-    """JSON wire format for a complex matrix."""
-
-    dim: int
-    entries: list
-    label: str | None = None
-
-    @classmethod
-    def from_matrix(cls, m, label: str | None = None) -> "MatrixDocument":
-        a = as_cmatrix(m)
-        entries = [[float(x.real), float(x.imag)] for x in a.ravel()]
-        return cls(dim=a.shape[0], entries=entries, label=label)
-
-    def to_matrix(self) -> np.ndarray:
-        if len(self.entries) != self.dim * self.dim:
-            raise ValueError(
-                f"matrix document has {len(self.entries)} entries, expected {self.dim ** 2}"
-            )
-        flat = np.array([complex(re, im) for re, im in self.entries])
-        return as_cmatrix(flat.reshape(self.dim, self.dim))
-
-    def to_json_dict(self) -> dict:
-        doc = {"dim": self.dim, "entries": self.entries}
-        if self.label is not None:
-            doc["label"] = self.label
-        return doc
+def _pair(x: complex) -> list:
+    """A complex number as its JSON pair [re, im]."""
+    return [float(x.real), float(x.imag)]
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -69,17 +48,22 @@ def load_matrix(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
-        doc = MatrixDocument(dim=int(raw["dim"]), entries=raw["entries"],
-                             label=raw.get("label"))
-        return doc.to_matrix()
+        dim, entries = int(raw["dim"]), raw["entries"]
+        if len(entries) != dim * dim:
+            raise ValueError(f"matrix document has {len(entries)} entries, expected {dim ** 2}")
+        flat = np.array([complex(re, im) for re, im in entries])
     except TypeError as exc:  # an entry, the dim or the document of the wrong JSON type
         raise ValueError(f"{path} is not a matrix document: {exc}") from exc
+    return as_cmatrix(flat.reshape(dim, dim))
 
 
 def save_matrix(path: str, m, label: str | None = None) -> None:
-    doc = MatrixDocument.from_matrix(m, label)
+    a = as_cmatrix(m)
+    doc = {"dim": a.shape[0], "entries": [_pair(x) for x in a.ravel()]}
+    if label is not None:
+        doc["label"] = label
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc.to_json_dict(), fh)
+        json.dump(doc, fh)
         fh.write("\n")
 
 
@@ -111,22 +95,14 @@ def _cmd_radius(args) -> int:
         b = 1.0 if args.weight is None else args.weight
         if not b > 0:
             raise UsageError("--weight must be positive")
-        if args.method == "auto":
-            res = shift_radius(args.shift, args.rho, tol=max(args.tol, SHIFT_TOL))
-        elif args.method == "det":
-            res = determinant_radius(args.shift, args.rho, tol=args.tol)
-        else:
-            res = radius_bisect(make_shift(args.shift, 1.0), args.rho)
-        # w_rho(b S) = b w_rho(S); every route above solves b = 1
+        # w_rho(b S) = b w_rho(S); shift_radius solves b = 1
+        res = shift_radius(args.shift, args.rho)
         res = replace(res, value=b * res.value, bracket=(b * res.bracket[0], b * res.bracket[1]))
     else:
-        if args.method == "det":
-            raise UsageError("method 'det' applies to shifts only")
         if args.weight is not None:
             raise UsageError("--weight applies to shifts only")
         res = radius_bisect(load_matrix(args.matrix), args.rho)
-    stats = {k: [v.real, v.imag] if isinstance(v, complex) else v
-             for k, v in res.stats.items()}
+    stats = {k: _pair(v) if isinstance(v, complex) else v for k, v in res.stats.items()}
     payload = {"value": res.value, "method": res.method, "omega": res.omega,
                "residual": res.residual, "bracket": list(res.bracket), "stats": stats}
     omega = "" if res.omega is None else f" omega={_fmt(res.omega)}"
@@ -155,7 +131,7 @@ def _cmd_kernel(args) -> int:
         raise TorusSpectrumError("matrix has unit-circle spectrum; |z| = 1 is not allowed")
     values = np.linalg.eigvalsh(rho_kernel(t, z, args.rho).matrix)
     if args.format == "json":
-        print(json.dumps({"z": [z.real, z.imag], "rho": args.rho,
+        print(json.dumps({"z": _pair(z), "rho": args.rho,
                           "eigenvalues": [float(v) for v in values]}, indent=2))
     else:
         writer = csv.writer(sys.stdout)
@@ -168,16 +144,13 @@ def _cmd_kernel(args) -> int:
 def _cmd_nullspace(args) -> int:
     _require_one_operand(args)
     z = _parse_complex(args.z)
-    payload: dict = {"z": [z.real, z.imag], "rho": args.rho}
+    payload: dict = {"z": _pair(z), "rho": args.rho}
     lines = []
     if args.matrix is not None:
         vecs = torus_nullspace(load_matrix(args.matrix), args.rho, z, args.tol)
     else:
         profile = null_profile(args.shift, args.rho, tol=args.tol)
-        s = make_shift(args.shift, 1.0 / profile.radius.value)
-        vecs = torus_nullspace(s, args.rho, z, args.tol)
-        if len(vecs) != 1:
-            raise GapTooSmallError(f"nullity {len(vecs)} != 1 at z = {z}")
+        vecs = circle_null_vectors(args.shift, args.rho, [z], args.tol)
         # the closed form is antisymmetric by construction: score the
         # extraction, rotated back to z = 1 by diag(conj(z)^k)
         extracted = NullProfile.from_vector(np.conj(z) ** np.arange(args.shift + 1) * vecs[0],
@@ -192,7 +165,7 @@ def _cmd_nullspace(args) -> int:
         lead = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
         fixed.append(v * np.conj(lead / abs(lead)))
     payload["nullity"] = len(vecs)
-    payload["vectors"] = [[[float(x.real), float(x.imag)] for x in v] for v in fixed]
+    payload["vectors"] = [[_pair(x) for x in v] for v in fixed]
     lines.insert(0, f"nullity={len(vecs)}")
     for v in fixed:
         lines.append("vector: " + " ".join(f"{x.real:+.8f}{x.imag:+.8f}j" for x in v))
@@ -302,7 +275,7 @@ def _cmd_explore(args) -> int:
     sweeps = []
     for rho in rhos:
         profile = null_profile(n, rho)
-        s = make_shift(n, 1.0 / profile.radius.value)
+        s = normalized_shift(n, rho)
         for k in range(n + 1):
             for theta in thetas:
                 t = _phase_twist(s, k, theta)
@@ -349,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", help="matrix JSON file")
     p.add_argument("--weight", type=float, help="shift weight (B > 0, default 1)")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--method", choices=("auto", "bisect", "det"), default="auto",
-                   help="bisect: the level-set route, any matrix")
-    p.add_argument("--tol", type=float, default=1e-8, help="auto and det only")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_radius)
 

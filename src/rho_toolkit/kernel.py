@@ -13,6 +13,7 @@ DiscGrid gives the ring on which the Harnack constants are scored.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -37,9 +38,21 @@ DEFAULT_PSD_TOL = 1e-9
 REAL_EIG_TOL = 1e-6
 
 
+@functools.lru_cache(maxsize=64)
 def roots_of_unity(k: int) -> np.ndarray:
-    """The k equispaced unit-circle points exp(2 pi i j / k), j = 0, ..., k-1."""
-    return np.exp(1j * (2.0 * np.pi * np.arange(k) / k))
+    """The k equispaced unit-circle points exp(2 pi i j / k), j = 0, ..., k-1;
+    memoized, so the array is shared and read-only."""
+    z = np.exp(1j * (2.0 * np.pi * np.arange(k) / k))
+    z.flags.writeable = False
+    return z
+
+
+@functools.lru_cache(maxsize=64)
+def _ring(radius: float, k: int) -> np.ndarray:
+    """radius * roots_of_unity(k), memoized and read-only like it."""
+    z = radius * roots_of_unity(k)
+    z.flags.writeable = False
+    return z
 
 
 @dataclass(frozen=True)
@@ -68,8 +81,8 @@ class DiscGrid:
             raise ValueError("angle counts must be positive")
 
     def interior_points(self) -> np.ndarray:
-        """The samples of the outermost ring, angle 0 first."""
-        return self.radii[-1] * roots_of_unity(self.angles_per_radius)
+        """The samples of the outermost ring, angle 0 first (shared, read-only)."""
+        return _ring(self.radii[-1], self.angles_per_radius)
 
 
 @dataclass(frozen=True)
@@ -126,19 +139,20 @@ def congruence_factor(n: int, a: float, rho: float, z: complex) -> np.ndarray:
     return m
 
 
-def near_torus(eigs: np.ndarray, margin: float = TORUS_MARGIN) -> np.ndarray:
-    """Mask of the eigenvalues that lie within ``margin`` of the unit circle."""
-    return np.abs(np.abs(eigs) - 1.0) <= margin
+def near_torus(eigs: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues that lie within TORUS_MARGIN of the unit circle."""
+    return np.abs(np.abs(eigs) - 1.0) <= TORUS_MARGIN
 
 
-def _torus_spectrum(a: np.ndarray, margin: float = TORUS_MARGIN) -> np.ndarray:
-    """Per matrix of a stack, from one ``eigvals``: some eigenvalue within margin of |z| = 1."""
-    return near_torus(np.linalg.eigvals(a), margin).any(axis=-1)
+def _torus_spectrum(a: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, from one ``eigvals``: some eigenvalue within
+    TORUS_MARGIN of |z| = 1."""
+    return near_torus(np.linalg.eigvals(a)).any(axis=-1)
 
 
-def has_torus_spectrum(t, margin: float = TORUS_MARGIN) -> bool:
-    """True when some eigenvalue of T lies within ``margin`` of the unit circle."""
-    return bool(_torus_spectrum(as_cmatrix(t), margin))
+def has_torus_spectrum(t) -> bool:
+    """True when some eigenvalue of T lies within TORUS_MARGIN of the unit circle."""
+    return bool(_torus_spectrum(as_cmatrix(t)))
 
 
 def threshold_solver(rho: float) -> str:

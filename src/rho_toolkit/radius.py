@@ -82,7 +82,7 @@ CROSSING_TOL = 1e-2  # |Im s| cut-off, relative to max(1, |s|), of a candidate c
 NILPOTENT_TOL = 1e-10  # ||T^m|| relative to ||T||^m that counts as T^m = 0
 ROUTE_AGREEMENT = 100.0  # half-width, in tol max(1, a*), of determinant_radius's eigenvalue window
 SOLVE_CACHE_SIZE = 256  # (n, rho, tol) keys kept by each solve_cache memo
-SHIFT_TOL = 1e-9  # shift_radius's default angle-system tolerance, the CLI's floor on --tol
+SHIFT_TOL = 1e-9  # shift_radius's default angle-system tolerance
 EXCLUSION_MARGIN = 1e-3  # joint residual above which an angle-system row satisfies no identity
 
 

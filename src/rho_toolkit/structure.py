@@ -6,7 +6,7 @@ coefficient vector is antisymmetric under index reversal (v_k = -v_{n-k}),
 which forces the middle coordinate to vanish exactly when the dimension n+1
 is odd, and all other coordinates are nonzero.  This module reads that
 profile off the angle of the radius system in closed form (the stacked
-``eigh`` extraction, ``kernel.torus_null_frames``, is its oracle), verifies its
+``eigh`` extraction, ``circle_null_vectors``, is its oracle), verifies its
 rotation covariance, and implements the downstream characterizations:
 necessary membership conditions, the diagonal-unitary orbit predicate,
 irreducibility via the commutant dimension, and the canonical family of the
@@ -23,9 +23,9 @@ import numpy as np
 from .errors import GapTooSmallError, NotUnitaryError
 from .harnack import nullspace_equality
 from .kernel import torus_null_frames
-from .linalg import as_cmatrix, spectral_norm
+from .linalg import NULLSPACE_TOL, as_cmatrix, spectral_norm
 from .radius import RadiusResult, cos_omega, shift_radius, solve_cache
-from .shifts import make_shift
+from .shifts import make_shift, normalized_shift
 
 STRUCTURE_TOL = 1e-7  # unit of the profile's support threshold, bound of its residuals
 
@@ -86,21 +86,29 @@ def null_profile(n: int, rho: float, tol: float = STRUCTURE_TOL) -> NullProfile:
     return NullProfile.from_vector(m * np.sinc(m * phi / (2.0 * np.pi)), rho, res, tol)
 
 
-def rotation_family_check(n: int, rho: float, z_samples, tol: float = STRUCTURE_TOL) -> float:
-    """Worst principal-angle residual 1 - |<u, w>| between the null vector u
-    at z, from one stacked ``torus_null_frames`` extraction, and the rotated
-    closed-form profile w = diag(1, z, ..., z^n) v / |v|, from one radius
-    solve; GapTooSmallError names a z where the nullity is not 1.  tol
-    reaches only the profile's zero pattern, which the residual does not read."""
-    profile = null_profile(n, rho, tol)
-    s = make_shift(n, 1.0 / profile.radius.value)
-    zs = np.asarray(z_samples, dtype=complex)
-    vectors, mask = torus_null_frames(s, rho, zs)
+def circle_null_vectors(n: int, rho: float, zs, tol: float = NULLSPACE_TOL) -> np.ndarray:
+    """The kernel null vector of ``normalized_shift(n, rho)`` at each
+    unit-circle point of a 1-d array zs, one row per z, from one stacked
+    ``torus_null_frames`` extraction at tol; GapTooSmallError names a z where
+    the nullity is not 1 (or is ill-determined)."""
+    zs = np.asarray(zs, dtype=complex)
+    vectors, mask = torus_null_frames(normalized_shift(n, rho), rho, zs, tol)
     nullity = mask.sum(axis=1)
     if np.any(nullity != 1):
         i = int(np.argmax(nullity != 1))
         raise GapTooSmallError(f"nullity {nullity[i]} != 1 at z = {zs[i]}", index=i)
-    u = np.sum(vectors * mask[:, None, :], axis=2)
+    return vectors[np.arange(len(zs)), :, np.argmax(mask, axis=1)]
+
+
+def rotation_family_check(n: int, rho: float, z_samples, tol: float = STRUCTURE_TOL) -> float:
+    """Worst principal-angle residual 1 - |<u, w>| between the null vector u
+    at z (``circle_null_vectors``, its GapTooSmallError included) and the
+    rotated closed-form profile w = diag(1, z, ..., z^n) v / |v|; both read
+    one radius solve.  tol reaches only the profile's zero pattern, which the
+    residual does not read."""
+    profile = null_profile(n, rho, tol)
+    zs = np.asarray(z_samples, dtype=complex)
+    u = circle_null_vectors(n, rho, zs)
     w = zs[:, None] ** np.arange(n + 1) * profile.v
     w = w / np.linalg.norm(w, axis=1, keepdims=True)
     return float(np.max(1.0 - np.abs(np.sum(np.conj(u) * w, axis=1)), initial=0.0))

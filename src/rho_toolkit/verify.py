@@ -25,14 +25,15 @@ from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            discriminant, kernel_det, kernel_det_matrix,
                            kernel_det_state, mixed_identity_residual,
                            recurrence_roots, relative_residual)
+from .errors import GapTooSmallError
 from .harnack import domination_constant, nullspace_equality
-from .kernel import DiscGrid, rho_kernel, roots_of_unity, torus_nullspace
+from .kernel import DiscGrid, rho_kernel, roots_of_unity
 from .radius import (angle_system_report, critical_rho, determinant_radius, nilpotent_margin,
                      omega_of_rho_curve, oscillatory_closed_form, radius_bisect,
                      shift_radius)
 from .shifts import make_shift, normalized_shift
 from .structure import (STRUCTURE_TOL, NullProfile, _phase_twist, c2_shift,
-                        canonical_form_c2, commutant_dimension,
+                        canonical_form_c2, circle_null_vectors, commutant_dimension,
                         membership_necessary_conditions, rotation_family_check)
 
 
@@ -225,12 +226,12 @@ def _c05_null_profiles(n_max, seed):
         worst_anti = 0.0
         failures = []
         for rho in _rho_sweep(n):
-            res = shift_radius(n, rho)
-            vecs = torus_nullspace(make_shift(n, 1.0 / res.value), rho, 1.0, STRUCTURE_TOL)
-            if len(vecs) != 1:
-                failures.append(f"nullity {len(vecs)} at rho={rho}")
+            try:
+                (u,) = circle_null_vectors(n, rho, [1.0], STRUCTURE_TOL)
+            except GapTooSmallError as exc:
+                failures.append(f"{exc} at rho={rho}")
                 continue
-            profile = NullProfile.from_vector(vecs[0], rho, res, STRUCTURE_TOL)
+            profile = NullProfile.from_vector(u, rho, shift_radius(n, rho), STRUCTURE_TOL)
             v = profile.v
             worst_anti = max(worst_anti, profile.antisymmetry_residual)
             for k in range(n + 1):

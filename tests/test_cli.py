@@ -7,8 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from rho_toolkit import make_shift, normalized_shift, verify
-from rho_toolkit.cli import MatrixDocument, load_matrix, main, save_matrix
+from rho_toolkit import make_shift, normalized_shift, radius_bisect, verify
+from rho_toolkit.cli import load_matrix, main, save_matrix
 from rho_toolkit.radius import CROSSING_TOL
 
 from conftest import orthogonal_conjugates
@@ -26,9 +26,11 @@ class TestMatrixDocument:
         path = write_matrix(tmp_path, "m.json", m, label="random")
         loaded = load_matrix(path)
         assert np.array_equal(loaded, m)
-        doc1 = MatrixDocument.from_matrix(m, "random").to_json_dict()
-        doc2 = MatrixDocument.from_matrix(loaded, "random").to_json_dict()
-        assert json.dumps(doc1) == json.dumps(doc2)
+        again = write_matrix(tmp_path, "again.json", loaded, label="random")
+        with open(path) as first, open(again) as second:
+            text = first.read()
+            assert json.loads(text)["label"] == "random"
+            assert second.read() == text
 
     def test_decimal_entries_preserved(self, tmp_path):
         m = np.array([[0.1 + 0.2j, 1.2345678901234567],
@@ -36,9 +38,11 @@ class TestMatrixDocument:
         path = write_matrix(tmp_path, "d.json", m)
         assert np.array_equal(load_matrix(path), m)
 
-    def test_entry_count_validated(self):
-        with pytest.raises(ValueError):
-            MatrixDocument(dim=2, entries=[[1.0, 0.0]]).to_matrix()
+    def test_entry_count_validated(self, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [[1.0, 0.0]]}))
+        with pytest.raises(ValueError, match="1 entries, expected 4"):
+            load_matrix(str(path))
 
 
 class TestRadiusCommand:
@@ -64,17 +68,19 @@ class TestRadiusCommand:
         assert payload["value"] == pytest.approx(1 / 3, abs=1e-6)
         assert payload["method"] == "level_set"
 
-    def test_weight_scales_every_method(self, capsys):
-        # w_rho(B S) = B w_rho(S) = 2 cos(pi/5) for N = 3, B = 2, rho = 2
+    def test_weight_scales_every_method(self, tmp_path, capsys):
+        # w_rho(B S) = B w_rho(S) = 2 cos(pi/5) for N = 3, B = 2, rho = 2:
+        # the shift route scales its b = 1 solve, the matrix route reads B S
+        path = write_matrix(tmp_path, "s.json", make_shift(3, 2.0))
         values = []
-        for method in ("auto", "det", "bisect"):
-            assert main(["radius", "--shift", "3", "--weight", "2", "--rho", "2",
-                         "--method", method, "--json"]) == 0
+        for operand in (["--shift", "3", "--weight", "2"], ["--matrix", path]):
+            assert main(["radius", *operand, "--rho", "2", "--json"]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["bracket"][0] <= payload["value"] <= payload["bracket"][1]
             values.append(payload["value"])
         assert max(values) - min(values) <= 1e-5
         assert values[0] == pytest.approx(2 * math.cos(math.pi / 5), abs=1e-9)
+        assert values[1] == radius_bisect(make_shift(3, 2.0), 2.0).value
 
     def test_deterministic_output(self, capsys):
         main(["radius", "--shift", "3", "--rho", "2.5", "--json"])
@@ -138,33 +144,17 @@ class TestRadiusCommand:
 
     def test_usage_error_bad_flag(self):
         with pytest.raises(SystemExit) as err:
-            main(["radius", "--shift", "2", "--rho", "2", "--method", "nope"])
+            main(["radius", "--shift", "2", "--rho", "two"])
         assert err.value.code == 2
 
-    def test_det_routes_disagreeing_is_numeric_error(self, capsys, monkeypatch):
-        # both bisections agree on every shipped input, so the eigenvalue
-        # route is substituted by one whose first root sits at a = rho
-        import rho_toolkit.radius as radius
-
-        monkeypatch.setattr(radius, "_boundary_min_eig", lambda n, a, rho: rho - a)
-        assert main(["radius", "--shift", "24", "--rho", "26.00000000000001",
-                     "--method", "det"]) == 3
-        assert "NoRootError" in capsys.readouterr().err
-
-    def test_det_json_reports_stats(self, capsys):
-        assert main(["radius", "--shift", "6", "--rho", "3", "--method", "det", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        stats = payload["stats"]
-        assert stats["bisection_steps"] > 20 and stats["eigenvalue_probes"] == 2
-        below, above = stats["window"]
-        assert below < 1.0 / payload["value"] < above
-
-    def test_det_near_double_root(self, capsys):
-        # just past the critical point the first root is nearly double
-        assert main(["radius", "--shift", "24", "--rho", "26.00000000000001",
-                     "--method", "det", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["value"] == pytest.approx(24 / 26, abs=1e-8)
+    @pytest.mark.parametrize("option", [["--method", "det"], ["--tol", "1e-8"]])
+    def test_route_options_are_gone(self, option, capsys):
+        # one route per operand: the determinant oracle is verify's, and
+        # shift_radius refuses at its own tolerance
+        with pytest.raises(SystemExit) as err:
+            main(["radius", "--shift", "6", "--rho", "3", *option])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_file_is_usage_error(self):
         assert main(["radius", "--matrix", "/no/such/file.json", "--rho", "2"]) == 2
@@ -223,8 +213,8 @@ class TestNullspaceCommand:
         # vector that is not
         import rho_toolkit.cli as cli
 
-        monkeypatch.setattr(cli, "torus_nullspace",
-                            lambda t, rho, z, tol: [np.ones(t.shape[0], dtype=complex)])
+        monkeypatch.setattr(cli, "circle_null_vectors",
+                            lambda n, rho, zs, tol: np.ones((len(zs), n + 1), dtype=complex))
         assert main(["nullspace", "--shift", "3", "--rho", "2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["antisymmetry_residual"] > 1e-3
 
@@ -233,14 +223,13 @@ class TestNullspaceCommand:
         assert json.loads(capsys.readouterr().out)["antisymmetry_residual"] < 1e-7
 
     def test_shift_profile_solves_the_radius_once(self, monkeypatch, capsys):
-        import rho_toolkit.shifts as shifts
-        import rho_toolkit.structure as structure
+        # the profile and the extraction read one memoized solve
+        import rho_toolkit.radius as radius
 
         calls = []
-        original = shifts.shift_radius
-        for module in (shifts, structure):
-            monkeypatch.setattr(module, "shift_radius",
-                                lambda n, rho: calls.append((n, rho)) or original(n, rho))
+        original = radius._antisymmetric_threshold
+        monkeypatch.setattr(radius, "_antisymmetric_threshold",
+                            lambda n, rho: calls.append((n, rho)) or original(n, rho))
         assert main(["nullspace", "--shift", "4", "--rho", "2", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["nullity"] == 1
         assert calls == [(4, 2.0)]

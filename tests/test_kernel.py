@@ -139,6 +139,17 @@ class TestDiscGrid:
             np.testing.assert_array_equal(roots_of_unity(k),
                                           np.exp(2j * np.pi * np.arange(k) / k))
 
+    def test_points_are_shared_and_read_only(self):
+        # built once per count (and ring): a caller that could write into
+        # them would change every later caller's points
+        for first, second in ((roots_of_unity(256), roots_of_unity(256)),
+                              (DiscGrid().interior_points(), DiscGrid().interior_points())):
+            assert first is second
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 0.0
+        np.testing.assert_array_equal(DiscGrid().interior_points(), 0.999 * roots_of_unity(64))
+
 
 class TestCompanionThreshold:
     def test_rho2_is_numerical_range_edge(self, rng):

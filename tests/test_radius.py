@@ -213,6 +213,11 @@ class TestDeterminantRadius:
         with pytest.raises(ValueError):
             determinant_radius(3, 1.0)
 
+    def test_near_double_root(self):
+        # just past the critical point the first root is nearly double
+        res = determinant_radius(24, 26.00000000000001)
+        assert res.value == pytest.approx(24 / 26, abs=1e-8)
+
     def test_stats(self):
         res = determinant_radius(4, 2.5)
         a_star, width = 1.0 / res.value, 100.0 * 1e-10 / res.value

@@ -6,8 +6,8 @@ import pytest
 
 import rho_toolkit.structure as structure
 from rho_toolkit import (NotUnitaryError, NullProfile, are_harnack_equivalent,
-                         c2_orbit_report, canonical_form_c2, commutant_dimension,
-                         irreducibility_check, make_shift,
+                         c2_orbit_report, canonical_form_c2, circle_null_vectors,
+                         commutant_dimension, irreducibility_check, make_shift,
                          membership_necessary_conditions, normalized_shift,
                          null_profile, radius_bisect, rotation_family_check,
                          run_battery, shift_radius, torus_nullspace, unitary_orbit_predicate)
@@ -98,11 +98,24 @@ class TestNullProfile:
         # is antisymmetric by construction and would hide it
         import rho_toolkit.verify as verify
 
-        monkeypatch.setattr(verify, "torus_nullspace",
-                            lambda t, rho, z, tol: [np.ones(t.shape[0], dtype=complex)])
+        monkeypatch.setattr(verify, "circle_null_vectors",
+                            lambda n, rho, zs, tol: np.ones((len(zs), n + 1), dtype=complex))
         report = run_battery(n_max=3, criteria={"c05"})
         assert len(report.checks) == 3
         assert not any(c.passed for c in report.checks)
+
+    def test_c05_records_an_ill_determined_nullity(self, monkeypatch):
+        # a refusal of the extraction fails the check it belongs to, with its
+        # message in the note, instead of stopping the battery
+        import rho_toolkit.kernel as kernel
+
+        def refuse(k, points, tol):
+            raise structure.GapTooSmallError("eigenvalues fall in the gap", index=0)
+
+        monkeypatch.setattr(kernel, "_torus_frames", refuse)
+        report = run_battery(n_max=2, criteria={"c05"})
+        assert [c.passed for c in report.checks] == [False, False]
+        assert all("eigenvalues fall in the gap at rho=1.2" in c.note for c in report.checks)
 
     def test_phase_fixed_leading_coordinate(self):
         p = null_profile(4, 2.2)
@@ -144,13 +157,25 @@ class TestRotationFamily:
         assert rotation_family_check(2, 2.0, [-1.0]) <= 1e-9
 
     def test_one_shift_radius_per_check(self, monkeypatch):
+        # the profile and the extraction read one memoized solve
+        import rho_toolkit.radius as radius
+
         calls = []
-        original = structure.shift_radius
-        monkeypatch.setattr(structure, "shift_radius",
+        original = radius._antisymmetric_threshold
+        monkeypatch.setattr(radius, "_antisymmetric_threshold",
                             lambda n, rho: calls.append((n, rho)) or original(n, rho))
         rotation_family_check(5, 2.0, np.exp(2j * np.pi * np.arange(8) / 8))
         assert calls == [(5, 2.0)]
 
+    @pytest.mark.parametrize("n, rho", [(1, 2.0), (4, 3.0), (7, 9.0)])
+    def test_circle_null_vectors_are_the_extraction(self, n, rho):
+        # one stacked extraction, row by row the null basis at each point
+        roots = np.exp(2j * np.pi * np.arange(6) / 6)
+        rows = circle_null_vectors(n, rho, roots)
+        assert rows.shape == (6, n + 1)
+        for z, row in zip(roots, rows):
+            (basis,) = torus_nullspace(normalized_shift(n, rho), rho, z)
+            np.testing.assert_array_equal(row, basis)
 
     def test_nullity_two_names_its_z(self, monkeypatch):
         original = structure.torus_null_frames
