@@ -17,7 +17,11 @@ result names the one used.
   (criss-cross) iteration of Boyd and Balakrishnan (Systems Control Lett.
   15, 1990) and Mengi and Overton (IMA J. Numer. Anal. 25, 2005): each step
   finds every point where Q_z(gamma) is singular from one 2d x 2d
-  eigenproblem and moves gamma to the best midpoint threshold.
+  eigenproblem and moves gamma to the best midpoint threshold.  For rho <= 2
+  and a threshold not flat on the circle, each rise of gamma is first
+  polished by a Newton ascent on the angle, the hybrid of Mitchell (SIAM J.
+  Sci. Comput. 45, 2023), so the crossing step mostly certifies that the
+  peak reached is global; gamma is still a threshold attained at a point.
 * ``shift_radius`` — the unit-weight truncated shift S of size n + 1: the
   threshold at z = 1, from the antisymmetric half of a z = 1 quadratic of
   the kernel (below).  Exact closed forms at rho = 1, n + 2.
@@ -76,8 +80,12 @@ from .linalg import as_cmatrix, spectral_norm, spectral_radius
 BISECT_MAX_ITER = 200
 CERTIFICATE_TOL = 1e-6  # |lambda_min| at a radius, relative to the kernel's scale
 LEVEL_GAP = 1e-10  # relative height above the level set's value that no threshold reaches
+POLISH_H = 1e-4  # angle offset of the polish's central differences (``_polish``)
+POLISH_STEP_TOL = 1e-7  # angle step below which the polish stops
+POLISH_MAX_STEP = math.pi / 8  # clamp on one polish step, half the start's sample spacing
+POLISH_MAX_ITER = 8  # polish steps per rise of the level
 SCREEN_MARGIN = 1e-12  # lambda_min/||Q_z|| above which every rho > 2 start sample passes the screen
-CIRCULAR_TOL = 1e-14  # |tr T|, |tr T^2|, |tr T^2 T*| over ||T||_F^k that count as 0 (``_circular``)
+CIRCULAR_TOL = 1e-14  # trace over ||T||_F^k that ``_circular`` counts as 0
 CROSSING_TOL = 1e-2  # |Im s| cut-off, relative to max(1, |s|), of a candidate crossing
 NILPOTENT_TOL = 1e-10  # ||T^m|| relative to ||T||^m that counts as T^m = 0
 ROUTE_AGREEMENT = 100.0  # half-width, in tol max(1, a*), of determinant_radius's eigenvalue window
@@ -388,14 +396,45 @@ def _crossing_angles(a: np.ndarray, rho: float, g: float, z0: complex) -> np.nda
 
 
 def _circular(a: np.ndarray) -> bool:
-    """Whether tr T, tr T^2 and tr T^2 T*, over ||T||_F^k, are 0 to roundoff
-    (CIRCULAR_TOL): a cheap necessary test for T unitarily similar to
-    e^{i theta} T for every theta, as a weighted shift is, whose threshold is
-    then the same all round the circle."""
+    """Whether tr T, tr T^2, tr T^2 T* and tr T^3 T*, over ||T||_F^k, are 0
+    to roundoff (CIRCULAR_TOL): a cheap necessary test for T unitarily
+    similar to e^{i theta} T for every theta, as a weighted shift is, whose
+    threshold is then the same all round the circle.  Each trace picks up
+    e^{i j theta}, j = 1, 2, 1, 2, under the rotation; the last turns away a
+    T with D T D* = -T (two equal peaks), which the first three pass."""
     f = float(np.linalg.norm(a))
     t2 = a @ a
     return max(abs(np.trace(a)) / f, abs(np.trace(t2)) / f ** 2,
-               abs(np.vdot(a, t2)) / f ** 3) <= CIRCULAR_TOL
+               abs(np.vdot(a, t2)) / f ** 3, abs(np.vdot(a, t2 @ a)) / f ** 4) <= CIRCULAR_TOL
+
+
+def _polish(a: np.ndarray, rho: float, x: float, w: complex) -> tuple[float, complex, int]:
+    """Climb the circle threshold from its value x at w by a safeguarded
+    Newton iteration on the angle theta of z = e^{i theta}: each step solves
+    the thresholds at theta and theta -+ POLISH_H in one stacked
+    ``companion_threshold``, reads f' and f'' off their central differences
+    and moves theta by -f'/f'', clamped to POLISH_MAX_STEP.  It stops when
+    f'' >= 0, when the step falls below POLISH_STEP_TOL or after
+    POLISH_MAX_ITER steps.  Returns the largest threshold solved, or x if none
+    exceeds it, the point where it was taken and the number of steps."""
+    theta, steps, offsets = float(np.angle(w)), 0, np.array([-POLISH_H, 0.0, POLISH_H])
+    while steps < POLISH_MAX_ITER:
+        zs = np.exp(1j * (theta + offsets))
+        values = companion_threshold(a, zs, rho)
+        steps += 1
+        i = int(np.argmax(values))
+        if values[i] > x:
+            x, w = float(values[i]), complex(zs[i])
+        fm, f0, fp = values
+        curvature = fp - 2.0 * f0 + fm
+        if not curvature < 0.0:
+            break
+        step = min(max(POLISH_H * (fm - fp) / (2.0 * curvature), -POLISH_MAX_STEP),
+                   POLISH_MAX_STEP)
+        if abs(step) < POLISH_STEP_TOL:
+            break
+        theta += step
+    return x, w, steps
 
 
 def radius_bisect(t, rho: float) -> RadiusResult:
@@ -423,7 +462,16 @@ def radius_bisect(t, rho: float) -> RadiusResult:
     thus positive semidefinite all round the circle at the level, so by the
     minimum principle no threshold exceeds it, the samples a screened start
     leaves unsolved included (Q_z(g) > 0 at one point alone would not show
-    that for rho > 2: the positive set in g need not be a half-line).  The
+    that for rho > 2: the positive set in g need not be a half-line).
+    For rho <= 2 and a T that fails ``_circular``, each time g rises (the
+    start's best sample, each step's best midpoint) ``_polish`` climbs from
+    it to the nearby peak before the next crossing step (Mitchell, SIAM J.
+    Sci. Comput. 45, 2023): a threshold there is a Hermitian ``eigvalsh``,
+    cheap next to the crossing eigenproblem, which then mostly certifies
+    that the peak is global.  g stays the largest threshold solved, attained
+    at its witness, so the stop rule and the bracket are unchanged.  The
+    polish is skipped for rho > 2, where a threshold costs about as much as
+    a crossing step, and for a circular T, whose threshold is flat.  The
     result is ``level_set`` with bracket (x, x (1 + LEVEL_GAP)), x attained
     (or lo) and no circle threshold above the upper end, to the accuracy of
     ``companion_threshold`` (about 3e-10 relative at rho = 300).  A threshold
@@ -431,8 +479,9 @@ def radius_bisect(t, rho: float) -> RadiusResult:
     its witness w (NoRootError if not); x above the norm is a bug
     (BracketInvalidError).
     ``stats`` holds the steps, the threshold points (companion thresholds
-    solved, the start's included), the threshold solver, the start, the
-    crossing cut-off and the witness.
+    solved, the start's and the polish's included), the threshold solver,
+    the start, the crossing cut-off, the witness and the polish's Newton
+    steps (``newton_steps``, 0 where it does not run).
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
@@ -444,7 +493,9 @@ def radius_bisect(t, rho: float) -> RadiusResult:
                             residual=0.0, bracket=(lo, lo))
     zs = roots_of_unity(8)
     start, z0 = "sampled", None
-    if threshold_solver(rho) == "eigvals" and _circular(a):
+    solver, circular = threshold_solver(rho), _circular(a)
+    polish = solver == "eigvalsh" and not circular
+    if solver == "eigvals" and circular:
         values = companion_threshold(a, zs[:1], rho)
         level = max(lo, float(values[0])) * (1.0 + LEVEL_GAP)
         eigs = np.linalg.eigvalsh(_q(a, rho, level, zs[1:]))
@@ -459,8 +510,11 @@ def radius_bisect(t, rho: float) -> RadiusResult:
         z0 = complex(zs[np.argmin(values)])
     i = int(np.argmax(values))
     x, w = (float(values[i]), complex(zs[i])) if values[i] > lo else (lo, None)
-    points = len(values)
+    points, newton = len(values), 0
     for step in range(1, BISECT_MAX_ITER + 1):
+        if polish and w is not None:  # x has just risen to a threshold at w
+            x, w, k = _polish(a, rho, x, w)
+            points, newton = points + 3 * k, newton + k
         level = x * (1.0 + LEVEL_GAP)
         psi = _crossing_angles(a, rho, level, z0)
         zs = z0 * np.exp(0.5j * (psi[:-1] + psi[1:]))
@@ -482,8 +536,8 @@ def radius_bisect(t, rho: float) -> RadiusResult:
             raise NoRootError(f"level-set value {x!r} is off the positivity boundary "
                               f"at z={w!r} (certificate {certificate:.3e}), rho={rho}")
     stats = {"iterations": step, "threshold_points": points,
-             "threshold_solver": threshold_solver(rho), "start": start,
-             "crossing_tol": CROSSING_TOL, "witness": w}
+             "threshold_solver": solver, "start": start,
+             "crossing_tol": CROSSING_TOL, "witness": w, "newton_steps": newton}
     return RadiusResult(value=x, method="level_set", omega=None, residual=certificate,
                         bracket=(x, x * (1.0 + LEVEL_GAP)), stats=stats)
 

@@ -119,6 +119,7 @@ class TestRadiusCommand:
         assert stats["threshold_solver"] == "eigvalsh"
         assert stats["start"] == "sampled"
         assert abs(complex(*stats["witness"])) == pytest.approx(1.0, abs=1e-12)
+        assert stats["newton_steps"] == 0  # the shift's threshold is flat: no polish
         # rho > 2: the shift's flat threshold passes the screen, a dense input does not
         assert main(["radius", "--matrix", path, "--rho", "3", "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)["stats"]
@@ -128,6 +129,12 @@ class TestRadiusCommand:
         assert main(["radius", "--matrix", path, "--rho", "3", "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)["stats"]
         assert stats["start"] == "sampled" and stats["threshold_points"] >= 8
+        assert stats["newton_steps"] == 0
+        # rho <= 2: a dense input's rises are polished, three thresholds a step
+        assert main(["radius", "--matrix", path, "--rho", "2", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["newton_steps"] >= 1
+        assert stats["threshold_points"] >= 8 + 3 * stats["newton_steps"]
         assert main(["radius", "--shift", "3", "--rho", "2.5", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["stats"]["threshold_solver"] == "eigvals"
 

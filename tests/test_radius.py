@@ -478,6 +478,11 @@ class TestLevelSet:
                 for t in (g, np.triu(g), np.triu(g, 1)):
                     assert not radius._circular(t)
                     assert radius_bisect(t, 3.0).stats["start"] == "sampled"
+        # tr T^3 T* turns away the two-fold peaks (D T D* = -T); three-fold
+        # ones keep every trace of length <= 4 at 0
+        for m in (2, 3):
+            for t in self.cyclic_nilpotents((m,)):
+                assert radius._circular(t) == (m == 3)
 
     def test_screen_agrees_with_the_eight_sample_start(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -580,14 +585,73 @@ class TestLevelSet:
         assert noisy.value == pytest.approx(clean.value, rel=1e-12)
         assert noisy.stats["threshold_points"] > clean.stats["threshold_points"]
 
-    def test_refuses_when_the_level_does_not_settle(self, rng, monkeypatch):
+    @staticmethod
+    def two_peaks(a, rho, ratio=0.999):
+        """(T, w_rho(A)) for T = A1 (+) B, A1 and B rotations of A (B scaled
+        by ratio): A1's peak, the global one, lies midway between two 8th
+        roots of unity and B's lower peak on z = 1, so the best start sample
+        lies in the lower peak's basin."""
+        d = len(a)
+        ref = radius_bisect(a, rho)
+        peak = np.angle(ref.stats["witness"])
+        t = np.zeros((2 * d, 2 * d), dtype=complex)
+        t[:d, :d] = np.exp(1j * (np.pi / 8 - peak)) * a
+        t[d:, d:] = ratio * np.exp(-1j * peak) * a
+        return t, ref.value
+
+    def test_refuses_when_the_level_does_not_settle(self, monkeypatch):
         from rho_toolkit import NoRootError, radius
 
-        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rng = np.random.default_rng(83)
+        t, _ = self.two_peaks(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), 2.0)
         assert radius_bisect(t, 2.0).stats["iterations"] > 1
         monkeypatch.setattr(radius, "BISECT_MAX_ITER", 1)
         with pytest.raises(NoRootError, match="not settled"):
             radius_bisect(t, 2.0)
+
+    def test_polish_leaves_the_lower_peak_for_the_global_one(self):
+        rng = np.random.default_rng(89)
+        for d in (2, 3, 5):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for rho in (1.2, 1.5, 2.0):
+                t, ref = self.two_peaks(a, rho)
+                samples = companion_threshold(t, roots_of_unity(8), rho)
+                assert np.argmax(samples) == 0 and samples[0] < ref
+                res = radius_bisect(t, rho)
+                assert res.stats["newton_steps"] >= 2 and res.stats["iterations"] == 2
+                assert res.value == pytest.approx(ref, rel=1e-12)
+
+    def test_polish_agrees_with_the_crossing_steps_alone(self, monkeypatch):
+        # the polish moves x only within the bracket the crossing steps would
+        # stop in, and never below where they stop
+        from rho_toolkit.radius import LEVEL_GAP
+
+        rng = np.random.default_rng(97)
+        inputs = []
+        for d in range(2, 17):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            inputs += [(t, rho) for t in (g, np.triu(g), np.triu(g, 1))
+                       for rho in (1.2, 1.5, 1.9, 2.0)]
+        polished = [radius_bisect(t, rho) for t, rho in inputs]
+        monkeypatch.setattr(radius, "POLISH_MAX_ITER", 0)
+        plain = [radius_bisect(t, rho) for t, rho in inputs]
+        for p, q in zip(polished, plain):
+            assert abs(p.value - q.value) <= LEVEL_GAP * q.value
+            assert p.value >= q.value * (1.0 - 1e-14)
+            assert q.stats["newton_steps"] == 0
+        assert sum(p.stats["iterations"] for p in polished) < sum(
+            q.stats["iterations"] for q in plain)
+
+    def test_dense_rho2_settles_in_two_steps(self):
+        # the polish leaves the crossing step little more than the globality
+        # certificate: a count, not a timing, guards the saving
+        rng = np.random.default_rng(101)
+        for d in range(3, 22):
+            for _ in range(2):
+                t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                stats = radius_bisect(t, 2.0).stats
+                assert stats["newton_steps"] >= 1
+                assert stats["iterations"] <= 2
 
     @pytest.mark.parametrize("rho", [15.0, 30.0, 60.0])
     def test_nilpotent_at_large_rho(self, rho):
@@ -600,12 +664,12 @@ class TestLevelSet:
             assert abs(radius_bisect(t, rho).value - ref) <= 1e-9 * ref
 
     @staticmethod
-    def cyclic_nilpotents():
+    def cyclic_nilpotents(ms=(2, 3)):
         """Strictly upper triangular T supported on the offsets = 1 mod m
-        (m = 2, 3), two draws per size d: D T D* = e^{-2 pi i/m} T for
+        (m in ms), two draws per size d: D T D* = e^{-2 pi i/m} T for
         D = diag(e^{2 pi i k/m}), so the circle threshold has m equal peaks."""
         rng = np.random.default_rng(2024)
-        for m in (2, 3):
+        for m in ms:
             for d in (m + 2, m + 4, 2 * m + 3):
                 offset = np.subtract.outer(np.arange(d), np.arange(d))
                 for _ in range(2):
@@ -615,8 +679,9 @@ class TestLevelSet:
     def test_eight_point_start_leaves_no_point_above(self):
         # the start is load-bearing: from 3 roots of unity the worst ratio on
         # these 36 inputs is about -5e-7, and misses of 2e-4 relative occur;
-        # they pass _circular (no trace of length <= 3 tells an m-fold peak
-        # from a flat threshold) but not the screen, so all eight are solved
+        # the m = 3 ones pass _circular (no trace of length <= 4 tells a
+        # three-fold peak from a flat threshold) but not the screen, and the
+        # m = 2 ones fail _circular, so all eight are solved
         zs = roots_of_unity(2048)[:, None, None]
         worst = 0.0
         for t in self.cyclic_nilpotents():
