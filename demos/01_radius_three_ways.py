@@ -8,9 +8,10 @@ The toolkit offers three routes to w_rho(S_{n+1}(1)):
      ``shift_radius``, which also returns the auxiliary angle omega for
      1 < rho < n+2),
   2. the first weight where the kernel at z = 1 stops being positive definite
-     (``determinant_radius``: a bisection on Sylvester's pivots of the
-     determinant recurrence, confirmed by the smallest eigenvalue, positive
-     just below the root and not just above it; works for every rho > 1),
+     (``determinant_radius``: a Sylvester bracket on the pivots of the
+     determinant recurrence, narrowed by regula falsi on the last pivot and
+     confirmed by the smallest eigenvalue, positive just below the root and
+     not just above it; works for every rho > 1),
   3. the level-set route: the largest membership threshold of T/gamma on
      the unit circle, each the largest real eigenvalue of the same
      linearization built at that point, found by a criss-cross iteration that locates every

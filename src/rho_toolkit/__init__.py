@@ -3,8 +3,9 @@ Harnack domination of finite complex matrices."""
 
 from .determinants import (RecurrenceState, capped_kernel_det, capped_kernel_det_matrix,
                            critical_closed_form, discriminant, kernel_det,
-                           kernel_det_matrix, kernel_det_state, kernel_is_positive,
-                           mixed_identity_residual, recurrence_roots)
+                           kernel_det_matrices, kernel_det_matrix, kernel_det_state,
+                           kernel_is_positive, kernel_pivot, mixed_identity_residual,
+                           recurrence_roots)
 from .errors import (BracketInvalidError, GapTooSmallError, InteriorSingularError,
                      NoRootError, NotHermitianError, NotNilpotentError,
                      NotUnitaryError, SingularError, ToolkitError,

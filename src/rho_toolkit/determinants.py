@@ -20,6 +20,7 @@ brute-force LU determinant of the explicitly constructed matrix in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -84,28 +85,40 @@ def kernel_det(k: int, a: float, rho: float) -> float:
     return _unscale(state.values[k], state.scale_pow10)
 
 
-def kernel_is_positive(k: int, a: float, rho: float) -> bool:
-    """Whether the (k+1)x(k+1) shift-kernel matrix is positive definite, by
-    Sylvester's criterion on the pivots q_j = D_j/D_{j-1}: q_0 = rho,
-    q_1 = (rho^2 - a^2)/rho, q_j = alpha - beta/q_{j-1} (Barth, Martin &
-    Wilkinson, Numer. Math. 9, 1967).  A positive pivot never exceeds alpha."""
+def kernel_pivot(k: int, a: float, rho: float) -> float:
+    """The last Sylvester pivot q_k = D_k/D_{k-1} of the (k+1)x(k+1)
+    shift-kernel matrix: q_0 = rho, q_1 = (rho^2 - a^2)/rho, q_j = alpha -
+    beta/q_{j-1} (Barth, Martin & Wilkinson, Numer. Math. 9, 1967); -inf when
+    an earlier pivot is not positive, so q_k > 0 exactly when the matrix is
+    positive definite.  A positive pivot never exceeds alpha."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     alpha, beta = RecurrenceState.coefficients(a, rho)
     q = rho
     for j in range(k):
         if not q > 0:
-            return False
+            return -math.inf
         q = (rho * rho - a * a) / rho if j == 0 else alpha - beta / q
-    return q > 0
+    return q
+
+
+def kernel_is_positive(k: int, a: float, rho: float) -> bool:
+    """Whether the (k+1)x(k+1) shift-kernel matrix is positive definite, by
+    Sylvester's criterion on its pivots (``kernel_pivot``)."""
+    return kernel_pivot(k, a, rho) > 0
 
 
 def capped_kernel_det(m: int, a: float, rho: float) -> float:
     """Same determinant but with the last diagonal entry replaced by 1."""
+    state = capped_kernel_det_state(m, a, rho)
+    return _unscale(state.values[m], state.scale_pow10)
+
+
+def capped_kernel_det_state(m: int, a: float, rho: float) -> RecurrenceState:
+    """The full recurrence run behind ``capped_kernel_det`` (values 0..m)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    state = _run(1.0, rho - a * a, a, rho, m)
-    return _unscale(state.values[m], state.scale_pow10)
+    return _run(1.0, rho - a * a, a, rho, m)
 
 
 def kernel_det_state(k: int, a: float, rho: float) -> RecurrenceState:
@@ -115,12 +128,31 @@ def kernel_det_state(k: int, a: float, rho: float) -> RecurrenceState:
     return _run(rho, rho * rho - a * a, a, rho, k)
 
 
+@functools.lru_cache(maxsize=64)
+def _lags(k: int) -> np.ndarray:
+    """The read-only (k+1)x(k+1) matrix of |i - j| as floats."""
+    idx = np.arange(k + 1)
+    lags = np.abs(idx[:, None] - idx[None, :]).astype(float)
+    lags.setflags(write=False)
+    return lags
+
+
+def kernel_det_matrices(k: int, a, rho) -> np.ndarray:
+    """The stack of explicit matrices whose determinants are
+    kernel_det(k, a_i, rho_i), for a 1-d array of weights a and rho a scalar
+    or an array of the same length: one broadcast of a ** |i - j|."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    a = np.asarray(a, dtype=float)
+    out = a[:, None, None] ** _lags(k)
+    idx = np.arange(k + 1)
+    out[:, idx, idx] = np.asarray(rho, dtype=float)[..., None]
+    return out
+
+
 def kernel_det_matrix(k: int, a: float, rho: float) -> np.ndarray:
     """Explicit matrix whose determinant is kernel_det(k, a, rho)."""
-    idx = np.arange(k + 1)
-    m = (a ** idx.astype(float))[np.abs(idx[:, None] - idx[None, :])]
-    np.fill_diagonal(m, rho)
-    return m
+    return kernel_det_matrices(k, [a], rho)[0]
 
 
 def capped_kernel_det_matrix(m: int, a: float, rho: float) -> np.ndarray:
@@ -174,7 +206,7 @@ def critical_closed_form(m: int, n: int) -> tuple[float, float]:
 
 
 def mixed_identity_residual(m: int, a: float, rho: float) -> float:
-    """Relative residual of the cross-family identity
+    """Relative residual of the cross-family identity (``mixed_identity_rhs``)
 
         capped_m = (a^2 (rho-2) + 1) kernel_{m-1} - a^2 (rho-1)^2 kernel_{m-2},
 
@@ -182,10 +214,14 @@ def mixed_identity_residual(m: int, a: float, rho: float) -> float:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    lhs = capped_kernel_det(m, a, rho)
-    rhs = (a * a * (rho - 2.0) + 1.0) * kernel_det(m - 1, a, rho) \
-        - a * a * (rho - 1.0) ** 2 * kernel_det(m - 2, a, rho)
-    return relative_residual(lhs, rhs)
+    rhs = mixed_identity_rhs(kernel_det(m - 1, a, rho), kernel_det(m - 2, a, rho), a, rho)
+    return relative_residual(capped_kernel_det(m, a, rho), rhs)
+
+
+def mixed_identity_rhs(kernel_prev: float, kernel_prev2: float, a: float, rho: float) -> float:
+    """The right side of the cross-family identity from kernel_{m-1} and
+    kernel_{m-2}."""
+    return (a * a * (rho - 2.0) + 1.0) * kernel_prev - a * a * (rho - 1.0) ** 2 * kernel_prev2
 
 
 def relative_residual(p: float, q: float) -> float:

@@ -26,7 +26,8 @@ result names the one used.
   threshold at z = 1, from the antisymmetric half of a z = 1 quadratic of
   the kernel (below).  Exact closed forms at rho = 1, n + 2.
 * ``determinant_radius`` — the first weight where the z = 1 kernel stops
-  being positive definite, by bisection on Sylvester's pivots over [1, rho],
+  being positive definite, bracketed on [1, rho] by Sylvester's criterion
+  with probes chosen by the Illinois regula falsi on the last pivot,
   confirmed by two smallest-eigenvalue probes just inside and outside the
   root; the oracle for ``shift_radius``.
 
@@ -70,7 +71,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .determinants import kernel_det, kernel_det_matrix, kernel_is_positive
+from .determinants import kernel_det, kernel_det_matrices, kernel_pivot
 from .errors import BracketInvalidError, NoRootError, NotNilpotentError
 from .kernel import (DEFAULT_PSD_TOL, companion_threshold, quadratic_threshold, roots_of_unity,
                      threshold_solver)
@@ -148,7 +149,7 @@ def critical_rho(n: int) -> tuple[float, float]:
 def _boundary_min_eig(n: int, weights: np.ndarray, rho: float) -> np.ndarray:
     """Smallest eigenvalue of the shift kernel at z = 1 at each of a 1-d
     array of weights, from one stacked ``eigvalsh``."""
-    return np.linalg.eigvalsh(np.stack([kernel_det_matrix(n, a, rho) for a in weights]))[:, 0]
+    return np.linalg.eigvalsh(kernel_det_matrices(n, weights, rho))[:, 0]
 
 
 def _antisymmetric_threshold(n: int, rho: float) -> float:
@@ -171,26 +172,52 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
     The kernel is positive definite at a = 1 (BracketInvalidError if not) and
     not at a = rho (minor rho^2 - a^2).  Assuming the positive definite weights
     form the interval [1, a*), which no sampled (n, rho) contradicts, a* is
-    bisected on [1, rho] by Sylvester's criterion (``kernel_is_positive``) and
-    confirmed by the smallest eigenvalue in the window a* -+ W, W =
-    ROUTE_AGREEMENT * tol * max(1, a*): positive at the lower end, not at the
-    upper, ends clipped to [1, rho] and not probed there (NoRootError
-    otherwise).  A second bisection on the eigenvalue would probe the same
-    midpoints while the two tests agree, so it could add only their
-    agreement far from a*, where both are well conditioned.  ``bracket`` is
-    the last Sylvester interval as radii; ``stats`` holds the bisection
-    steps, the eigenvalue probes and the window (below, above) of weights.
+    bracketed on [1, rho] by Sylvester's criterion: the lower end positive
+    definite, the upper end not, until the bracket is narrower than
+    tol * max(1, upper end) (NoRootError if BISECT_MAX_ITER probes do not
+    get there).  The last pivot q_n (``kernel_pivot``) is smooth up to the
+    first zero of an earlier pivot and changes sign at a*, so each probe is
+    the Illinois regula falsi point on q_n (Dowell and Jarratt, BIT 11,
+    1971), or the midpoint where q_n is -inf at the upper end or the secant
+    point leaves the bracket.  a* is the bracket's midpoint, confirmed by the
+    smallest eigenvalue in the window a* -+ W, W = ROUTE_AGREEMENT * tol *
+    max(1, a*): positive at the lower end, not at the upper, ends clipped to
+    [1, rho] and not probed there (NoRootError otherwise).  A second search
+    on the eigenvalue would only repeat the pivots' verdicts far from a*,
+    where both are well conditioned.  ``bracket`` is the last Sylvester
+    interval as radii; ``stats`` holds the pivot runs of the search, the
+    eigenvalue probes and the window (below, above) of weights.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not rho > 1:
         raise ValueError("determinant route requires rho > 1")
-    if not kernel_is_positive(n, 1.0, rho):
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
+    q_lo = kernel_pivot(n, 1.0, rho)
+    if not q_lo > 0:
         raise BracketInvalidError("kernel not positive definite at a = 1")
-    lo, hi, steps = 1.0, float(rho), 0
-    while steps < BISECT_MAX_ITER and not hi - lo < tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if kernel_is_positive(n, mid, rho) else (lo, mid)
+    # q_1 vanishes at a = rho, so q_n(rho) is 0 (n = 1) or -inf: both bisect
+    lo, hi, q_hi = 1.0, float(rho), -math.inf
+    steps, last = 0, None
+    while not hi - lo < tol * max(1.0, hi):
+        if steps == BISECT_MAX_ITER:
+            raise NoRootError(f"Sylvester bracket ({lo!r}, {hi!r}) not within tol={tol!r} "
+                              f"after {BISECT_MAX_ITER} steps, n={n}, rho={rho}")
+        a = 0.5 * (lo + hi)
+        if q_hi > -math.inf:
+            secant = lo + (hi - lo) * q_lo / (q_lo - q_hi)
+            a = secant if lo < secant < hi else a
+        q = kernel_pivot(n, a, rho)
+        # Illinois: the end kept a second time in a row has its pivot halved
+        if q > 0:
+            if last == "lo":
+                q_hi *= 0.5
+            lo, q_lo, last = a, q, "lo"
+        else:
+            if last == "hi":
+                q_lo *= 0.5
+            hi, q_hi, last = a, q, "hi"
         steps += 1
     a_star = 0.5 * (lo + hi)
     width = ROUTE_AGREEMENT * tol * max(1.0, a_star)
@@ -202,7 +229,7 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
             raise NoRootError(f"Sylvester root {a_star!r} is not confirmed by the smallest "
                               f"eigenvalue at a = {a!r}")
     resid = abs(float(eigs[-1]))
-    stats = {"bisection_steps": steps, "eigenvalue_probes": len(probes),
+    stats = {"pivot_steps": steps, "eigenvalue_probes": len(probes),
              "window": (below, above)}
     return RadiusResult(value=1.0 / a_star, method="determinant_oracle", omega=None,
                         residual=resid, bracket=(1.0 / hi, 1.0 / lo), stats=stats)

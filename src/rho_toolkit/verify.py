@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
-                           discriminant, kernel_det, kernel_det_matrix,
-                           kernel_det_state, mixed_identity_residual,
+from .determinants import (capped_kernel_det_state, discriminant, kernel_det,
+                           kernel_det_matrices, kernel_det_state, mixed_identity_rhs,
                            recurrence_roots, relative_residual)
 from .errors import GapTooSmallError
 from .harnack import domination_constant, nullspace_equality
@@ -193,18 +192,25 @@ def _c04_determinant_oracle(n_max, seed):
     grid_a = (0.5, 1.0, 1.7, 3.0)
     grid_rho = (1.5, 2.0, 4.0)
     points = [(a, rho) for a in grid_a for rho in grid_rho]
+    weights, rhos = np.array(points).T
+    m_max = 8
+    # one run of each family per point, read at every m: no value on this
+    # grid comes near RESCALE_LIMIT, so none is stored rescaled
+    kernel = [kernel_det_state(m_max, a, rho).values for a, rho in points]
+    capped = [capped_kernel_det_state(m_max, a, rho).values for a, rho in points]
     worst_kernel = worst_capped = worst_mixed = 0.0
-    for m in range(0, 9):
-        lu_kernel = np.linalg.det(np.stack([kernel_det_matrix(m, a, rho) for a, rho in points]))
-        lu_capped = np.linalg.det(np.stack([capped_kernel_det_matrix(m, a, rho)
-                                            for a, rho in points]))
-        for (a, rho), lu_k, lu_c in zip(points, lu_kernel.tolist(), lu_capped.tolist()):
-            rec = kernel_det(m, a, rho)
-            worst_kernel = max(worst_kernel, relative_residual(lu_k, rec))
-            rec = capped_kernel_det(m, a, rho)
-            worst_capped = max(worst_capped, relative_residual(lu_c, rec))
+    for m in range(0, m_max + 1):
+        matrices = kernel_det_matrices(m, weights, rhos)
+        lu_kernel = np.linalg.det(matrices)
+        matrices[:, m, m] = 1.0
+        lu_capped = np.linalg.det(matrices)
+        for (a, rho), k, c, lu_k, lu_c in zip(points, kernel, capped,
+                                              lu_kernel.tolist(), lu_capped.tolist()):
+            worst_kernel = max(worst_kernel, relative_residual(lu_k, k[m]))
+            worst_capped = max(worst_capped, relative_residual(lu_c, c[m]))
             if m >= 2:
-                worst_mixed = max(worst_mixed, mixed_identity_residual(m, a, rho))
+                rhs = mixed_identity_rhs(k[m - 1], k[m - 2], a, rho)
+                worst_mixed = max(worst_mixed, relative_residual(c[m], rhs))
     return [
         _within("c04-kernel-dets-vs-lu", "kernel determinant recurrence vs LU factorization",
                 0.0, worst_kernel, 1e-10),

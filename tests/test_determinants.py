@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rho_toolkit.determinants as determinants
 from rho_toolkit import (RecurrenceState, angle_system_report, capped_kernel_det,
                          capped_kernel_det_matrix, critical_closed_form,
                          determinant_radius, discriminant, kernel_det,
-                         kernel_det_matrix, kernel_det_state, kernel_is_positive,
-                         mixed_identity_residual, oscillatory_closed_form,
-                         recurrence_roots, rho_kernel, make_shift)
+                         kernel_det_matrices, kernel_det_matrix, kernel_det_state,
+                         kernel_is_positive, kernel_pivot, mixed_identity_residual,
+                         oscillatory_closed_form, recurrence_roots, rho_kernel, make_shift,
+                         run_battery)
 
 SPEC_GRID = [(a, rho) for a in (0.5, 1.0, 1.7, 3.0) for rho in (1.5, 2.0, 4.0)]
 
@@ -51,6 +53,38 @@ def test_kernel_det_matrix_is_the_toeplitz_power_matrix(k, a, rho):
     np.testing.assert_array_equal(kernel_det_matrix(k, a, rho), expected)
 
 
+class TestKernelDetMatrices:
+    def test_stack_is_the_toeplitz_power_matrices(self):
+        # bit for bit, with rho one scalar or one value per weight
+        weights = np.linspace(-3.0, 3.0, 13)
+        rhos = np.linspace(1.0, 300.0, 13)
+        for k in range(25):
+            i, j = np.indices((k + 1, k + 1))
+            for rho in (2.5, rhos):
+                expected = np.stack([np.where(i == j, r, a ** np.abs(i - j).astype(float))
+                                     for a, r in zip(weights, np.broadcast_to(rho, 13))])
+                np.testing.assert_array_equal(kernel_det_matrices(k, weights, rho), expected)
+                np.testing.assert_array_equal(
+                    np.stack([kernel_det_matrix(k, a, r)
+                              for a, r in zip(weights, np.broadcast_to(rho, 13))]), expected)
+
+    def test_lag_cache_is_read_only(self):
+        lags = determinants._lags(5)
+        assert determinants._lags(5) is lags
+        assert not lags.flags.writeable
+        with pytest.raises(ValueError):
+            lags[0, 1] = 7.0
+        kernel_det_matrices(5, [1.5], 2.0)[0, 0, 1] = 9.0  # the stack itself is writable
+        assert kernel_det_matrix(5, 1.5, 2.0)[0, 1] == 1.5
+
+    def test_rejects_negative_order(self):
+        for build in (kernel_det_matrix, capped_kernel_det_matrix):
+            with pytest.raises(ValueError, match="k must be nonnegative"):
+                build(-1, 1.4, 3.2)
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            kernel_det_matrices(-1, [1.4], 3.2)
+
+
 def test_kernel_det_is_boundary_kernel_determinant():
     # the explicit Toeplitz matrix equals the operator kernel of the shift at
     # z = 1, so its determinant is the same thing computed two ways
@@ -72,7 +106,7 @@ class TestKernelIsPositive:
     @settings(max_examples=40, deadline=None)
     @given(shift_kernels())
     def test_positive_on_a_prefix_of_the_weights(self, kernel):
-        # the interval [1, a*) that determinant_radius bisects on
+        # the interval [1, a*) that determinant_radius brackets a* in
         n, rho = kernel
         verdicts = [kernel_is_positive(n, a, rho) for a in np.linspace(1.0, rho, 1000)]
         first_false = verdicts.index(False)
@@ -97,6 +131,64 @@ class TestKernelIsPositive:
         assert kernel_is_positive(1, 1.9, 2.0) and not kernel_is_positive(1, 2.0, 2.0)
         with pytest.raises(ValueError):
             kernel_is_positive(-1, 1.0, 2.0)
+
+
+class TestKernelPivot:
+    @settings(max_examples=40, deadline=None)
+    @given(shift_kernels())
+    def test_sign_and_minus_infinity(self, kernel):
+        # positive exactly where the kernel is positive definite, and -inf
+        # exactly where its leading n x n block is not
+        n, rho = kernel
+        for a in np.linspace(1.0, 2.0 * rho, 200):
+            q = kernel_pivot(n, a, rho)
+            assert (q > 0) == kernel_is_positive(n, a, rho)
+            assert (q == -math.inf) == (not kernel_is_positive(n - 1, a, rho))
+
+    def test_is_the_ratio_of_determinants(self):
+        assert kernel_pivot(0, 1.3, 2.4) == 2.4
+        assert kernel_pivot(1, 1.3, 2.4) == (2.4 * 2.4 - 1.3 * 1.3) / 2.4
+        # the last one past a* = 1.559 but short of the 4 x 4 block's 1.866
+        for k, a, rho in ((5, 1.2, 3.5), (9, 0.7, 1.6), (4, 1.7, 7.0)):
+            assert kernel_pivot(k, a, rho) == pytest.approx(
+                kernel_det(k, a, rho) / kernel_det(k - 1, a, rho), rel=1e-12)
+
+    def test_earlier_pivot_not_positive(self):
+        # q_1 vanishes at a = rho, so every later pivot is -inf
+        assert kernel_pivot(1, 2.0, 2.0) == 0.0
+        assert kernel_pivot(2, 2.0, 2.0) == -math.inf
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            kernel_pivot(-1, 1.0, 2.0)
+
+
+class TestC04:
+    def test_two_recurrence_runs_per_grid_point(self, monkeypatch):
+        runs = []
+        real = determinants._run
+        monkeypatch.setattr(determinants, "_run", lambda *args: runs.append(args) or real(*args))
+        assert run_battery(n_max=None, criteria={"c04"}).ok
+        assert len(runs) == 2 * len(SPEC_GRID)
+        assert {(a, rho) for _, _, a, rho, _ in runs} == set(SPEC_GRID)
+
+    def test_values_equal_one_run_per_order(self):
+        # the loop c04 replaced: one recurrence run and one matrix per (m, point)
+        worst_kernel = worst_capped = worst_mixed = 0.0
+        for m in range(0, 9):
+            lu_kernel = np.linalg.det(np.stack([kernel_det_matrix(m, a, rho)
+                                                for a, rho in SPEC_GRID]))
+            lu_capped = np.linalg.det(np.stack([capped_kernel_det_matrix(m, a, rho)
+                                                for a, rho in SPEC_GRID]))
+            for (a, rho), lu_k, lu_c in zip(SPEC_GRID, lu_kernel.tolist(), lu_capped.tolist()):
+                worst_kernel = max(worst_kernel, abs(lu_k - kernel_det(m, a, rho))
+                                   / max(abs(lu_k), abs(kernel_det(m, a, rho)), 1.0))
+                worst_capped = max(worst_capped, abs(lu_c - capped_kernel_det(m, a, rho))
+                                   / max(abs(lu_c), abs(capped_kernel_det(m, a, rho)), 1.0))
+                if m >= 2:
+                    worst_mixed = max(worst_mixed, mixed_identity_residual(m, a, rho))
+        computed = {c.id: c.computed for c in run_battery(n_max=None, criteria={"c04"}).checks}
+        assert computed == {"c04-kernel-dets-vs-lu": worst_kernel,
+                            "c04-capped-dets-vs-lu": worst_capped,
+                            "c04-mixed-identity": worst_mixed}
 
 
 class TestDiscriminant:

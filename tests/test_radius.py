@@ -221,7 +221,7 @@ class TestDeterminantRadius:
     def test_stats(self):
         res = determinant_radius(4, 2.5)
         a_star, width = 1.0 / res.value, 100.0 * 1e-10 / res.value
-        assert res.stats["bisection_steps"] > 30
+        assert 0 < res.stats["pivot_steps"] <= 16  # bisection takes 34
         assert res.stats["eigenvalue_probes"] == 2
         assert res.stats["window"] == pytest.approx((a_star - width, a_star + width),
                                                     rel=1e-15)
@@ -275,6 +275,26 @@ class TestDeterminantRadius:
             single = [eigvalsh(k)[0] for k in stack]
             np.testing.assert_array_equal(eigvalsh(stack)[:, 0], single)
             assert res.residual == abs(single[-1])
+
+    @pytest.mark.parametrize("tol, most", [(1e-10, 1400), (1e-13, 1700)])
+    def test_pivot_steps_over_a_fixed_grid(self, tol, most):
+        # bisection takes 2,457 steps at 1e-10 and 3,177 at 1e-13 on this grid
+        total = 0
+        for n in (1, 2, 3, 5, 8, 12, 17, 24):
+            for rho in (1.001, 1.5, 2.0, (n + 3) / 2.0, n + 1.0, n + 2.0, n + 2.5, n + 6.0,
+                        3.0 * n + 7.0):
+                total += determinant_radius(n, rho, tol=tol).stats["pivot_steps"]
+        assert total <= most
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_a_tolerance_that_is_not_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be a positive finite number"):
+            determinant_radius(4, 3.0, tol=tol)
+
+    def test_refuses_a_tolerance_below_the_float_spacing(self):
+        # no two floats near a* are within 1e-17 of each other relative
+        with pytest.raises(NoRootError, match="not within tol"):
+            determinant_radius(4, 3.0, tol=1e-17)
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     def test_bracket_holds_the_value(self, tol):
