@@ -94,11 +94,15 @@ def kernel_pivot(k: int, a: float, rho: float) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     alpha, beta = RecurrenceState.coefficients(a, rho)
-    q = rho
-    for j in range(k):
+    if k == 0:
+        return rho
+    if not rho > 0:
+        return -math.inf
+    q = (rho * rho - a * a) / rho
+    for _ in range(k - 1):
         if not q > 0:
             return -math.inf
-        q = (rho * rho - a * a) / rho if j == 0 else alpha - beta / q
+        q = alpha - beta / q
     return q
 
 
@@ -145,8 +149,8 @@ def kernel_det_matrices(k: int, a, rho) -> np.ndarray:
         raise ValueError("k must be nonnegative")
     a = np.asarray(a, dtype=float)
     out = a[:, None, None] ** _lags(k)
-    idx = np.arange(k + 1)
-    out[:, idx, idx] = np.asarray(rho, dtype=float)[..., None]
+    # every (k + 2)-th entry of a flattened matrix is on its diagonal
+    out.reshape(len(a), -1)[:, ::k + 2] = np.asarray(rho, dtype=float)[..., None]
     return out
 
 
@@ -218,13 +222,15 @@ def mixed_identity_residual(m: int, a: float, rho: float) -> float:
     return relative_residual(capped_kernel_det(m, a, rho), rhs)
 
 
-def mixed_identity_rhs(kernel_prev: float, kernel_prev2: float, a: float, rho: float) -> float:
+def mixed_identity_rhs(kernel_prev, kernel_prev2, a, rho):
     """The right side of the cross-family identity from kernel_{m-1} and
-    kernel_{m-2}."""
-    return (a * a * (rho - 2.0) + 1.0) * kernel_prev - a * a * (rho - 1.0) ** 2 * kernel_prev2
+    kernel_{m-2}, floats or arrays alike: the square is a product, so an
+    array entry is bit for bit the float's."""
+    square = (rho - 1.0) * (rho - 1.0)
+    return (a * a * (rho - 2.0) + 1.0) * kernel_prev - a * a * square * kernel_prev2
 
 
-def relative_residual(p: float, q: float) -> float:
+def relative_residual(p, q):
     """|p - q| / max(|p|, |q|, 1): relative where the values are large,
-    absolute near zero."""
-    return abs(p - q) / max(abs(p), abs(q), 1.0)
+    absolute near zero; elementwise, with the same operations, for arrays."""
+    return abs(p - q) / np.maximum(np.maximum(abs(p), abs(q)), 1.0)

@@ -179,14 +179,17 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
     first zero of an earlier pivot and changes sign at a*, so each probe is
     the Illinois regula falsi point on q_n (Dowell and Jarratt, BIT 11,
     1971), or the midpoint where q_n is -inf at the upper end or the secant
-    point leaves the bracket.  a* is the bracket's midpoint, confirmed by the
-    smallest eigenvalue in the window a* -+ W, W = ROUTE_AGREEMENT * tol *
-    max(1, a*): positive at the lower end, not at the upper, ends clipped to
-    [1, rho] and not probed there (NoRootError otherwise).  A second search
-    on the eigenvalue would only repeat the pivots' verdicts far from a*,
-    where both are well conditioned.  ``bracket`` is the last Sylvester
-    interval as radii; ``stats`` holds the pivot runs of the search, the
-    eigenvalue probes and the window (below, above) of weights.
+    point leaves the bracket.  At n = 1, where a* = rho is the upper end
+    itself, the first probe is rho (1 - tol/2), which settles the bracket in
+    one pivot run unless roundoff puts the probe past a*.  a* is the
+    bracket's midpoint, confirmed by the smallest eigenvalue in the window
+    a* -+ W, W = ROUTE_AGREEMENT * tol * max(1, a*): positive at the lower
+    end, not at the upper, ends clipped to [1, rho] and not probed there
+    (NoRootError otherwise).  A second search on the eigenvalue would only
+    repeat the pivots' verdicts far from a*, where both are well
+    conditioned.  ``bracket`` is the last Sylvester interval as radii;
+    ``stats`` holds the pivot runs of the search, the eigenvalue probes and
+    the window (below, above) of weights.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -197,27 +200,41 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
     q_lo = kernel_pivot(n, 1.0, rho)
     if not q_lo > 0:
         raise BracketInvalidError("kernel not positive definite at a = 1")
-    # q_1 vanishes at a = rho, so q_n(rho) is 0 (n = 1) or -inf: both bisect
-    lo, hi, q_hi = 1.0, float(rho), -math.inf
-    steps, last = 0, None
-    while not hi - lo < tol * max(1.0, hi):
+    # q_1 vanishes at a = rho, so q_n(rho) is 0 (n = 1) or -inf: both bisect;
+    # kept_lo (the end kept last was lo) starts True, which halves only -inf
+    ninf = -math.inf
+    lo, hi, q_hi = 1.0, float(rho), ninf
+    steps, kept_lo = 0, True
+    if n == 1 and lo < hi - 0.5 * tol * hi:
+        # the 2 x 2 kernel is positive definite exactly for a < rho: a* is the
+        # upper end, which no probe moves, so the first probe is just inside it
+        a = hi - 0.5 * tol * hi
+        q = kernel_pivot(1, a, rho)
+        if q > 0:
+            lo, q_lo = a, q
+        else:
+            hi, q_hi, kept_lo = a, q, False
+        steps = 1
+    while hi - lo >= tol * (hi if hi > 1.0 else 1.0):
         if steps == BISECT_MAX_ITER:
             raise NoRootError(f"Sylvester bracket ({lo!r}, {hi!r}) not within tol={tol!r} "
                               f"after {BISECT_MAX_ITER} steps, n={n}, rho={rho}")
-        a = 0.5 * (lo + hi)
-        if q_hi > -math.inf:
-            secant = lo + (hi - lo) * q_lo / (q_lo - q_hi)
-            a = secant if lo < secant < hi else a
+        if q_hi > ninf:
+            a = lo + (hi - lo) * q_lo / (q_lo - q_hi)
+            if not lo < a < hi:
+                a = 0.5 * (lo + hi)
+        else:
+            a = 0.5 * (lo + hi)
         q = kernel_pivot(n, a, rho)
         # Illinois: the end kept a second time in a row has its pivot halved
         if q > 0:
-            if last == "lo":
+            if kept_lo:
                 q_hi *= 0.5
-            lo, q_lo, last = a, q, "lo"
+            lo, q_lo, kept_lo = a, q, True
         else:
-            if last == "hi":
+            if not kept_lo:
                 q_lo *= 0.5
-            hi, q_hi, last = a, q, "hi"
+            hi, q_hi, kept_lo = a, q, False
         steps += 1
     a_star = 0.5 * (lo + hi)
     width = ROUTE_AGREEMENT * tol * max(1.0, a_star)
@@ -435,24 +452,30 @@ def _circular(a: np.ndarray) -> bool:
                abs(np.vdot(a, t2)) / f ** 3, abs(np.vdot(a, t2 @ a)) / f ** 4) <= CIRCULAR_TOL
 
 
-def _polish(a: np.ndarray, rho: float, x: float, w: complex) -> tuple[float, complex, int]:
+def _polish(a: np.ndarray, rho: float, x: float, w: complex) -> tuple[float, complex, int, int]:
     """Climb the circle threshold from its value x at w by a safeguarded
     Newton iteration on the angle theta of z = e^{i theta}: each step solves
     the thresholds at theta and theta -+ POLISH_H in one stacked
-    ``companion_threshold``, reads f' and f'' off their central differences
-    and moves theta by -f'/f'', clamped to POLISH_MAX_STEP.  It stops when
-    f'' >= 0, when the step falls below POLISH_STEP_TOL or after
-    POLISH_MAX_ITER steps.  Returns the largest threshold solved, or x if none
-    exceeds it, the point where it was taken and the number of steps."""
-    theta, steps, offsets = float(np.angle(w)), 0, np.array([-POLISH_H, 0.0, POLISH_H])
+    ``companion_threshold`` (the first only the two sides: its centre is w,
+    whose threshold x the caller holds), reads f' and f'' off their central
+    differences and moves theta by -f'/f'', clamped to POLISH_MAX_STEP.  It
+    stops when f'' >= 0, when the step falls below POLISH_STEP_TOL or after
+    POLISH_MAX_ITER steps.  Returns the largest threshold solved, or x if
+    none exceeds it, the point where it was taken, the number of steps and
+    the number of thresholds solved."""
+    theta, centre, steps, points = float(np.angle(w)), x, 0, 0
     while steps < POLISH_MAX_ITER:
-        zs = np.exp(1j * (theta + offsets))
+        offsets = [-POLISH_H, 0.0, POLISH_H] if centre is None else [-POLISH_H, POLISH_H]
+        zs = np.exp(1j * (theta + np.array(offsets)))
         values = companion_threshold(a, zs, rho)
-        steps += 1
+        steps, points = steps + 1, points + len(zs)
         i = int(np.argmax(values))
         if values[i] > x:
             x, w = float(values[i]), complex(zs[i])
-        fm, f0, fp = values
+        if centre is None:
+            fm, f0, fp = values
+        else:
+            (fm, fp), f0, centre = values, centre, None
         curvature = fp - 2.0 * f0 + fm
         if not curvature < 0.0:
             break
@@ -461,7 +484,7 @@ def _polish(a: np.ndarray, rho: float, x: float, w: complex) -> tuple[float, com
         if abs(step) < POLISH_STEP_TOL:
             break
         theta += step
-    return x, w, steps
+    return x, w, steps, points
 
 
 def radius_bisect(t, rho: float) -> RadiusResult:
@@ -540,8 +563,8 @@ def radius_bisect(t, rho: float) -> RadiusResult:
     points, newton = len(values), 0
     for step in range(1, BISECT_MAX_ITER + 1):
         if polish and w is not None:  # x has just risen to a threshold at w
-            x, w, k = _polish(a, rho, x, w)
-            points, newton = points + 3 * k, newton + k
+            x, w, k, solved = _polish(a, rho, x, w)
+            points, newton = points + solved, newton + k
         level = x * (1.0 + LEVEL_GAP)
         psi = _crossing_angles(a, rho, level, z0)
         zs = z0 * np.exp(0.5j * (psi[:-1] + psi[1:]))

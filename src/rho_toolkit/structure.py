@@ -173,20 +173,30 @@ def unitary_orbit_predicate(u, n: int, rho: float, tol: float = STRUCTURE_TOL) -
     )
 
 
+def commutator_system(a: np.ndarray) -> np.ndarray:
+    """The 2d^2 x d^2 system [I (x) A - A^T (x) I; I (x) A* - conj(A) (x) I],
+    whose null space holds vec(X), columns stacked, of every X with AX = XA
+    and A*X = XA*, from one broadcast over the stack B = [A, A*]: entry
+    (i d + k, j d + l) of block B is I[i, j] B[k, l] - B[j, i] I[k, l], the
+    products and differences ``np.kron`` forms, bit for bit."""
+    d = a.shape[0]
+    eye = np.eye(d)
+    stack = np.stack([a, np.conj(a).T])
+    system = (eye[:, None, :, None] * stack[:, None, :, None, :]
+              - stack.transpose(0, 2, 1)[:, :, None, :, None] * eye[:, None, :])
+    return system.reshape(2 * d * d, d * d)
+
+
 def commutant_dimension(t, tol: float = 1e-10) -> int:
     """Real dimension of the Hermitian solutions of TX = XT, T*X = XT*.
 
     Dimension 1 means the commutant of {T, T*} is trivial, i.e. only the
     scalars commute with both.  The commutant is a *-algebra, X = H + iK
     with H, K Hermitian, so this equals the complex dimension of all its
-    solutions: the null space of one Kronecker system, counted by its
+    solutions: the null space of ``commutator_system``, counted by its
     singular values at or below tol * sigma_max.
     """
-    a = as_cmatrix(t)
-    eye = np.eye(a.shape[0])
-    system = np.vstack([np.kron(eye, a) - np.kron(a.T, eye),
-                        np.kron(eye, np.conj(a).T) - np.kron(np.conj(a), eye)])
-    sigma = np.linalg.svd(system, compute_uv=False)
+    sigma = np.linalg.svd(commutator_system(as_cmatrix(t)), compute_uv=False)
     top = sigma[0] if sigma.size and sigma[0] > 0 else 1.0
     return int(np.sum(sigma <= tol * top))
 

@@ -195,22 +195,20 @@ def _c04_determinant_oracle(n_max, seed):
     weights, rhos = np.array(points).T
     m_max = 8
     # one run of each family per point, read at every m: no value on this
-    # grid comes near RESCALE_LIMIT, so none is stored rescaled
-    kernel = [kernel_det_state(m_max, a, rho).values for a, rho in points]
-    capped = [capped_kernel_det_state(m_max, a, rho).values for a, rho in points]
-    worst_kernel = worst_capped = worst_mixed = 0.0
+    # grid comes near RESCALE_LIMIT, so none is stored rescaled.  Row m of
+    # each (m_max + 1, points) table is index m of every run.
+    kernel = np.array([kernel_det_state(m_max, a, rho).values for a, rho in points]).T
+    capped = np.array([capped_kernel_det_state(m_max, a, rho).values for a, rho in points]).T
+    lu_kernel, lu_capped = np.empty_like(kernel), np.empty_like(capped)
     for m in range(0, m_max + 1):
         matrices = kernel_det_matrices(m, weights, rhos)
-        lu_kernel = np.linalg.det(matrices)
+        lu_kernel[m] = np.linalg.det(matrices)
         matrices[:, m, m] = 1.0
-        lu_capped = np.linalg.det(matrices)
-        for (a, rho), k, c, lu_k, lu_c in zip(points, kernel, capped,
-                                              lu_kernel.tolist(), lu_capped.tolist()):
-            worst_kernel = max(worst_kernel, relative_residual(lu_k, k[m]))
-            worst_capped = max(worst_capped, relative_residual(lu_c, c[m]))
-            if m >= 2:
-                rhs = mixed_identity_rhs(k[m - 1], k[m - 2], a, rho)
-                worst_mixed = max(worst_mixed, relative_residual(c[m], rhs))
+        lu_capped[m] = np.linalg.det(matrices)
+    worst_kernel = float(relative_residual(lu_kernel, kernel).max())
+    worst_capped = float(relative_residual(lu_capped, capped).max())
+    rhs = mixed_identity_rhs(kernel[1:-1], kernel[:-2], weights, rhos)
+    worst_mixed = float(relative_residual(capped[2:], rhs).max())
     return [
         _within("c04-kernel-dets-vs-lu", "kernel determinant recurrence vs LU factorization",
                 0.0, worst_kernel, 1e-10),

@@ -113,3 +113,15 @@ def test_report_invariants(battery):
     assert len(ids) == len(set(ids)), "check ids must be unique"
     assert all(c.paper_location for c in battery.checks)
     json.dumps(battery.to_json_dict())  # everything must serialize
+
+
+def test_passes_of_the_benchmarked_criteria_are_alike():
+    # the criteria a battery benchmark pass runs: the first pass starts with
+    # cold solve caches (conftest), the second finds them warm, and both must
+    # report the same checks
+    criteria = {"c00", "c02", "c03", "c04", "c08", "c10", "c12"}
+    first, second = (run_battery(n_max=None, seed=0, criteria=criteria).to_json_dict()
+                     for _ in range(2))
+    for report in (first, second):
+        del report["seconds"]
+    assert first == second

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rho_toolkit.determinants as determinants
@@ -153,6 +153,25 @@ class TestKernelPivot:
             assert kernel_pivot(k, a, rho) == pytest.approx(
                 kernel_det(k, a, rho) / kernel_det(k - 1, a, rho), rel=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.floats(-4.0, 4.0),
+           st.one_of(st.floats(-3.0, 0.0), st.floats(0.0, 60.0)))
+    @example(0, 1.0, -1.0).via("k = 0 returns rho whatever its sign")
+    @example(3, 1.0, 0.0).via("q_0 = 0 is not positive")
+    @example(3, 1.0, -2.0).via("q_0 < 0")
+    @example(3, 2.0, 2.0).via("q_1 = 0")
+    @example(40, 1.9, 2.5).via("a later pivot not positive")
+    def test_equals_the_per_step_loop(self, k, a, rho):
+        # the recurrence with q_0 and q_1 told apart inside the loop
+        alpha, beta = RecurrenceState.coefficients(a, rho)
+        q = rho
+        for j in range(k):
+            if not q > 0:
+                q = -math.inf
+                break
+            q = (rho * rho - a * a) / rho if j == 0 else alpha - beta / q
+        assert repr(kernel_pivot(k, a, rho)) == repr(q)
+
     def test_earlier_pivot_not_positive(self):
         # q_1 vanishes at a = rho, so every later pivot is -inf
         assert kernel_pivot(1, 2.0, 2.0) == 0.0
@@ -273,6 +292,23 @@ class TestMixedIdentity:
     def test_residual_small_on_grid(self, a, rho):
         for m in range(2, 9):
             assert mixed_identity_residual(m, a, rho) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.5, 9.0),
+                              st.floats(-1e6, 1e6), st.floats(-1e6, 1e6),
+                              st.floats(-1e6, 1e6)), min_size=1, max_size=8))
+    @example([(1.0, 1.7500466131824943, 0.0, 1.0, 0.0)]).via(
+        "(rho - 1) ** 2 through libm pow misses the rounded product by one ulp")
+    def test_arrays_give_each_float_bit_for_bit(self, rows):
+        # c04 applies the right side and the residual to whole tables
+        rhs_of, residual_of = determinants.mixed_identity_rhs, determinants.relative_residual
+        a, rho, prev, prev2, capped = (np.array(col) for col in zip(*rows))
+        rhs = rhs_of(prev, prev2, a, rho)
+        residual = residual_of(capped, rhs)
+        for i, (a_i, rho_i, prev_i, prev2_i, capped_i) in enumerate(rows):
+            one = rhs_of(prev_i, prev2_i, a_i, rho_i)
+            assert repr(float(rhs[i])) == repr(one)
+            assert repr(float(residual[i])) == repr(float(residual_of(capped_i, one)))
 
     def test_zero_weight_reduction(self):
         # at a = 0 both families are diagonal determinants: capped_m = rho^m

@@ -276,15 +276,25 @@ class TestDeterminantRadius:
             np.testing.assert_array_equal(eigvalsh(stack)[:, 0], single)
             assert res.residual == abs(single[-1])
 
-    @pytest.mark.parametrize("tol, most", [(1e-10, 1400), (1e-13, 1700)])
-    def test_pivot_steps_over_a_fixed_grid(self, tol, most):
-        # bisection takes 2,457 steps at 1e-10 and 3,177 at 1e-13 on this grid
-        total = 0
+    @pytest.mark.parametrize("tol, total", [(1e-10, 1016), (1e-13, 1168)])
+    def test_pivot_steps_over_a_fixed_grid(self, tol, total):
+        # bisection takes 2,457 steps at 1e-10 and 3,177 at 1e-13 on this grid;
+        # the nine n = 1 points take one step each
+        steps = 0
         for n in (1, 2, 3, 5, 8, 12, 17, 24):
             for rho in (1.001, 1.5, 2.0, (n + 3) / 2.0, n + 1.0, n + 2.0, n + 2.5, n + 6.0,
                         3.0 * n + 7.0):
-                total += determinant_radius(n, rho, tol=tol).stats["pivot_steps"]
-        assert total <= most
+                steps += determinant_radius(n, rho, tol=tol).stats["pivot_steps"]
+        assert steps == total
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("rho", [1.001, 1.5, 3.0, 7.0, 100.0])
+    def test_n1_settles_at_the_upper_end(self, rho, tol):
+        # the 2 x 2 kernel is positive definite exactly for a < rho, so a* = rho
+        res = determinant_radius(1, rho, tol=tol)
+        assert res.stats["pivot_steps"] <= 2
+        assert res.bracket[0] <= 1.0 / rho <= res.bracket[1]
+        assert res.value == pytest.approx(1.0 / rho, rel=tol)
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
     def test_rejects_a_tolerance_that_is_not_positive_and_finite(self, tol):

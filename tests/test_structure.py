@@ -264,6 +264,33 @@ class TestUnitaryOrbitPredicate:
             assert verdict == predicted
 
 
+def _kron_commutator_system(a):
+    eye = np.eye(a.shape[0])
+    return np.vstack([np.kron(eye, a) - np.kron(a.T, eye),
+                      np.kron(eye, np.conj(a).T) - np.kron(np.conj(a), eye)])
+
+
+class TestCommutatorSystem:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_equals_the_kronecker_construction(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a[0, 0] = complex(-0.0, 0.0)  # a signed zero must come out as np.kron makes it
+        weighted = np.diag(np.linspace(0.5, 2.0, d - 1), 1).astype(complex)
+        for t in (a, make_shift(d - 1, 1.3), weighted, np.zeros((d, d), dtype=complex)):
+            system, reference = structure.commutator_system(t), _kron_commutator_system(t)
+            assert system.shape == reference.shape == (2 * d * d, d * d)
+            assert system.tobytes() == reference.tobytes()
+
+    def test_null_space_is_the_commutant(self):
+        # vec(X), columns stacked, is a null vector when X commutes with T and
+        # T*, as I does, and not when it fails to, as T itself does
+        t = make_shift(2, 1.0)
+        system = structure.commutator_system(t)
+        assert np.abs(system @ np.eye(3).reshape(-1, order="F")).max() == 0.0
+        assert np.abs(system @ t.reshape(-1, order="F")).max() > 0.1
+
+
 class TestIrreducibility:
     def test_shift_even_dimensions(self):
         assert irreducibility_check(normalized_shift(1, 2.0))
