@@ -21,9 +21,8 @@ from .radius import (AngleSystemReport, RadiusResult, angle_system_report, criti
                      determinant_radius, nilpotent_bound, nilpotent_margin, omega_of_rho_curve,
                      oscillatory_closed_form, radius_bisect, shift_radius)
 from .shifts import make_shift, normalized_shift
-from .structure import (C2OrbitEntry, MembershipReport, NullProfile,
-                        c2_orbit_report, canonical_form_c2, circle_null_vectors,
-                        commutant_dimension, irreducibility_check,
+from .structure import (MembershipReport, NullProfile, canonical_form_c2,
+                        circle_null_vectors, commutant_dimension, irreducibility_check,
                         membership_necessary_conditions, null_profile,
                         rotation_family_check, unitary_orbit_predicate)
 from .verify import CheckResult, VerifyReport, run_battery

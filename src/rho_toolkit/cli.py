@@ -26,14 +26,13 @@ from .determinants import (capped_kernel_det, capped_kernel_det_matrix,
                            discriminant, kernel_det, kernel_det_matrix,
                            mixed_identity_residual, relative_residual)
 from .errors import ToolkitError, TorusSpectrumError
-from .harnack import are_harnack_equivalent, nullspace_equality
+from .harnack import are_harnack_equivalent
 from .kernel import (UNIT_CIRCLE_TOL, DiscGrid, has_torus_spectrum, rho_kernel,
                      torus_nullspace)
 from .linalg import as_cmatrix
 from .radius import omega_of_rho_curve, radius_bisect, shift_radius
 from .shifts import make_shift, normalized_shift
-from .structure import (STRUCTURE_TOL, NullProfile, _phase_twist, circle_null_vectors,
-                        null_profile)
+from .structure import STRUCTURE_TOL, NullProfile, circle_null_vectors, null_profile
 from .verify import _fmt
 
 
@@ -67,11 +66,24 @@ def save_matrix(path: str, m, label: str | None = None) -> None:
         fh.write("\n")
 
 
-def _parse_complex(text: str) -> complex:
+def _finite_float(text: str) -> float:
+    """The argparse type of every float option: nan, inf and text that is
+    not a number are usage errors (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_complex(text: str) -> complex:
+    """The argparse type of --z: 're,im', both parts finite."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"expected 're,im', got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+        raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}")
+    return complex(*map(_finite_float, parts))
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -126,7 +138,7 @@ def _kernel_operand(args) -> np.ndarray:
 
 def _cmd_kernel(args) -> int:
     t = _kernel_operand(args)
-    z = _parse_complex(args.z)
+    z = args.z
     if abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL and has_torus_spectrum(t):
         raise TorusSpectrumError("matrix has unit-circle spectrum; |z| = 1 is not allowed")
     values = np.linalg.eigvalsh(rho_kernel(t, z, args.rho).matrix)
@@ -143,7 +155,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_nullspace(args) -> int:
     _require_one_operand(args)
-    z = _parse_complex(args.z)
+    z = args.z
     payload: dict = {"z": _pair(z), "rho": args.rho}
     lines = []
     if args.matrix is not None:
@@ -266,45 +278,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_explore(args) -> int:
-    """Non-normative sweeps around the open questions: which single-coordinate
-    phase twists keep the normalized shift's Harnack part, for general rho."""
-    n = args.n
-    rhos = [float(r) for r in args.rho.split(",")]
-    thetas = np.linspace(0.0, math.pi, args.theta_samples + 1)[1:]
-    sweeps = []
-    for rho in rhos:
-        profile = null_profile(n, rho)
-        s = normalized_shift(n, rho)
-        for k in range(n + 1):
-            for theta in thetas:
-                t = _phase_twist(s, k, theta)
-                equal = bool(nullspace_equality(t, s, rho))
-                predicted = k not in profile.support
-                sweeps.append({"rho": rho, "coordinate": k, "theta": float(theta),
-                               "in_part": equal, "support_prediction": predicted,
-                               "agrees": equal == predicted})
-    payload = {
-        "exploratory": True,
-        "note": ("numeric sweeps over the listed rho, coordinates and phases only. "
-                 "The twists are weighted shifts, so in_part is the null-space "
-                 "condition at every unit-circle point (rotation route); "
-                 "support_prediction is the diagonal-orbit criterion from the null profile."),
-        "n": n,
-        "sweeps": sweeps,
-    }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        agree = sum(1 for s in sweeps if s["agrees"])
-        print(f"exploratory sweep: {agree}/{len(sweeps)} cells agree with the "
-              f"support prediction; written to {args.out}")
-    else:
-        print(text)
-    return 0
-
-
 class UsageError(Exception):
     pass
 
@@ -320,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radius", help="compute a rho-numerical radius")
     p.add_argument("--shift", type=int, help="use the truncated shift of size N+1")
     p.add_argument("--matrix", help="matrix JSON file")
-    p.add_argument("--weight", type=float, help="shift weight (B > 0, default 1)")
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--weight", type=_finite_float, help="shift weight (B > 0, default 1)")
+    p.add_argument("--rho", type=_finite_float, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_radius)
 
@@ -330,25 +303,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=int)
     p.add_argument("--normalized", action="store_true",
                    help="normalize the shift to radius one at the given rho")
-    p.add_argument("--weight", type=float, help="shift weight (default 1)")
-    p.add_argument("--z", required=True, help="evaluation point as 're,im'")
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--weight", type=_finite_float, help="shift weight (default 1)")
+    p.add_argument("--z", type=_finite_complex, required=True,
+                   help="evaluation point as 're,im'")
+    p.add_argument("--rho", type=_finite_float, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("nullspace", help="kernel null space on the unit circle")
     p.add_argument("--matrix")
     p.add_argument("--shift", type=int, help="use the normalized shift (profile included)")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--z", default="1,0")
-    p.add_argument("--tol", type=float, default=STRUCTURE_TOL)
+    p.add_argument("--rho", type=_finite_float, required=True)
+    p.add_argument("--z", type=_finite_complex, default="1,0")
+    p.add_argument("--tol", type=_finite_float, default=STRUCTURE_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_nullspace)
 
     p = sub.add_parser("harnack", help="Harnack equivalence certificate")
     p.add_argument("--t1", required=True)
     p.add_argument("--t0", required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--rho", type=_finite_float, required=True)
     p.add_argument("--grid-radii", default="0.999", help="radii in (0, 1); scored on the largest")
     p.add_argument("--angles", type=int, default=64)
     p.add_argument("--torus", type=int, default=256)
@@ -356,15 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detcheck", help="determinant recurrences vs LU oracle")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--a", type=_finite_float, required=True)
+    p.add_argument("--rho", type=_finite_float, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_detcheck)
 
     p = sub.add_parser("omega-curve", help="auxiliary angle as a function of rho")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho-min", type=float, default=1.05)
-    p.add_argument("--rho-max", type=float, default=None)
+    p.add_argument("--rho-min", type=_finite_float, default=1.05)
+    p.add_argument("--rho-max", type=_finite_float, default=None)
     p.add_argument("--samples", type=int, default=16)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_omega_curve)
@@ -377,12 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="comma-separated criterion ids, e.g. c01,c04")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("explore", help="non-normative sweeps (open questions)")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--rho", default="2.0,2.5")
-    p.add_argument("--theta-samples", type=int, default=4)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_explore)
     return parser
 
 

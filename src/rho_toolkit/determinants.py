@@ -50,7 +50,8 @@ class RecurrenceState:
 
     @staticmethod
     def coefficients(a: float, rho: float) -> tuple[float, float]:
-        return rho + (rho - 2.0) * a * a, a * a * (1.0 - rho) ** 2
+        # the square as a product: libm pow can miss its rounding by an ulp
+        return rho + (rho - 2.0) * a * a, a * a * ((1.0 - rho) * (1.0 - rho))
 
 
 def _run(d0: float, d1: float, a: float, rho: float, length: int) -> RecurrenceState:

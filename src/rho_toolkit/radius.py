@@ -193,8 +193,8 @@ def determinant_radius(n: int, rho: float, tol: float = 1e-10) -> RadiusResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not rho > 1:
-        raise ValueError("determinant route requires rho > 1")
+    if not 1 < rho < math.inf:
+        raise ValueError("determinant route requires a finite rho > 1")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be a positive finite number")
     q_lo = kernel_pivot(n, 1.0, rho)
@@ -281,8 +281,8 @@ def shift_radius(n: int, rho: float, tol: float = SHIFT_TOL) -> RadiusResult:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rho < 1:
-        raise ValueError("rho must be >= 1")
+    if not 1 <= rho < math.inf:
+        raise ValueError("rho must be finite and >= 1")
 
     if rho == 1.0:
         return RadiusResult(value=1.0, method="closed_form", omega=None,
@@ -533,8 +533,8 @@ def radius_bisect(t, rho: float) -> RadiusResult:
     the start, the crossing cut-off, the witness and the polish's Newton
     steps (``newton_steps``, 0 where it does not run).
     """
-    if rho < 1:
-        raise ValueError("rho must be >= 1")
+    if not 1 <= rho < math.inf:
+        raise ValueError("rho must be finite and >= 1")
     a = as_cmatrix(t)
     norm = spectral_norm(a)
     lo = max(spectral_radius(a), norm / rho)

@@ -7,6 +7,8 @@ the unit-weight shift so its rho-numerical radius is exactly one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .radius import shift_radius
@@ -28,11 +30,11 @@ def normalized_shift(n: int, rho: float) -> np.ndarray:
     """The radius-normalized truncated shift: weight 1/w_rho(S_{n+1}(1)).
 
     Requires n >= 1 (the 1x1 zero matrix has radius 0, which is not
-    invertible) and rho >= 1.
+    invertible) and a finite rho >= 1.
     """
     if n < 1:
         raise ValueError("normalized_shift requires n >= 1")
-    if rho < 1:
-        raise ValueError("rho must be >= 1")
+    if not 1 <= rho < math.inf:
+        raise ValueError("rho must be finite and >= 1")
     w = shift_radius(n, rho).value
     return make_shift(n, 1.0 / w)

@@ -10,7 +10,9 @@ profile off the angle of the radius system in closed form (the stacked
 rotation covariance, and implements the downstream characterizations:
 necessary membership conditions, the diagonal-unitary orbit predicate,
 irreducibility via the commutant dimension, and the canonical family of the
-classical-numerical-radius class (rho = 2).
+classical-numerical-radius class (rho = 2).  The battery's criterion c13
+checks the orbit predicate against the null-space verdict on single-coordinate
+phase twists at every n = 1..6 and every rho of its sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapTooSmallError, NotUnitaryError
-from .harnack import nullspace_equality
 from .kernel import torus_null_frames
 from .linalg import NULLSPACE_TOL, as_cmatrix, spectral_norm
 from .radius import RadiusResult, cos_omega, shift_radius, solve_cache
@@ -155,7 +156,10 @@ def unitary_orbit_predicate(u, n: int, rho: float, tol: float = STRUCTURE_TOL) -
     """True iff U fixes every supported profile coordinate up to one common
     unimodular factor: U e_k = alpha e_k for all k with v_k != 0.
 
-    The factor alpha is fitted from the first supported coordinate.
+    The factor alpha is fitted from the first supported coordinate.  For a
+    diagonal U the predicate says whether U* S U stays in the Harnack part
+    of the normalized shift S; the battery's criterion c13 checks that
+    against ``nullspace_equality`` on single-coordinate phase twists.
     """
     a = as_cmatrix(u)
     if a.shape[0] != n + 1:
@@ -234,43 +238,3 @@ def _phase_twist(t, k: int, theta: float) -> np.ndarray:
     d[k] = np.exp(1j * theta)
     # 0 * e^{i theta} can leave -0.0 in a zero entry; + 0.0 restores T's 0.0
     return np.conj(d)[:, None] * t * d[None, :] + 0.0
-
-
-@dataclass(frozen=True)
-class C2OrbitEntry:
-    theta: float
-    expected_equivalent: bool
-    norm_value: float
-    membership: MembershipReport
-    nullspace_equal: bool
-
-    @property
-    def equivalent(self) -> bool:
-        return self.nullspace_equal
-
-    @property
-    def consistent(self) -> bool:
-        return self.equivalent == self.expected_equivalent
-
-
-def c2_orbit_report(n: int, theta_samples, tol: float = STRUCTURE_TOL) -> list[C2OrbitEntry]:
-    """Exercise the rho = 2 canonical family (or, in even dimension, the
-    forbidden single-coordinate twists) against the normalized shift.
-
-    Both twist the phase of coordinate (n + 1) // 2.  Odd dimension: that is
-    canonical_form_c2(n, theta), equivalent for every theta.  Even dimension:
-    the twist must be equivalent only at theta = 0 (mod 2 pi).
-    """
-    s = c2_shift(n)
-    entries = []
-    for theta in theta_samples:
-        t = _phase_twist(s, (n + 1) // 2, theta)
-        expected = n % 2 == 0 or math.isclose(math.cos(theta), 1.0, abs_tol=1e-12)
-        entries.append(C2OrbitEntry(
-            theta=float(theta),
-            expected_equivalent=expected,
-            norm_value=spectral_norm(t),
-            membership=membership_necessary_conditions(t),
-            nullspace_equal=bool(nullspace_equality(t, s, 2.0, tol=tol)),
-        ))
-    return entries

@@ -33,7 +33,8 @@ from .radius import (angle_system_report, critical_rho, determinant_radius, nilp
 from .shifts import make_shift, normalized_shift
 from .structure import (STRUCTURE_TOL, NullProfile, _phase_twist, c2_shift,
                         canonical_form_c2, circle_null_vectors, commutant_dimension,
-                        membership_necessary_conditions, rotation_family_check)
+                        membership_necessary_conditions, rotation_family_check,
+                        unitary_orbit_predicate)
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,17 +346,37 @@ def _householder(d: int) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(u, u) / (u @ u)
 
 
+def _sampled_oracle(t, s, rho, torus_angles=256):
+    """T against S by the sampled route: both operands conjugated by one
+    Householder reflection Q (K_z(Q T Q^T) = Q K_z(T) Q^T, so principal
+    angles agree with the rotation route's on T and S)."""
+    q = _householder(s.shape[0])
+    return nullspace_equality(q @ t @ q.T, q @ s @ q.T, rho, torus_angles=torus_angles,
+                              tol=STRUCTURE_TOL)
+
+
+def _oracle_mismatches(cases) -> list:
+    """A note for each (label, rotation route, sampled route) comparison that
+    differs in route, verdict or nullities.  The rotation route repeats its
+    z = 1 nullities at every sample, so on the same torus equal nullity sets
+    mean equal nullity arrays."""
+    return [f"{label}: {direct.route} {direct.equal} {direct.nullities()} vs "
+            f"{oracle.route} {oracle.equal} {oracle.nullities()}"
+            for label, direct, oracle in cases
+            if not ((direct.route, oracle.route) == ("rotation", "sampled")
+                    and direct.equal == oracle.equal
+                    and direct.nullities() == oracle.nullities())]
+
+
 def _c09_comparisons(n, thetas):
-    """For each theta, the middle twist against the shift twice: by the
-    rotation route, and by the sampled route on both operands conjugated by
-    one Householder reflection Q (K_z(Q T Q^T) = Q K_z(T) Q^T, so principal
-    angles agree)."""
-    s, q = c2_shift(n), _householder(n + 1)
+    """For each theta, the middle twist against the shift by the rotation
+    route and by its sampled oracle."""
+    s = c2_shift(n)
     cases = []
     for theta in thetas:
         t = _phase_twist(s, (n + 1) // 2, theta)
         cases.append((theta, nullspace_equality(t, s, 2.0, tol=STRUCTURE_TOL),
-                      nullspace_equality(q @ t @ q.T, q @ s @ q.T, 2.0, tol=STRUCTURE_TOL)))
+                      _sampled_oracle(t, s, 2.0)))
     return cases
 
 
@@ -389,14 +410,8 @@ def _c09_harnack_part(n_max, seed):
                              "off-support phase twists leave the Harnack part",
                              False, any(direct.equal for _, direct, _ in cases[n])))
     for n in range(1, 5):
-        mismatches = [f"theta={theta:.2f}: {direct.route} {direct.equal} "
-                      f"{direct.nullities()} vs {oracle.route} {oracle.equal} "
-                      f"{oracle.nullities()}"
-                      for theta, direct, oracle in cases[n]
-                      if not ((direct.route, oracle.route) == ("rotation", "sampled")
-                              and direct.equal == oracle.equal
-                              and np.array_equal(direct.dims1, oracle.dims1)
-                              and np.array_equal(direct.dims0, oracle.dims0))]
+        mismatches = _oracle_mismatches((f"theta={theta:.2f}", direct, oracle)
+                                        for theta, direct, oracle in cases[n])
         checks.append(_equal(f"c09-oracle-n{n}",
                              "rotation-route Harnack verdicts match the sampled route",
                              True, not mismatches, note="; ".join(mismatches)))
@@ -447,6 +462,41 @@ def _c12_irreducibility(n_max, seed):
     return checks
 
 
+_THETA_C13 = 0.7
+
+
+def _c13_orbit_predicate(n_max, seed):
+    # the twist D* S D, D = diag(1, ..., e^{i theta} at k, ..., 1), stays in
+    # the part exactly when D is scalar on the null profile's support
+    checks = []
+    for n in range(1, _cap(6, n_max) + 1):
+        oracle = []
+        # one check per distinct rho: n + 2 is 3.0 at n = 1
+        for rho in dict.fromkeys(_rho_sweep(n)):
+            s = normalized_shift(n, rho)
+            mismatches = []
+            for k in range(n + 1):
+                d = np.eye(n + 1, dtype=complex)
+                d[k, k] = np.exp(1j * _THETA_C13)
+                t = _phase_twist(s, k, _THETA_C13)
+                direct = nullspace_equality(t, s, rho, tol=STRUCTURE_TOL)
+                predicted = unitary_orbit_predicate(d, n, rho)
+                if direct.equal != predicted:
+                    mismatches.append(f"k={k} theta={_THETA_C13:.2f}: "
+                                      f"in part {direct.equal}, predicate {predicted}")
+                if rho == 3.0:
+                    oracle.append((f"k={k}", direct,
+                                   _sampled_oracle(t, s, rho, torus_angles=16)))
+            checks.append(_equal(f"c13-orbit-n{n:02d}-rho{rho:g}",
+                                 "diagonal twists stay in the part iff scalar on its support",
+                                 True, not mismatches, note="; ".join(mismatches)))
+        mismatches = _oracle_mismatches(oracle)
+        checks.append(_equal(f"c13-oracle-n{n:02d}",
+                             "rotation-route twist verdicts match the sampled route at rho = 3",
+                             True, not mismatches, note="; ".join(mismatches)))
+    return checks
+
+
 CRITERIA = (
     ("c00", "kernel sign convention", _c00_sign_convention),
     ("c01", "closed form at rho = 2", _c01_closed_form_rho2),
@@ -461,6 +511,7 @@ CRITERIA = (
     ("c10", "membership necessaries", _c10_membership),
     ("c11", "nilpotent bound", _c11_nilpotent_bound),
     ("c12", "irreducibility", _c12_irreducibility),
+    ("c13", "diagonal orbit predicate", _c13_orbit_predicate),
 )
 
 

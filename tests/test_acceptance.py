@@ -73,7 +73,7 @@ def test_criterion_09_compares_each_case_once(monkeypatch):
     # compared once by the rotation route and once by the sampled route
     from collections import Counter
 
-    from rho_toolkit import harnack, structure, verify
+    from rho_toolkit import harnack, verify
 
     compare, seen = harnack.nullspace_equality, []
 
@@ -82,7 +82,7 @@ def test_criterion_09_compares_each_case_once(monkeypatch):
         seen.append((t1.shape[0] - 1, result.route))
         return result
 
-    for module in (harnack, structure, verify):  # every binding the battery can reach
+    for module in (harnack, verify):  # every binding the battery can reach
         monkeypatch.setattr(module, "nullspace_equality", counting)
     assert verify.run_battery(criteria={"c09"}).ok
     assert len(seen) == 28
@@ -100,6 +100,53 @@ def test_criterion_11_nilpotent_bound(battery):
 
 def test_criterion_12_irreducibility(battery):
     _assert_criterion(battery, "c12", "irreducibility")
+
+
+def test_criterion_13_orbit_predicate(battery):
+    _assert_criterion(battery, "c13", "diagonal orbit predicate")
+
+
+def test_criterion_13_fails_on_a_flipped_verdict(monkeypatch):
+    from rho_toolkit import verify
+
+    predicate = verify.unitary_orbit_predicate
+
+    def flipped(u, n, rho, *args, **kwargs):
+        verdict = predicate(u, n, rho, *args, **kwargs)
+        return not verdict if (n, rho) == (2, 2.0) and u[1, 1] != 1 else verdict
+
+    monkeypatch.setattr(verify, "unitary_orbit_predicate", flipped)
+    report = verify.run_battery(criteria={"c13"})
+    (failed,) = report.failed()
+    assert failed.id == "c13-orbit-n02-rho2"
+    assert failed.note == "k=1 theta=0.70: in part True, predicate False"
+
+
+def test_criterion_13_compares_each_case_once(monkeypatch):
+    # n + 1 twists at each distinct rho of the sweep (five at n = 1, where
+    # n + 2 = 3, six above) by the rotation route, and the same twists at
+    # rho = 3 once more by the sampled route: 160 + 27 comparisons
+    from collections import Counter
+
+    from rho_toolkit import harnack, verify
+
+    compare, seen = harnack.nullspace_equality, []
+
+    def counting(t1, t0, rho, *args, **kwargs):
+        result = compare(t1, t0, rho, *args, **kwargs)
+        seen.append((t1.shape[0] - 1, rho, result.route))
+        return result
+
+    for module in (harnack, verify):  # every binding the battery can reach
+        monkeypatch.setattr(module, "nullspace_equality", counting)
+    assert verify.run_battery(criteria={"c13"}).ok
+    assert len(seen) == 187
+    expected = Counter()
+    for n in range(1, 7):
+        for rho in {1.2, 1.5, 2.0, 3.0, n + 2.0, n + 4.0}:
+            expected[n, rho, "rotation"] = n + 1
+        expected[n, 3.0, "sampled"] = n + 1
+    assert Counter(seen) == expected
 
 
 def test_kernel_sign_convention_note(battery):

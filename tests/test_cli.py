@@ -1,14 +1,17 @@
+import argparse
 import csv
 import io
 import json
 import math
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rho_toolkit import make_shift, normalized_shift, radius_bisect, verify
-from rho_toolkit.cli import load_matrix, main, save_matrix
+from rho_toolkit.cli import build_parser, load_matrix, main, save_matrix
 from rho_toolkit.radius import CROSSING_TOL
 
 from conftest import orthogonal_conjugates
@@ -402,9 +405,31 @@ class TestVerifyCommand:
         assert rows[1][0] == "c00-kernel-normalization"
 
 
-class TestExploreCommand:
-    def test_sweep_is_marked_exploratory(self, capsys):
-        assert main(["explore", "--n", "1", "--rho", "2.0", "--theta-samples", "2"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["exploratory"] is True
-        assert all(cell["agrees"] for cell in payload["sweeps"])
+class TestFloatOptions:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--shift", "2", "--rho", "{}", "--z", "0.5,0"],
+        ["kernel", "--shift", "2", "--rho", "2", "--z", "{},0"],
+        ["detcheck", "--m", "3", "--a", "{}", "--rho", "2"],
+        ["radius", "--shift", "2", "--rho", "{}"],
+        ["nullspace", "--shift", "2", "--rho", "2", "--tol", "{}"],
+    ], ids=["kernel-rho", "kernel-z", "detcheck-a", "radius-rho", "nullspace-tol"])
+    def test_non_finite_value_is_usage_error(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(value) for arg in argv])
+        assert err.value.code == 2
+        assert f"expected a finite number, got '{value}'" in capsys.readouterr().err
+
+
+_NUMBER_WORDS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
+                 "nine", "ten", "eleven", "twelve")
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = "".join(re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S))
+    listed = list(dict.fromkeys(re.findall(r"^rho-toolkit ([\w-]+)", examples, re.M)))
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert listed == list(sub.choices)
+    (count,) = re.findall(r"with (\w+) subcommands", readme)
+    assert _NUMBER_WORDS.index(count) == len(sub.choices)

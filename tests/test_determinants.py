@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -235,6 +236,14 @@ class TestRecurrenceState:
         assert state.alpha == alpha and state.beta == beta
         assert beta > 0
         assert len(state.values) == 6
+
+    def test_beta_is_the_rounded_square(self):
+        # (1 - rho) ** 2 goes through libm pow, which can miss the correctly
+        # rounded square by an ulp (it does here on x86-64 glibc); the product
+        # is rounded once, the same on every IEEE platform
+        rho = 1.7500466131824943
+        _, beta = RecurrenceState.coefficients(1.0, rho)
+        assert beta == float(Fraction(1.0 - rho) ** 2)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError, match="k must be nonnegative"):

@@ -126,10 +126,11 @@ class TestTorusSpectrumCheck:
 
 class TestNullspaceEquality:
     def test_reflexive(self):
-        s = normalized_shift(2, 2.0)
-        report = nullspace_equality(s, s, 2.0, torus_angles=32)
-        assert report
-        assert np.all(report.dims0 == 1) and np.all(report.dims1 == 1)
+        for n in (1, 2):  # even and odd dimension
+            s = normalized_shift(n, 2.0)
+            report = nullspace_equality(s, s, 2.0, torus_angles=32)
+            assert report
+            assert np.all(report.dims0 == 1) and np.all(report.dims1 == 1)
 
     def test_canonical_family_member(self):
         s = make_shift(2, math.sqrt(2))

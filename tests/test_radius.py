@@ -5,12 +5,28 @@ import pytest
 
 import rho_toolkit.radius as radius
 from rho_toolkit import (BracketInvalidError, NoRootError, NotNilpotentError, critical_rho,
-                         determinant_radius, discriminant, make_shift,
-                         nilpotent_bound, omega_of_rho_curve, radius_bisect,
-                         run_battery, shift_radius, spectral_norm)
+                         determinant_radius, discriminant, is_rho_contraction, make_shift,
+                         nilpotent_bound, normalized_shift, null_profile, omega_of_rho_curve,
+                         radius_bisect, run_battery, shift_radius, spectral_norm)
 
 from conftest import random_unitary
 from rho_toolkit.kernel import companion_threshold, roots_of_unity
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+@pytest.mark.parametrize("solve", [
+    lambda rho: shift_radius(2, rho),
+    lambda rho: determinant_radius(2, rho),
+    lambda rho: radius_bisect(make_shift(2, 1.0), rho),
+    lambda rho: normalized_shift(2, rho),
+    lambda rho: null_profile(2, rho),
+    lambda rho: is_rho_contraction(make_shift(2, 1.0), rho),
+], ids=["shift_radius", "determinant_radius", "radius_bisect", "normalized_shift",
+        "null_profile", "is_rho_contraction"])
+def test_non_finite_rho_is_refused(solve, rho):
+    # refused at the guard, not deep in LAPACK ("must not contain infs or NaNs")
+    with pytest.raises(ValueError, match="rho"):
+        solve(rho)
 
 
 class TestShiftRadius:

@@ -6,7 +6,7 @@ import pytest
 
 import rho_toolkit.structure as structure
 from rho_toolkit import (NotUnitaryError, NullProfile, are_harnack_equivalent,
-                         c2_orbit_report, canonical_form_c2, circle_null_vectors,
+                         canonical_form_c2, circle_null_vectors,
                          commutant_dimension, irreducibility_check, make_shift,
                          membership_necessary_conditions, normalized_shift,
                          null_profile, radius_bisect, rotation_family_check,
@@ -351,25 +351,7 @@ class TestCanonicalForm:
     def test_norm_and_radius_normalization(self):
         t = canonical_form_c2(2, 0.6)
         assert np.linalg.norm(t, 2) == pytest.approx(math.sqrt(2), rel=1e-12)
-
-
-class TestC2OrbitReport:
-    def test_odd_dimension_family_all_equivalent(self):
-        entries = c2_orbit_report(2, (0.0, math.pi / 3, math.pi))
-        assert all(e.expected_equivalent and e.equivalent and e.consistent
-                   for e in entries)
-        s = make_shift(2, 1.0 / math.cos(math.pi / 4))
-        for e in entries:
-            assert e.norm_value == pytest.approx(math.sqrt(2), rel=1e-12)
-            t = structure._phase_twist(s, 1, e.theta)
+        # every middle twist of the rho = 2 normalized shift has radius one
+        for theta in (0.0, math.pi / 3, math.pi):
+            t = canonical_form_c2(2, theta)
             assert radius_bisect(t, 2.0).value == pytest.approx(1.0, abs=1e-6)
-            assert e.membership
-
-    def test_even_dimension_twist_not_equivalent(self):
-        entries = c2_orbit_report(1, (0.7,))
-        assert not entries[0].equivalent
-        assert entries[0].consistent
-
-    def test_even_dimension_zero_phase_equivalent(self):
-        entries = c2_orbit_report(1, (0.0,))
-        assert entries[0].equivalent and entries[0].expected_equivalent
