@@ -21,18 +21,18 @@ print(f"radius-normalized shift, n={n}, rho={rho}: weight = {s[0, 1].real:.8f}")
 print()
 print("smallest kernel eigenvalue along the radius (angle irrelevant):")
 for r in (0.2, 0.5, 0.8, 0.95, 0.999, 1.0):
-    ev = rho_kernel(s, r, rho)
-    print(f"  |z| = {r:5.3f}:  min eig = {ev.min_eigenvalue:12.8f}")
+    lam_min = np.linalg.eigvalsh(rho_kernel(s, r, rho))[0]
+    print(f"  |z| = {r:5.3f}:  min eig = {lam_min:12.8f}")
 
 print()
 print("rotation covariance: spectra at r*e^{i theta} match the spectrum at z=r")
 z1 = 0.7 * np.exp(1.1j)
-spec_rot = np.linalg.eigvalsh(rho_kernel(s, z1, rho).matrix)
-spec_rad = np.linalg.eigvalsh(rho_kernel(s, 0.7, rho).matrix)
+spec_rot = np.linalg.eigvalsh(rho_kernel(s, z1, rho))
+spec_rad = np.linalg.eigvalsh(rho_kernel(s, 0.7, rho))
 print(f"  max spectral gap between the two: {np.max(np.abs(spec_rot - spec_rad)):.2e}")
 
 print()
-print("membership tests (w_rho <= 1 + tol):")
+print("membership tests (w_rho <= 1 + DEFAULT_PSD_TOL):")
 
 
 def show(label, t):

@@ -141,7 +141,7 @@ def _cmd_kernel(args) -> int:
     z = args.z
     if abs(abs(z) - 1.0) <= UNIT_CIRCLE_TOL and has_torus_spectrum(t):
         raise TorusSpectrumError("matrix has unit-circle spectrum; |z| = 1 is not allowed")
-    values = np.linalg.eigvalsh(rho_kernel(t, z, args.rho).matrix)
+    values = np.linalg.eigvalsh(rho_kernel(t, z, args.rho))
     if args.format == "json":
         print(json.dumps({"z": _pair(z), "rho": args.rho,
                           "eigenvalues": [float(v) for v in values]}, indent=2))
@@ -155,6 +155,8 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_nullspace(args) -> int:
     _require_one_operand(args)
+    if not args.tol > 0:
+        raise UsageError("--tol must be positive")
     z = args.z
     payload: dict = {"z": _pair(z), "rho": args.rho}
     lines = []

@@ -107,12 +107,6 @@ def kernel_pivot(k: int, a: float, rho: float) -> float:
     return q
 
 
-def kernel_is_positive(k: int, a: float, rho: float) -> bool:
-    """Whether the (k+1)x(k+1) shift-kernel matrix is positive definite, by
-    Sylvester's criterion on its pivots (``kernel_pivot``)."""
-    return kernel_pivot(k, a, rho) > 0
-
-
 def capped_kernel_det(m: int, a: float, rho: float) -> float:
     """Same determinant but with the last diagonal entry replaced by 1."""
     state = capped_kernel_det_state(m, a, rho)

@@ -91,8 +91,7 @@ def _samples(route: str, zs: np.ndarray) -> np.ndarray:
     return zs[:1] if route == "rotation" else zs
 
 
-def _certificates(k: np.ndarray, zs: np.ndarray, tol: float, route: str,
-                  dens: tuple = (1, 0)) -> list:
+def _certificates(k: np.ndarray, zs: np.ndarray, route: str, dens: tuple = (1, 0)) -> list:
     """``domination_constant`` from the ring kernels k = [K(T1), K(T0)] at zs, one
     certificate per denominator in dens ((1, 0): forward and backward), from one
     ``eigh`` of the denominators and one ``eigvalsh`` of the feasible pencils."""
@@ -101,7 +100,7 @@ def _certificates(k: np.ndarray, zs: np.ndarray, tol: float, route: str,
     margin = mu[..., 0] / np.maximum(scale, SCALE_FLOOR)
     stats = [{"route": route, "interior_points": len(zs), "k0_relative_min": float(np.min(m))}
              for m in margin]
-    certs = [_infeasible(k[1 - den], mu[j], v[j], scale[j], zs, tol, stats[j])
+    certs = [_infeasible(k[1 - den], mu[j], v[j], scale[j], zs, stats[j])
              for j, den in enumerate(dens)]
     pd = [j for j, cert in enumerate(certs) if cert is None]
     if pd:
@@ -116,17 +115,17 @@ def _certificates(k: np.ndarray, zs: np.ndarray, tol: float, route: str,
 
 
 def _infeasible(k1: np.ndarray, mu: np.ndarray, v: np.ndarray, scale: np.ndarray,
-                zs: np.ndarray, tol: float, stats: dict) -> HarnackCertificate | None:
+                zs: np.ndarray, stats: dict) -> HarnackCertificate | None:
     """None when K(T0), of eigenpairs mu, v, is positive definite at every z;
     else the infeasible certificate where K(T1) first leaks out of the null
-    directions, InteriorSingularError where it leaks nowhere."""
+    directions (beyond LEAK_TOL), InteriorSingularError where it leaks nowhere."""
     degenerate = mu[:, 0] <= PD_FLOOR * scale
     if not degenerate.any():
         return None
     for i in np.nonzero(degenerate)[0]:
         null_dirs = v[i][:, mu[i] <= PD_FLOOR * scale[i]]
         leak = np.linalg.norm(k1[i] @ null_dirs, axis=0)
-        if (leak > tol * max(np.max(np.abs(k1[i])), 1.0)).any():
+        if (leak > LEAK_TOL * max(np.max(np.abs(k1[i])), 1.0)).any():
             return HarnackCertificate(c_squared=math.inf, feasible=False,
                                       worst_z=complex(zs[i]), stats=stats)
     i = int(np.nonzero(degenerate)[0][0])
@@ -134,18 +133,17 @@ def _infeasible(k1: np.ndarray, mu: np.ndarray, v: np.ndarray, scale: np.ndarray
                                 f"z={zs[i]}", z=complex(zs[i]))
 
 
-def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None,
-                        tol: float = LEAK_TOL) -> HarnackCertificate:
+def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None) -> HarnackCertificate:
     """Best constant c^2 with K_z(T1) <= c^2 K_z(T0) on the ring of grid.
 
     Raises InteriorSingularError when K_z(T0) degenerates at a ring sample
     while K_z(T1) vanishes on the same directions (the pencil is then
     ill-posed); returns an infeasible certificate when K_z(T1) does not
-    vanish there (no finite constant can work).
+    vanish there, relative to LEAK_TOL (no finite constant can work).
     """
     pair, route = _operands(t1, t0)
     zs = _samples(route, (grid or _GRID).interior_points())
-    return _certificates(_resolvent_sum(pair, zs, rho), zs, tol, route, dens=(1,))[0]
+    return _certificates(_resolvent_sum(pair, zs, rho), zs, route, dens=(1,))[0]
 
 
 def torus_spectrum_check(t1, t0) -> bool:
@@ -190,8 +188,7 @@ def _torus(pair: np.ndarray, route: str, torus_angles: int) -> tuple:
     return zs, _samples(route, zs)
 
 
-def _compare(k: np.ndarray, route: str, zs: np.ndarray, points: np.ndarray,
-             tol: float) -> NullspaceComparison:
+def _compare(k: np.ndarray, route: str, zs: np.ndarray, points: np.ndarray) -> NullspaceComparison:
     """``nullspace_equality`` from the kernels k = [K(T1), K(T0)] at points:
     one ``eigh`` of both operands' null frames, then one stacked SVD."""
     vectors, mask = _torus_frames(k, points, NULLSPACE_TOL)
@@ -201,18 +198,18 @@ def _compare(k: np.ndarray, route: str, zs: np.ndarray, points: np.ndarray,
     sigma = np.linalg.svd(np.conj(np.swapaxes(f1, -1, -2)) @ f0, compute_uv=False)
     cosine = sigma[np.arange(p), np.maximum(dims1 - 1, 0)]
     residuals = np.where(dims1 != dims0, 1.0, np.where(dims1 == 0, 0.0, 1.0 - cosine))
-    equal = bool(((dims1 == dims0) & (residuals <= tol)).all())
+    equal = bool(((dims1 == dims0) & (residuals <= NULLSPACE_MATCH_TOL)).all())
     if route == "rotation":
         dims1, dims0, residuals = (np.repeat(x, len(zs)) for x in (dims1, dims0, residuals))
     return NullspaceComparison(equal=equal, z=zs, dims1=dims1, dims0=dims0,
                                residuals=residuals, route=route)
 
 
-def nullspace_equality(t1, t0, rho: float, torus_angles: int = 256,
-                       tol: float = NULLSPACE_MATCH_TOL) -> NullspaceComparison:
+def nullspace_equality(t1, t0, rho: float, torus_angles: int = 256) -> NullspaceComparison:
     """True iff the kernel null spaces of T1 and T0 agree at every sampled
-    unit-circle point (equal dimension, principal angle within tol); for a
-    pair of weighted shifts, read at z = 1, at every unit-circle point.
+    unit-circle point (equal dimension, principal-angle residual within
+    NULLSPACE_MATCH_TOL); for a pair of weighted shifts, read at z = 1, at
+    every unit-circle point.
 
     Both matrices must be free of unit-circle spectrum (one test of both,
     TorusSpectrumError naming T1 or T0).  A GapTooSmallError from the
@@ -221,7 +218,7 @@ def nullspace_equality(t1, t0, rho: float, torus_angles: int = 256,
     """
     pair, route = _operands(t1, t0)
     zs, points = _torus(pair, route, torus_angles)
-    return _compare(_resolvent_sum(pair, points, rho), route, zs, points, tol)
+    return _compare(_resolvent_sum(pair, points, rho), route, zs, points)
 
 
 @dataclass(frozen=True)
@@ -233,8 +230,7 @@ class HarnackEvidence:
 
 
 def are_harnack_equivalent(t1, t0, rho: float, grid: DiscGrid | None = None,
-                           torus_angles: int = 256,
-                           tol: float = NULLSPACE_MATCH_TOL) -> tuple[bool, HarnackEvidence]:
+                           torus_angles: int = 256) -> tuple[bool, HarnackEvidence]:
     """Decide Harnack equivalence of two torus-spectrum-free class members.
 
     The verdict is the null-space condition (equality at every sampled torus
@@ -247,8 +243,8 @@ def are_harnack_equivalent(t1, t0, rho: float, grid: DiscGrid | None = None,
     zs, points = _torus(pair, route, torus_angles)
     ring = _samples(route, (grid or _GRID).interior_points())
     k = _resolvent_sum(pair, np.concatenate([points, ring]), rho)
-    comparison = _compare(k[:, :len(points)], route, zs, points, tol)
+    comparison = _compare(k[:, :len(points)], route, zs, points)
     dims1, dims0 = comparison.nullities()
     constant = len(dims1) == 1 and len(dims0) == 1
-    forward, backward = _certificates(k[:, len(points):], ring, LEAK_TOL, route)
+    forward, backward = _certificates(k[:, len(points):], ring, route)
     return bool(comparison) and constant, HarnackEvidence(comparison, constant, forward, backward)

@@ -29,9 +29,10 @@ if TYPE_CHECKING:
 # An eigenvalue this close (absolutely) to the unit circle counts as torus
 # spectrum; boundary kernel evaluation is then refused.
 TORUS_MARGIN = 1e-8
-# |z| within this of 1 makes z a unit-circle point.
+# |z| within this of 1 makes z a unit-circle point; |z| beyond 1 + it is
+# outside the closed disc.
 UNIT_CIRCLE_TOL = 1e-12
-
+# relative slack on w_rho of the membership test (``is_rho_contraction``)
 DEFAULT_PSD_TOL = 1e-9
 # |Im| of a real companion eigenvalue, relative to the largest |eigenvalue|;
 # read for rho > 2 only, where the companion is not Hermitian
@@ -75,7 +76,8 @@ class DiscGrid:
 
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
-        if r.size == 0 or np.any(np.diff(r) <= 0) or r[-1] >= 1.0 or r[0] <= 0.0:
+        # NaN is false under every comparison: test what must hold, not what must not
+        if r.size == 0 or not (np.all((r > 0.0) & (r < 1.0)) and np.all(np.diff(r) > 0)):
             raise ValueError("radii must be strictly increasing inside (0, 1)")
         if self.angles_per_radius < 1 or self.torus_angles < 1:
             raise ValueError("angle counts must be positive")
@@ -83,16 +85,6 @@ class DiscGrid:
     def interior_points(self) -> np.ndarray:
         """The samples of the outermost ring, angle 0 first (shared, read-only)."""
         return _ring(self.radii[-1], self.angles_per_radius)
-
-
-@dataclass(frozen=True)
-class KernelEval:
-    """One kernel evaluation: the Hermitian matrix and its smallest eigenvalue."""
-
-    z: complex
-    rho: float
-    matrix: np.ndarray
-    min_eigenvalue: float
 
 
 def _resolvent_sum(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray:
@@ -111,15 +103,17 @@ def _resolvent_sum(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray:
     return k
 
 
-def rho_kernel(t, z: complex, rho: float) -> KernelEval:
-    """Evaluate the kernel of T at one point z (|z| <= 1).
+def rho_kernel(t, z: complex, rho: float) -> np.ndarray:
+    """The Hermitian kernel K_z^rho(T) at one point z of the closed disc.
 
-    Raises SingularError when I - conj(z) T is numerically singular.  For
-    |z| = 1 the caller is responsible for the torus-spectrum precondition
-    (see torus_null_frames, which checks it).
+    Raises ValueError when |z| exceeds 1 by more than UNIT_CIRCLE_TOL, and
+    SingularError when I - conj(z) T is numerically singular.  For |z| = 1
+    the caller is responsible for the torus-spectrum precondition (see
+    torus_null_frames, which checks it).
     """
-    k = _resolvent_sum(as_cmatrix(t), np.asarray([z], dtype=complex), rho)[0]
-    return KernelEval(z=complex(z), rho=float(rho), matrix=k, min_eigenvalue=float(np.linalg.eigvalsh(k)[0]))
+    if abs(z) > 1.0 + UNIT_CIRCLE_TOL:
+        raise ValueError(f"z must lie in the closed unit disc, got |z| = {abs(z)}")
+    return _resolvent_sum(as_cmatrix(t), np.asarray([z], dtype=complex), rho)[0]
 
 
 def congruence_factor(n: int, a: float, rho: float, z: complex) -> np.ndarray:
@@ -206,31 +200,31 @@ def companion_threshold(t: np.ndarray, zs: np.ndarray, rho: float) -> np.ndarray
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """Outcome of the rho-contraction test: ok is w_rho(T) <= 1 + tol, and
-    radius is the ``radius_bisect`` result it was read from (method, bracket
-    and, for ``level_set``, the witness in ``stats``)."""
+    """Outcome of the rho-contraction test: ok is w_rho(T) <= 1 +
+    DEFAULT_PSD_TOL, and radius is the ``radius_bisect`` result it was read
+    from (method, bracket and, for ``level_set``, the witness in ``stats``)."""
 
     ok: bool
     rho: float
-    tol: float
     radius: RadiusResult
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def is_rho_contraction(t, rho: float, tol: float = DEFAULT_PSD_TOL) -> ContractionReport:
-    """Membership test for the class of rho-contractions: w_rho(T) <= 1 + tol.
+def is_rho_contraction(t, rho: float) -> ContractionReport:
+    """Membership test for the class of rho-contractions: w_rho(T) <= 1 +
+    DEFAULT_PSD_TOL.
 
-    tol is relative slack on w_rho: T passes when T/(1 + tol) is a member.
-    It is not slack on a kernel eigenvalue, whose size follows the scale of
-    T.  w_rho(T) is at least the spectral radius, so no separate spectral
-    test is needed.  Errors of ``radius_bisect`` propagate.
+    The slack is relative on w_rho: T passes when T/(1 + DEFAULT_PSD_TOL) is
+    a member.  It is not slack on a kernel eigenvalue, whose size follows
+    the scale of T.  w_rho(T) is at least the spectral radius, so no
+    separate spectral test is needed.  Errors of ``radius_bisect`` propagate.
     """
     from .radius import radius_bisect  # radius imports this module
 
     res = radius_bisect(t, rho)
-    return ContractionReport(ok=bool(res.value <= 1.0 + tol), rho=float(rho), tol=float(tol),
+    return ContractionReport(ok=bool(res.value <= 1.0 + DEFAULT_PSD_TOL), rho=float(rho),
                              radius=res)
 
 

@@ -609,12 +609,6 @@ def nilpotent_margin(m: int, t) -> float:
     return w - (m - 1.0) / (m + 1.0) * norm
 
 
-def nilpotent_bound(m: int, t, tol: float = 1e-5) -> bool:
-    """Check w_{m+1}(T) <= (m-1)/(m+1) ||T|| + tol for a matrix with T^m = 0
-    (``nilpotent_margin``, whose refusals it raises)."""
-    return nilpotent_margin(m, t) <= tol
-
-
 def omega_of_rho_curve(n: int, rho_samples) -> list[tuple[float, float]]:
     """Angle of the radius system at each sample; strict decrease in rho is
     asserted (samples must lie in (1, n+2), n >= 2)."""

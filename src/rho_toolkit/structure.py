@@ -29,6 +29,8 @@ from .radius import RadiusResult, cos_omega, shift_radius, solve_cache
 from .shifts import make_shift, normalized_shift
 
 STRUCTURE_TOL = 1e-7  # unit of the profile's support threshold, bound of its residuals
+MEMBERSHIP_TOL = 1e-9  # largest norm at which a membership condition's entries count as zero
+COMMUTANT_TOL = 1e-10  # relative singular-value floor of the commutant's null space
 
 
 @dataclass(frozen=True)
@@ -117,30 +119,30 @@ def rotation_family_check(n: int, rho: float, z_samples, tol: float = STRUCTURE_
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """The three necessary conditions for membership in the shift's part."""
+    """The three necessary conditions for membership in the shift's part,
+    each holding when its norm is at most MEMBERSHIP_TOL."""
 
     first_column_norm: float
     last_row_norm: float
     corner_value: float
-    tol: float
 
     @property
     def first_column_zero(self) -> bool:
-        return self.first_column_norm <= self.tol
+        return self.first_column_norm <= MEMBERSHIP_TOL
 
     @property
     def last_row_zero(self) -> bool:
-        return self.last_row_norm <= self.tol
+        return self.last_row_norm <= MEMBERSHIP_TOL
 
     @property
     def corner_zero(self) -> bool:
-        return self.corner_value <= self.tol
+        return self.corner_value <= MEMBERSHIP_TOL
 
     def __bool__(self) -> bool:
         return self.first_column_zero and self.last_row_zero and self.corner_zero
 
 
-def membership_necessary_conditions(t, tol: float = 1e-9) -> MembershipReport:
+def membership_necessary_conditions(t) -> MembershipReport:
     """Check T e_0 = 0, T* e_n = 0 and <T e_n | e_0> = 0."""
     a = as_cmatrix(t)
     n = a.shape[0] - 1
@@ -148,13 +150,13 @@ def membership_necessary_conditions(t, tol: float = 1e-9) -> MembershipReport:
         first_column_norm=float(np.linalg.norm(a[:, 0])),
         last_row_norm=float(np.linalg.norm(a[n, :])),
         corner_value=float(abs(a[0, n])),
-        tol=tol,
     )
 
 
-def unitary_orbit_predicate(u, n: int, rho: float, tol: float = STRUCTURE_TOL) -> bool:
+def unitary_orbit_predicate(u, n: int, rho: float) -> bool:
     """True iff U fixes every supported profile coordinate up to one common
-    unimodular factor: U e_k = alpha e_k for all k with v_k != 0.
+    unimodular factor: U e_k = alpha e_k for all k with v_k != 0, each
+    within STRUCTURE_TOL.
 
     The factor alpha is fitted from the first supported coordinate.  For a
     diagonal U the predicate says whether U* S U stays in the Harnack part
@@ -169,10 +171,10 @@ def unitary_orbit_predicate(u, n: int, rho: float, tol: float = STRUCTURE_TOL) -
         raise NotUnitaryError("U is not unitary within 1e-10")
     support = null_profile(n, rho).support
     alpha = a[support[0], support[0]]
-    if abs(abs(alpha) - 1.0) > tol:
+    if abs(abs(alpha) - 1.0) > STRUCTURE_TOL:
         return False
     return all(
-        float(np.linalg.norm(a[:, k] - alpha * eye[:, k])) <= tol
+        float(np.linalg.norm(a[:, k] - alpha * eye[:, k])) <= STRUCTURE_TOL
         for k in support
     )
 
@@ -191,24 +193,19 @@ def commutator_system(a: np.ndarray) -> np.ndarray:
     return system.reshape(2 * d * d, d * d)
 
 
-def commutant_dimension(t, tol: float = 1e-10) -> int:
+def commutant_dimension(t) -> int:
     """Real dimension of the Hermitian solutions of TX = XT, T*X = XT*.
 
     Dimension 1 means the commutant of {T, T*} is trivial, i.e. only the
-    scalars commute with both.  The commutant is a *-algebra, X = H + iK
+    scalars commute with both: T is irreducible, no nontrivial orthogonal
+    projection commutes with T and T*.  The commutant is a *-algebra, X = H + iK
     with H, K Hermitian, so this equals the complex dimension of all its
     solutions: the null space of ``commutator_system``, counted by its
-    singular values at or below tol * sigma_max.
+    singular values at or below COMMUTANT_TOL * sigma_max.
     """
     sigma = np.linalg.svd(commutator_system(as_cmatrix(t)), compute_uv=False)
     top = sigma[0] if sigma.size and sigma[0] > 0 else 1.0
-    return int(np.sum(sigma <= tol * top))
-
-
-def irreducibility_check(t, tol: float = 1e-10) -> bool:
-    """True iff no nontrivial orthogonal projection commutes with T and T*,
-    decided by commutant dimension 1."""
-    return commutant_dimension(t, tol) == 1
+    return int(np.sum(sigma <= COMMUTANT_TOL * top))
 
 
 def c2_shift(n: int) -> np.ndarray:

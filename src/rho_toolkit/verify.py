@@ -136,7 +136,7 @@ def _equal(cid, paper_location, expected, computed, note=""):
 
 def _c00_sign_convention(n_max, seed):
     rho = 3.0
-    k = rho_kernel(np.zeros((4, 4)), 0.37 + 0.11j, rho).matrix
+    k = rho_kernel(np.zeros((4, 4)), 0.37 + 0.11j, rho)
     dev = float(np.max(np.abs(k - rho * np.eye(4))))
     return [_within(
         "c00-kernel-normalization", "kernel normalization at the zero matrix", 0.0, dev, 1e-13,
@@ -351,8 +351,7 @@ def _sampled_oracle(t, s, rho, torus_angles=256):
     Householder reflection Q (K_z(Q T Q^T) = Q K_z(T) Q^T, so principal
     angles agree with the rotation route's on T and S)."""
     q = _householder(s.shape[0])
-    return nullspace_equality(q @ t @ q.T, q @ s @ q.T, rho, torus_angles=torus_angles,
-                              tol=STRUCTURE_TOL)
+    return nullspace_equality(q @ t @ q.T, q @ s @ q.T, rho, torus_angles=torus_angles)
 
 
 def _oracle_mismatches(cases) -> list:
@@ -375,7 +374,7 @@ def _c09_comparisons(n, thetas):
     cases = []
     for theta in thetas:
         t = _phase_twist(s, (n + 1) // 2, theta)
-        cases.append((theta, nullspace_equality(t, s, 2.0, tol=STRUCTURE_TOL),
+        cases.append((theta, nullspace_equality(t, s, 2.0),
                       _sampled_oracle(t, s, 2.0)))
     return cases
 
@@ -424,7 +423,7 @@ def _c10_membership(n_max, seed):
         worst = 0.0
         for theta in _THETAS_C9:
             t = canonical_form_c2(n, theta)
-            rep = membership_necessary_conditions(t, tol=1e-9)
+            rep = membership_necessary_conditions(t)
             worst = max(worst, rep.first_column_norm, rep.last_row_norm, rep.corner_value)
         checks.append(_within(f"c10-membership-n{n}",
                               "necessary conditions on members of the shift's part",
@@ -479,7 +478,7 @@ def _c13_orbit_predicate(n_max, seed):
                 d = np.eye(n + 1, dtype=complex)
                 d[k, k] = np.exp(1j * _THETA_C13)
                 t = _phase_twist(s, k, _THETA_C13)
-                direct = nullspace_equality(t, s, rho, tol=STRUCTURE_TOL)
+                direct = nullspace_equality(t, s, rho)
                 predicted = unitary_orbit_predicate(d, n, rho)
                 if direct.equal != predicted:
                     mismatches.append(f"k={k} theta={_THETA_C13:.2f}: "

@@ -202,6 +202,13 @@ class TestKernelCommand:
         path = write_matrix(tmp_path, "u.json", np.diag([1.0 + 0j, 0.3]))
         assert main(["kernel", "--matrix", path, "--z", "1,0", "--rho", "2"]) == 3
 
+    @pytest.mark.parametrize("z", ["2,0", "0,-1.01", "0.8,0.7"])
+    def test_point_outside_the_disc_is_usage_error(self, z, capsys):
+        assert main(["kernel", "--shift", "2", "--z", z, "--rho", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "closed unit disc" in out.err
+
     def test_shift_options_with_matrix_are_usage_errors(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "s.json", make_shift(2, 1.0))
         assert main(["kernel", "--matrix", path, "--normalized", "--z", "1,0",
@@ -251,6 +258,16 @@ class TestNullspaceCommand:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["nullity"] == 1
+
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_non_positive_tol_is_usage_error(self, tol, tmp_path, capsys):
+        # a null space at tol <= 0 is empty, which is no answer for either operand
+        path = write_matrix(tmp_path, "s.json", normalized_shift(3, 2.0))
+        for operand in (["--shift", "3"], ["--matrix", path]):
+            assert main(["nullspace", *operand, "--rho", "2", "--tol", tol]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "usage error: --tol must be positive\n"
 
     def test_shift_with_matrix_is_usage_error(self, tmp_path, capsys):
         # as for radius and kernel: the two operands exclude each other
@@ -303,6 +320,14 @@ class TestHarnackCommand:
         assert main(["harnack", "--t1", path, "--t0", path, "--rho", "2",
                      "--torus", count, "--angles", "8"]) == 2
         assert capsys.readouterr().err == "usage error: torus_angles must be positive\n"
+
+    @pytest.mark.parametrize("radii", ["nan", "0.5,nan"])
+    def test_nan_grid_radius_is_usage_error(self, radii, tmp_path, capsys):
+        path = write_matrix(tmp_path, "s.json", make_shift(2, 1.0))
+        assert main(["harnack", "--t1", path, "--t0", path, "--rho", "2",
+                     "--grid-radii", radii]) == 2
+        assert capsys.readouterr().err == ("usage error: radii must be strictly increasing "
+                                           "inside (0, 1)\n")
 
     def test_torus_spectrum_rejected_with_numeric_exit(self, tmp_path):
         t1 = write_matrix(tmp_path, "u.json", np.diag([1.0 + 0j, 0.2]))

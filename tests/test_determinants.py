@@ -11,7 +11,7 @@ from rho_toolkit import (RecurrenceState, angle_system_report, capped_kernel_det
                          capped_kernel_det_matrix, critical_closed_form,
                          determinant_radius, discriminant, kernel_det,
                          kernel_det_matrices, kernel_det_matrix, kernel_det_state,
-                         kernel_is_positive, kernel_pivot, mixed_identity_residual,
+                         kernel_pivot, mixed_identity_residual,
                          oscillatory_closed_form, recurrence_roots, rho_kernel, make_shift,
                          run_battery)
 
@@ -90,9 +90,9 @@ def test_kernel_det_is_boundary_kernel_determinant():
     # the explicit Toeplitz matrix equals the operator kernel of the shift at
     # z = 1, so its determinant is the same thing computed two ways
     for k, a, rho in ((3, 0.8, 2.0), (5, 1.2, 3.5)):
-        ev = rho_kernel(make_shift(k, a), 1.0, rho)
-        np.testing.assert_allclose(ev.matrix.real, kernel_det_matrix(k, a, rho), atol=1e-12)
-        assert np.linalg.det(ev.matrix).real == pytest.approx(
+        kz = rho_kernel(make_shift(k, a), 1.0, rho)
+        np.testing.assert_allclose(kz.real, kernel_det_matrix(k, a, rho), atol=1e-12)
+        assert np.linalg.det(kz).real == pytest.approx(
             kernel_det(k, a, rho), rel=1e-10)
 
 
@@ -109,7 +109,7 @@ class TestKernelIsPositive:
     def test_positive_on_a_prefix_of_the_weights(self, kernel):
         # the interval [1, a*) that determinant_radius brackets a* in
         n, rho = kernel
-        verdicts = [kernel_is_positive(n, a, rho) for a in np.linspace(1.0, rho, 1000)]
+        verdicts = [kernel_pivot(n, a, rho) > 0 for a in np.linspace(1.0, rho, 1000)]
         first_false = verdicts.index(False)
         assert first_false >= 1
         assert not any(verdicts[first_false:])
@@ -124,14 +124,14 @@ class TestKernelIsPositive:
                                            for a in weights]))[:, 0]
         for a, lam_min in zip(weights, lam):
             if abs(lam_min) > 1e-9 * rho:
-                assert kernel_is_positive(n, a, rho) == (lam_min > 0)
+                assert (kernel_pivot(n, a, rho) > 0) == (lam_min > 0)
 
     def test_small_orders(self):
-        assert kernel_is_positive(0, 5.0, 2.0)
-        assert not kernel_is_positive(0, 0.5, -1.0)
-        assert kernel_is_positive(1, 1.9, 2.0) and not kernel_is_positive(1, 2.0, 2.0)
+        assert kernel_pivot(0, 5.0, 2.0) > 0
+        assert not kernel_pivot(0, 0.5, -1.0) > 0
+        assert kernel_pivot(1, 1.9, 2.0) > 0 and not kernel_pivot(1, 2.0, 2.0) > 0
         with pytest.raises(ValueError):
-            kernel_is_positive(-1, 1.0, 2.0)
+            kernel_pivot(-1, 1.0, 2.0)
 
 
 class TestKernelPivot:
@@ -143,8 +143,7 @@ class TestKernelPivot:
         n, rho = kernel
         for a in np.linspace(1.0, 2.0 * rho, 200):
             q = kernel_pivot(n, a, rho)
-            assert (q > 0) == kernel_is_positive(n, a, rho)
-            assert (q == -math.inf) == (not kernel_is_positive(n - 1, a, rho))
+            assert (q == -math.inf) == (not kernel_pivot(n - 1, a, rho) > 0)
 
     def test_is_the_ratio_of_determinants(self):
         assert kernel_pivot(0, 1.3, 2.4) == 2.4

@@ -331,7 +331,7 @@ class TestMinimumPrinciple:
     @staticmethod
     def certificates(t1, t0, rho, zs):
         k = kernel._resolvent_sum(np.stack([t1, t0]), zs, rho)
-        return harnack._certificates(k, zs, harnack.LEAK_TOL, "sampled")
+        return harnack._certificates(k, zs, "sampled")
 
     def assert_ring_decides(self, t1, t0, rho):
         ring = DiscGrid().interior_points()

@@ -1,7 +1,9 @@
 """The package's import graph: sibling modules are imported at module level,
-where a cycle fails at import time instead of hiding inside a function."""
+where a cycle fails at import time instead of hiding inside a function.  And
+its public surface: the options of the exported functions."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import rho_toolkit
@@ -51,3 +53,27 @@ def test_the_guard_sees_a_lazy_import():
     assert ALLOWED <= function_local_imports()
     tree = ast.parse("def f():\n    from .radius import shift_radius\n")
     assert [_sibling(node) for node in ast.walk(tree)].count("radius") == 1
+
+
+# (function, parameter) for every parameter with a default of a function in
+# rho_toolkit.__all__; an option joins or leaves the public surface only by
+# an edit here
+PUBLIC_OPTIONS = {
+    ("are_harnack_equivalent", "grid"), ("are_harnack_equivalent", "torus_angles"),
+    ("circle_null_vectors", "tol"), ("determinant_radius", "tol"),
+    ("domination_constant", "grid"), ("null_profile", "tol"), ("nullspace", "tol"),
+    ("nullspace_equality", "torus_angles"), ("rotation_family_check", "tol"),
+    ("run_battery", "n_max"), ("run_battery", "seed"), ("run_battery", "criteria"),
+    ("shift_radius", "tol"), ("torus_nullspace", "tol"),
+}
+
+
+def test_public_options_are_pinned():
+    found = set()
+    for name in rho_toolkit.__all__:
+        obj = getattr(rho_toolkit, name)
+        if callable(obj) and not isinstance(obj, type):
+            found |= {(name, p.name) for p in inspect.signature(obj).parameters.values()
+                      if p.default is not p.empty}
+    assert found == PUBLIC_OPTIONS
+    assert len(rho_toolkit.__all__) == 73

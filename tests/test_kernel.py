@@ -19,25 +19,34 @@ from conftest import disc_points, random_unitary
 class TestRhoKernel:
     def test_zero_matrix_gives_scaled_identity(self):
         for rho in (1.0, 2.0, 3.7):
-            ev = rho_kernel(np.zeros((3, 3)), 0.3 + 0.4j, rho)
-            np.testing.assert_allclose(ev.matrix, rho * np.eye(3), atol=1e-14)
-            assert ev.min_eigenvalue == pytest.approx(rho)
+            k = rho_kernel(np.zeros((3, 3)), 0.3 + 0.4j, rho)
+            np.testing.assert_allclose(k, rho * np.eye(3), atol=1e-14)
+            assert np.linalg.eigvalsh(k)[0] == pytest.approx(rho)
 
     def test_shift_2x2_at_boundary(self):
         # S^2 = 0 makes both resolvents affine: K = rho I + S + S*
         a, rho = 1.3, 2.5
-        ev = rho_kernel(make_shift(1, a), 1.0, rho)
-        np.testing.assert_allclose(ev.matrix, [[rho, a], [a, rho]], atol=1e-12)
+        k = rho_kernel(make_shift(1, a), 1.0, rho)
+        np.testing.assert_allclose(k, [[rho, a], [a, rho]], atol=1e-12)
 
     def test_hermitian_by_construction(self, rng):
         t = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         t /= 4 * spectral_norm(t)
-        k = rho_kernel(t, 0.7 - 0.2j, 1.8).matrix
+        k = rho_kernel(t, 0.7 - 0.2j, 1.8)
         assert spectral_norm(k - k.conj().T) <= 1e-12 * spectral_norm(k)
 
     def test_singular_pencil_raises(self):
         with pytest.raises(SingularError):
             rho_kernel(np.eye(2), 1.0, 2.0)
+
+    def test_point_outside_the_disc_is_refused(self):
+        # the closed disc, with UNIT_CIRCLE_TOL of slack on the circle
+        t = make_shift(2, 1.0)
+        for z in (2.0, 0.6 + 0.8j + 1e-9, -1.0 - 1e-11):
+            with pytest.raises(ValueError, match="closed unit disc"):
+                rho_kernel(t, z, 2.0)
+        for z in (1.0, 1.0 + 1e-13, 0.6 + 0.8j):
+            assert rho_kernel(t, z, 2.0).shape == (3, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.floats(0.1, 2 * math.pi), st.floats(0.05, 1))
@@ -46,16 +55,16 @@ class TestRhoKernel:
         # r a and z = 1
         a, rho = 1.4, 2.2
         z = r * np.exp(1j * theta)
-        spec_rot = np.linalg.eigvalsh(rho_kernel(make_shift(n, a), z, rho).matrix)
-        spec_rad = np.linalg.eigvalsh(rho_kernel(make_shift(n, r * a), 1.0, rho).matrix)
+        spec_rot = np.linalg.eigvalsh(rho_kernel(make_shift(n, a), z, rho))
+        spec_rad = np.linalg.eigvalsh(rho_kernel(make_shift(n, r * a), 1.0, rho))
         np.testing.assert_allclose(spec_rot, spec_rad, atol=1e-10)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(1.0, 6.0), st.floats(1.0, 6.0))
     def test_monotonicity_in_rho(self, rho1, rho2):
         t = make_shift(2, 0.8)
-        k1 = rho_kernel(t, 0.5 + 0.1j, rho1).matrix
-        k2 = rho_kernel(t, 0.5 + 0.1j, rho2).matrix
+        k1 = rho_kernel(t, 0.5 + 0.1j, rho1)
+        k2 = rho_kernel(t, 0.5 + 0.1j, rho2)
         np.testing.assert_allclose(k1 - k2, (rho1 - rho2) * np.eye(3), atol=1e-12)
 
 
@@ -95,7 +104,7 @@ class TestCongruenceFactor:
             left = mpmath.inverse(eye - zm * s.H)
             ref = left * mid * mpmath.inverse(eye - mpmath.conj(zm) * s)
         ref = np.array(ref.tolist(), dtype=complex)
-        k = rho_kernel(make_shift(n, a), z, rho).matrix
+        k = rho_kernel(make_shift(n, a), z, rho)
         assert spectral_norm(k - ref) <= 1e-10 * spectral_norm(k)
         m = congruence_factor(n, a, rho, z)
         mid = np.array(mid.tolist(), dtype=complex)
@@ -125,6 +134,10 @@ class TestDiscGrid:
             DiscGrid(radii=(0.5, 0.5))
         with pytest.raises(ValueError):
             DiscGrid(radii=(0.5, 1.0))
+        # NaN fails every comparison, so only a test of what must hold sees it
+        for radii in ((math.nan,), (0.5, math.nan)):
+            with pytest.raises(ValueError):
+                DiscGrid(radii=radii)
 
     def test_roots_of_unity_match_the_former_builders(self):
         # the disc rings and the null-space sweep built exp(i theta) from a

@@ -7,7 +7,7 @@ import pytest
 import rho_toolkit.structure as structure
 from rho_toolkit import (NotUnitaryError, NullProfile, are_harnack_equivalent,
                          canonical_form_c2, circle_null_vectors,
-                         commutant_dimension, irreducibility_check, make_shift,
+                         commutant_dimension, make_shift,
                          membership_necessary_conditions, normalized_shift,
                          null_profile, radius_bisect, rotation_family_check,
                          run_battery, shift_radius, torus_nullspace, unitary_orbit_predicate)
@@ -293,21 +293,21 @@ class TestCommutatorSystem:
 
 class TestIrreducibility:
     def test_shift_even_dimensions(self):
-        assert irreducibility_check(normalized_shift(1, 2.0))
-        assert irreducibility_check(normalized_shift(3, 2.0))
+        assert commutant_dimension(normalized_shift(1, 2.0)) == 1
+        assert commutant_dimension(normalized_shift(3, 2.0)) == 1
 
     def test_diagonal_projector_reduces(self):
-        assert not irreducibility_check(np.zeros((2, 2)))
         assert commutant_dimension(np.zeros((2, 2))) == 4
 
     def test_normal_matrix_reduces(self):
-        assert not irreducibility_check(np.diag([1.0, 2.0]))
+        # the diagonal matrices: one projection per eigenvalue
+        assert commutant_dimension(np.diag([1.0, 2.0])) == 2
 
     def test_canonical_form_dim4(self):
-        assert irreducibility_check(canonical_form_c2(3, 0.9))
+        assert commutant_dimension(canonical_form_c2(3, 0.9)) == 1
 
     def test_scalar_matrix(self):
-        assert not irreducibility_check(np.eye(3))
+        assert commutant_dimension(np.eye(3)) == 9
 
     def test_multiplicity_counts_every_matrix_unit(self):
         # the commutant of I_2 (x) A is M_2 (x) I for irreducible A
