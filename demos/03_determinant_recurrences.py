@@ -19,6 +19,7 @@ from rho_toolkit import (capped_kernel_det, capped_kernel_det_matrix,
                          kernel_det, kernel_det_matrix, kernel_det_state,
                          mixed_identity_residual, oscillatory_closed_form,
                          recurrence_roots)
+from rho_toolkit.determinants import coefficients
 
 print("recurrence vs LU determinant (worst relative deviation over a grid):")
 worst = 0.0
@@ -63,8 +64,7 @@ n, rho = 4, 8.0
 a = 1.0 / determinant_radius(n, rho).value
 scale = a * (rho - 1.0)
 l1, l2 = recurrence_roots(a, rho)
-state = kernel_det_state(n, a, rho)
-seq = state.values
+seq = kernel_det_state(n, a, rho).values
 normalized = [v / scale ** k for k, v in enumerate(seq)]
 n1, n2 = l1.real / scale, l2.real / scale
 print(f"  raw D_k:                    {[f'{v:.4g}' for v in seq]}")
@@ -72,7 +72,8 @@ print(f"  raw roots:                  {l1.real:.4f}, {l2.real:.4f}  (both > 1)")
 print(f"  D_k/(a(rho-1))^k:           {[f'{v:.4g}' for v in normalized]}")
 print(f"  normalized roots:           {n1:.4f}, {n2:.4f}  (product {n1 * n2:.12f})")
 # hyperbolic counterpart of the sine formula: cosh t = alpha / (2 a (rho-1))
-t = math.acosh(state.alpha / (2.0 * scale))
+alpha, _ = coefficients(a, rho)
+t = math.acosh(alpha / (2.0 * scale))
 hyper = [rho * math.sinh((n - k) * t) / math.sinh(n * t) for k in range(n + 1)]
 print(f"  rho sinh((n-k)t)/sinh(nt):  {[f'{v:.4g}' for v in hyper]}")
 print("  the raw sequence rises because every term carries (a(rho-1))^k; the")

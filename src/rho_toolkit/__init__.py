@@ -11,13 +11,12 @@ from .errors import (BracketInvalidError, GapTooSmallError, InteriorSingularErro
                      TorusSpectrumError)
 from .harnack import (HarnackCertificate, HarnackEvidence, NullspaceComparison,
                       are_harnack_equivalent, domination_constant,
-                      nullspace_equality, torus_spectrum_check)
+                      nullspace_equality)
 from .kernel import (ContractionReport, DiscGrid, congruence_factor, has_torus_spectrum,
                      is_rho_contraction, rho_kernel, torus_nullspace)
 from .linalg import as_cmatrix, nullspace, spectral_norm, spectral_radius
-from .radius import (AngleSystemReport, RadiusResult, angle_system_report, critical_rho,
-                     determinant_radius, nilpotent_margin, omega_of_rho_curve,
-                     oscillatory_closed_form, radius_bisect, shift_radius)
+from .radius import (RadiusResult, critical_rho, determinant_radius, nilpotent_margin,
+                     omega_of_rho_curve, oscillatory_closed_form, radius_bisect, shift_radius)
 from .shifts import make_shift, normalized_shift
 from .structure import (MembershipReport, NullProfile, canonical_form_c2,
                         circle_null_vectors, commutant_dimension, membership_necessary_conditions,

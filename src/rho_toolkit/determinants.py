@@ -22,40 +22,35 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # Rescaling guard: |values| beyond this are scaled down and the exponent is
 # recorded, so the recurrence never produces inf - inf.
 RESCALE_LIMIT = 1e300
-# relative agreement of the critical closed forms with the recurrences
-CLOSED_FORM_TOL = 1e-9
+
+
+def coefficients(a: float, rho: float) -> tuple[float, float]:
+    """(alpha, beta) of the recurrence at weight a."""
+    # the square as a product: libm pow can miss its rounding by an ulp
+    return rho + (rho - 2.0) * a * a, a * a * ((1.0 - rho) * (1.0 - rho))
 
 
 @dataclass(frozen=True)
 class RecurrenceState:
-    """A run of the three-term recurrence with its coefficients.
+    """A run of the three-term recurrence.
 
     values holds the (possibly rescaled) sequence; scale_pow10 counts how many
     factors of 1e300 were divided out of the trailing values.
     """
 
-    rho: float
-    a: float
-    alpha: float
-    beta: float
-    values: tuple = field(default=())
+    values: tuple = ()
     scale_pow10: int = 0
-
-    @staticmethod
-    def coefficients(a: float, rho: float) -> tuple[float, float]:
-        # the square as a product: libm pow can miss its rounding by an ulp
-        return rho + (rho - 2.0) * a * a, a * a * ((1.0 - rho) * (1.0 - rho))
 
 
 def _run(d0: float, d1: float, a: float, rho: float, length: int) -> RecurrenceState:
-    alpha, beta = RecurrenceState.coefficients(a, rho)
+    alpha, beta = coefficients(a, rho)
     vals = [d0, d1][: length + 1]
     scale = 0
     prev2, prev1 = d0, d1
@@ -67,8 +62,7 @@ def _run(d0: float, d1: float, a: float, rho: float, length: int) -> RecurrenceS
             scale += 1
         vals.append(cur)
         prev2, prev1 = prev1, cur
-    return RecurrenceState(rho=rho, a=a, alpha=alpha, beta=beta,
-                           values=tuple(vals), scale_pow10=scale)
+    return RecurrenceState(values=tuple(vals), scale_pow10=scale)
 
 
 def _unscale(value: float, count: int) -> float:
@@ -94,7 +88,7 @@ def kernel_pivot(k: int, a: float, rho: float) -> float:
     positive definite.  A positive pivot never exceeds alpha."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    alpha, beta = RecurrenceState.coefficients(a, rho)
+    alpha, beta = coefficients(a, rho)
     if k == 0:
         return rho
     if not rho > 0:
@@ -168,7 +162,7 @@ def discriminant(a: float, rho: float) -> float:
 def recurrence_roots(a: float, rho: float) -> tuple[complex, complex]:
     """Roots of r^2 - alpha r + beta, ordered by real part (real case) or as
     the conjugate pair (lower half-plane first)."""
-    alpha, beta = RecurrenceState.coefficients(a, rho)
+    alpha, beta = coefficients(a, rho)
     disc = complex(alpha * alpha - 4.0 * beta)
     root = complex(np.sqrt(disc))
     return complex((alpha - root) / 2.0), complex((alpha + root) / 2.0)
@@ -183,25 +177,15 @@ def critical_closed_form(m: int, n: int) -> tuple[float, float]:
         capped value at index m:  (1 + (1 - a0) m) lam^m
         kernel value at index m:  (rho0 - a0 m) lam^m.
 
-    Agreement with the recurrences is asserted to CLOSED_FORM_TOL relative.
+    The battery's c07-critical-closed-form checks compare them with the
+    recurrences.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rho0 = float(n + 2)
     a0 = (n + 2.0) / n
     lam = a0 * (1.0 + a0) / (a0 - 1.0)
-    capped = (1.0 + (1.0 - a0) * m) * lam ** m
-    kernel = (rho0 - a0 * m) * lam ** m
-    for closed, rec in ((capped, capped_kernel_det(m, a0, rho0)),
-                        (kernel, kernel_det(m, a0, rho0))):
-        # lam^m is the size of the terms the recurrence cancels, so it is the
-        # honest scale when the closed form is (near) zero
-        scale = max(abs(closed), abs(rec), lam ** m, 1.0)
-        if abs(closed - rec) > CLOSED_FORM_TOL * scale:
-            raise AssertionError(
-                f"closed form {closed!r} disagrees with recurrence {rec!r} at m={m}, n={n}"
-            )
-    return capped, kernel
+    return (1.0 + (1.0 - a0) * m) * lam ** m, (rho0 - a0 * m) * lam ** m
 
 
 def mixed_identity_residual(m: int, a: float, rho: float) -> float:

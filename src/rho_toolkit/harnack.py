@@ -36,16 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InteriorSingularError, TorusSpectrumError
-from .kernel import (DiscGrid, _resolvent_sum, _torus_frames, _torus_spectrum, near_torus,
-                     roots_of_unity)
+from .kernel import DiscGrid, _resolvent_sum, _torus_frames, _torus_spectrum, roots_of_unity
 from .linalg import NULLSPACE_TOL, SCALE_FLOOR, as_cmatrix
 
 # relative floor under which K(T0) counts as not positive definite
 PD_FLOOR = 1e-12
 # relative size of K(T1) on a null direction of K(T0) that makes a pair infeasible
 LEAK_TOL = 1e-9
-# distance within which a torus eigenvalue of T1 matches one of T0
-EIG_MATCH_TOL = 1e-6
 # largest principal-angle residual 1 - sigma_k at which two null spaces are equal
 NULLSPACE_MATCH_TOL = 1e-7
 _GRID = DiscGrid()  # the default ring, built once
@@ -144,15 +141,6 @@ def domination_constant(t1, t0, rho: float, grid: DiscGrid | None = None) -> Har
     pair, route = _operands(t1, t0)
     zs = _samples(route, (grid or _GRID).interior_points())
     return _certificates(_resolvent_sum(pair, zs, rho), zs, route, dens=(1,))[0]
-
-
-def torus_spectrum_check(t1, t0) -> bool:
-    """Necessary condition for T1 to be Harnack dominated by T0: every
-    eigenvalue of T1 within TORUS_MARGIN of the unit circle must match an
-    eigenvalue of T0 within EIG_MATCH_TOL."""
-    e1 = np.linalg.eigvals(as_cmatrix(t1))
-    e0 = np.linalg.eigvals(as_cmatrix(t0))
-    return all(np.any(np.abs(e0 - lam) <= EIG_MATCH_TOL) for lam in e1[near_torus(e1)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -133,15 +133,10 @@ def congruence_factor(n: int, a: float, rho: float, z: complex) -> np.ndarray:
     return m
 
 
-def near_torus(eigs: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalues that lie within TORUS_MARGIN of the unit circle."""
-    return np.abs(np.abs(eigs) - 1.0) <= TORUS_MARGIN
-
-
 def _torus_spectrum(a: np.ndarray) -> np.ndarray:
     """Per matrix of a stack, from one ``eigvals``: some eigenvalue within
     TORUS_MARGIN of |z| = 1."""
-    return near_torus(np.linalg.eigvals(a)).any(axis=-1)
+    return (np.abs(np.abs(np.linalg.eigvals(a)) - 1.0) <= TORUS_MARGIN).any(axis=-1)
 
 
 def has_torus_spectrum(t) -> bool:

@@ -57,8 +57,10 @@ For 1 < rho < n + 2 and n >= 2, x = w_rho and an angle w solve
     cos(w) = (rho x^2 + rho - 2) / (2 x (rho - 1));
 
 ``shift_radius`` takes w from the cosine equation and checks the sine one;
-``angle_system_report`` and ``oscillatory_closed_form`` read the paper's
-identities at (1/x, w).
+``oscillatory_closed_form`` reads the determinants at (1/x, w), and the
+battery's c07 checks read the sine identity there.  The paper's subordinate
+angle identities exclude a vanishing interior coordinate of the kernel's
+null vector; c05 checks that exclusion on the extracted vector itself.
 """
 
 from __future__ import annotations
@@ -92,7 +94,6 @@ NILPOTENT_TOL = 1e-10  # ||T^m|| relative to ||T||^m that counts as T^m = 0
 ROUTE_AGREEMENT = 100.0  # half-width, in tol max(1, a*), of determinant_radius's eigenvalue window
 SOLVE_CACHE_SIZE = 256  # (n, rho, tol) keys kept by each solve_cache memo
 SHIFT_TOL = 1e-9  # shift_radius's default angle-system tolerance
-EXCLUSION_MARGIN = 1e-3  # joint residual above which an angle-system row satisfies no identity
 
 
 @dataclass(frozen=True)
@@ -342,64 +343,6 @@ def oscillatory_closed_form(k: int, n: int, rho: float) -> float:
     return rho * a ** k * (rho - 1.0) ** k * math.sin((n - k) * w) / math.sin(n * w)
 
 
-@dataclass(frozen=True)
-class AngleExclusionRow:
-    """Residuals of the subordinate angle identities for one index l.
-
-    The identities below would all have to hold if the capped determinant at
-    index l vanished at the normalized weight; jointly they force the
-    incompatible values pi/(n+2l) and pi/(3n-2l) for the angle.
-
-      double_angle: |sin(2 l w) - (rho/a) sin w|
-      stepdown:     |a sin((n-l) w) - sin((n-l+1) w)|
-      odd_angle:    |sin((2q+1) w) - (rho-1) sin w|, q = n - l
-    """
-
-    l: int
-    double_angle: float
-    stepdown: float
-    odd_angle: float
-
-    @property
-    def joint(self) -> float:
-        return max(self.double_angle, self.stepdown)
-
-
-@dataclass(frozen=True)
-class AngleSystemReport:
-    omega: float
-    a: float
-    main_residual: float
-    rows: tuple
-
-    @property
-    def excluded(self) -> bool:
-        """True when no index l satisfies the subordinate identities jointly."""
-        return all(row.joint > EXCLUSION_MARGIN for row in self.rows)
-
-
-def angle_system_report(n: int, rho: float) -> AngleSystemReport:
-    """Verify the angle identities at the computed radius solution.
-
-    The main identity sin(n w) = (rho/a) sin(w) must hold at the solution
-    (residual ~ solver precision).  For each l in {1, ..., ceil(n/2)-1} the
-    subordinate identities must NOT all hold, which witnesses that no interior
-    coordinate of the kernel null vector can vanish.
-    """
-    a, w = _angle_solution(n, rho)
-    main = abs(math.sin(n * w) - (rho / a) * math.sin(w))
-    rows = []
-    for l in range(1, math.ceil(n / 2)):
-        q = n - l
-        rows.append(AngleExclusionRow(
-            l=l,
-            double_angle=abs(math.sin(2 * l * w) - (rho / a) * math.sin(w)),
-            stepdown=abs(a * math.sin((n - l) * w) - math.sin((n - l + 1) * w)),
-            odd_angle=abs(math.sin((2 * q + 1) * w) - (rho - 1.0) * math.sin(w)),
-        ))
-    return AngleSystemReport(omega=w, a=a, main_residual=main, rows=tuple(rows))
-
-
 def _q(a: np.ndarray, rho: float, g: float, z) -> np.ndarray:
     """Q_z(g) at a unit-circle point z, or their stack over a 1-d array of
     points (module docstring)."""
@@ -610,18 +553,12 @@ def nilpotent_margin(m: int, t) -> float:
 
 
 def omega_of_rho_curve(n: int, rho_samples) -> list[tuple[float, float]]:
-    """Angle of the radius system at each sample; strict decrease in rho is
-    asserted (samples must lie in (1, n+2), n >= 2)."""
+    """(rho, omega) of the radius system at each sample (samples must lie in
+    (1, n+2), n >= 2); the battery's c07-angle-monotone checks that omega
+    decreases strictly in rho."""
     if n < 2:
         raise ValueError("n must be >= 2")
     samples = [float(r) for r in rho_samples]
     if any(not 1.0 < r < n + 2 for r in samples):
         raise ValueError("samples must lie inside (1, n+2)")
-    curve = [(r, shift_radius(n, r).omega) for r in samples]
-    ordered = sorted(curve)
-    for (r1, w1), (r2, w2) in zip(ordered, ordered[1:]):
-        if r2 > r1 and not w2 < w1:
-            raise AssertionError(
-                f"angle failed to decrease: omega({r1})={w1!r}, omega({r2})={w2!r}"
-            )
-    return curve
+    return [(r, shift_radius(n, r).omega) for r in samples]

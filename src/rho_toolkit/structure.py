@@ -31,6 +31,7 @@ from .shifts import make_shift, normalized_shift
 STRUCTURE_TOL = 1e-7  # unit of the profile's support threshold, bound of its residuals
 MEMBERSHIP_TOL = 1e-9  # largest norm at which a membership condition's entries count as zero
 COMMUTANT_TOL = 1e-10  # relative singular-value floor of the commutant's null space
+UNITARY_TOL = 1e-10  # spectral norm of U* U - I within which U counts as unitary
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,8 @@ def unitary_orbit_predicate(u, n: int, rho: float) -> bool:
     if a.shape[0] != n + 1:
         raise ValueError(f"U must be {n + 1} x {n + 1}")
     eye = np.eye(n + 1)
-    if spectral_norm(np.conj(a).T @ a - eye) > 1e-10:
-        raise NotUnitaryError("U is not unitary within 1e-10")
+    if spectral_norm(np.conj(a).T @ a - eye) > UNITARY_TOL:
+        raise NotUnitaryError(f"U is not unitary within {UNITARY_TOL}")
     support = null_profile(n, rho).support
     alpha = a[support[0], support[0]]
     if abs(abs(alpha) - 1.0) > STRUCTURE_TOL:

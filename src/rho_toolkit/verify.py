@@ -14,6 +14,7 @@ every case-2 point; the check notes print the normalized values compared.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 import time
@@ -21,20 +22,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .determinants import (capped_kernel_det_state, discriminant, kernel_det,
-                           kernel_det_matrices, kernel_det_state, mixed_identity_rhs,
-                           recurrence_roots, relative_residual)
+from .determinants import (capped_kernel_det_state, coefficients, critical_closed_form,
+                           discriminant, kernel_det, kernel_det_matrices, kernel_det_state,
+                           mixed_identity_rhs, recurrence_roots, relative_residual)
 from .errors import GapTooSmallError
 from .harnack import domination_constant, nullspace_equality
-from .kernel import DiscGrid, rho_kernel, roots_of_unity
-from .radius import (angle_system_report, critical_rho, determinant_radius, nilpotent_margin,
-                     omega_of_rho_curve, oscillatory_closed_form, radius_bisect,
-                     shift_radius)
+from .kernel import DiscGrid, congruence_factor, rho_kernel, roots_of_unity
+from .radius import (critical_rho, determinant_radius, nilpotent_margin, omega_of_rho_curve,
+                     oscillatory_closed_form, radius_bisect, shift_radius)
 from .shifts import make_shift, normalized_shift
 from .structure import (STRUCTURE_TOL, NullProfile, _phase_twist, c2_shift,
                         canonical_form_c2, circle_null_vectors, commutant_dimension,
                         membership_necessary_conditions, rotation_family_check,
                         unitary_orbit_predicate)
+
+# least |v_k| of a coordinate in the null profile's support (c05)
+SUPPORT_FLOOR = 1e-5
+# relative agreement of the critical closed forms with the recurrences (c07)
+CLOSED_FORM_TOL = 1e-9
+# relative Frobenius residual of the multiplied-out shift-kernel congruence (c06)
+CONGRUENCE_TOL = 1e-12
+# the disc points of the congruence checks: the boundary point 1 and an interior one
+_CONGRUENCE_POINTS = (1.0, 0.6 * cmath.exp(0.7j))
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,7 +252,7 @@ def _c05_null_profiles(n_max, seed):
                 if n % 2 == 0 and k == n // 2:
                     if abs(v[k]) > STRUCTURE_TOL:
                         failures.append(f"middle coordinate not zero at rho={rho}")
-                elif not abs(v[k]) > 1e-5:
+                elif not abs(v[k]) > SUPPORT_FLOOR:
                     failures.append(f"v[{k}] ~ 0 at rho={rho}")
             if profile.antisymmetry_residual > STRUCTURE_TOL:
                 failures.append(f"antisymmetry {profile.antisymmetry_residual:.2e} at rho={rho}")
@@ -266,7 +275,27 @@ def _c06_rotation_family(n_max, seed):
         checks.append(_within(f"c06-rotation-family-n{n:02d}",
                               "rotation covariance of the kernel null spaces",
                               0.0, worst, STRUCTURE_TOL))
+    for n in range(1, _cap(12, n_max) + 1):
+        checks.append(_within(f"c06-congruence-n{n:02d}",
+                              "resolvent congruence of the shift kernel to a tridiagonal",
+                              0.0, _congruence_residual(n), CONGRUENCE_TOL))
     return checks
+
+
+def _congruence_residual(n: int) -> float:
+    """Worst ||(I - z S*) K_z(S) (I - conj(z) S) - M||_F / ||M||_F over the
+    null-profile sweep and the congruence points, S the normalized shift and
+    M its ``congruence_factor``: the factors multiplied out, not inverted."""
+    eye = np.eye(n + 1)
+    worst = 0.0
+    for rho in _rho_sweep(n):
+        a = 1.0 / shift_radius(n, rho).value
+        s = make_shift(n, a)  # normalized_shift(n, rho), whose weight M reads
+        for z in _CONGRUENCE_POINTS:
+            m = congruence_factor(n, a, rho, z)
+            product = (eye - z * np.conj(s.T)) @ rho_kernel(s, z, rho) @ (eye - np.conj(z) * s)
+            worst = max(worst, float(np.linalg.norm(product - m) / np.linalg.norm(m)))
+    return worst
 
 
 def _c07_angle_system(n_max, seed):
@@ -276,9 +305,9 @@ def _c07_angle_system(n_max, seed):
         worst_main = 0.0
         worst_closed = 0.0
         for rho in rhos:
-            report = angle_system_report(n, rho)
-            a = report.a
-            worst_main = max(worst_main, report.main_residual)
+            res = shift_radius(n, rho)
+            a, w = 1.0 / res.value, res.omega
+            worst_main = max(worst_main, abs(math.sin(n * w) - (rho / a) * math.sin(w)))
             for k in range(0, n + 1):
                 closed = oscillatory_closed_form(k, n, rho)
                 rec = kernel_det(k, a, rho)
@@ -288,21 +317,40 @@ def _c07_angle_system(n_max, seed):
                 worst_closed = max(worst_closed, abs(closed - rec) / scale)
         checks.append(_within(f"c07-main-identity-n{n:02d}",
                               "sine identity at the radius solution", 0.0, worst_main, 1e-9))
-        try:
-            curve = omega_of_rho_curve(n, np.linspace(1.05, n + 2 - 0.05, 16))
-            drops = [w1 - w2 for (_, w1), (_, w2) in zip(curve, curve[1:])]
-            ok, computed = all(d > 0 for d in drops), min(drops)
-        except AssertionError as exc:
-            ok, computed = False, float("nan")
+        curve = omega_of_rho_curve(n, np.linspace(1.05, n + 2 - 0.05, 16))
+        drops = [w1 - w2 for (_, w1), (_, w2) in zip(curve, curve[1:])]
         checks.append(CheckResult(
             id=f"c07-angle-monotone-n{n:02d}",
             paper_location="strict decrease of the auxiliary angle in rho",
-            expected="decreasing", computed=computed, tolerance=0.0, passed=ok,
+            expected="decreasing", computed=min(drops), tolerance=0.0,
+            passed=all(d > 0 for d in drops),
         ))
         checks.append(_within(f"c07-closed-form-n{n:02d}",
                               "oscillatory-regime determinant closed form",
                               0.0, worst_closed, 1e-8))
+    for n in range(1, _cap(12, n_max) + 1):
+        checks.append(_within(f"c07-critical-closed-form-n{n:02d}",
+                              "determinant closed forms at the double root rho0 = n + 2",
+                              0.0, _critical_closed_form_residual(n), CLOSED_FORM_TOL))
     return checks
+
+
+def _critical_closed_form_residual(n: int) -> float:
+    """Worst |closed - rec| / max(|closed|, |rec|, lam^m, 1) over m = 0..n and
+    both families at (rho0, a0) = ``critical_rho(n)``, lam = alpha/2 the
+    double root: lam^m is the size of the terms the recurrence cancels, so it
+    is the honest scale where a closed form is (near) zero.  No value at
+    n <= 12 comes near RESCALE_LIMIT, so none is stored rescaled."""
+    rho0, a0 = critical_rho(n)
+    lam = coefficients(a0, rho0)[0] / 2.0
+    capped = capped_kernel_det_state(n, a0, rho0).values
+    kernel = kernel_det_state(n, a0, rho0).values
+    worst = 0.0
+    for m in range(n + 1):
+        for closed, rec in zip(critical_closed_form(m, n), (capped[m], kernel[m])):
+            scale = max(abs(closed), abs(rec), lam ** m, 1.0)
+            worst = max(worst, abs(closed - rec) / scale)
+    return worst
 
 
 def _c08_case2_monotone(n_max, seed):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rho_toolkit.determinants as determinants
-from rho_toolkit import (RecurrenceState, angle_system_report, capped_kernel_det,
-                         capped_kernel_det_matrix, critical_closed_form,
-                         determinant_radius, discriminant, kernel_det,
+import rho_toolkit.verify as verify
+from rho_toolkit import (RecurrenceState, capped_kernel_det, capped_kernel_det_matrix,
+                         critical_closed_form, determinant_radius, discriminant, kernel_det,
                          kernel_det_matrices, kernel_det_matrix, kernel_det_state,
                          kernel_pivot, mixed_identity_residual,
                          oscillatory_closed_form, recurrence_roots, rho_kernel, make_shift,
-                         run_battery)
+                         run_battery, shift_radius)
+from rho_toolkit.determinants import coefficients
 
 SPEC_GRID = [(a, rho) for a in (0.5, 1.0, 1.7, 3.0) for rho in (1.5, 2.0, 4.0)]
 
@@ -163,7 +165,7 @@ class TestKernelPivot:
     @example(40, 1.9, 2.5).via("a later pivot not positive")
     def test_equals_the_per_step_loop(self, k, a, rho):
         # the recurrence with q_0 and q_1 told apart inside the loop
-        alpha, beta = RecurrenceState.coefficients(a, rho)
+        alpha, beta = coefficients(a, rho)
         q = rho
         for j in range(k):
             if not q > 0:
@@ -222,26 +224,30 @@ class TestDiscriminant:
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.1, 4.0), st.floats(1.0, 8.0))
     def test_equals_characteristic_discriminant(self, a, rho):
-        alpha, beta = RecurrenceState.coefficients(a, rho)
+        alpha, beta = coefficients(a, rho)
         assert discriminant(a, rho) == pytest.approx(alpha * alpha - 4.0 * beta,
                                                      rel=1e-12, abs=1e-9)
 
 
 class TestRecurrenceState:
     def test_coefficients_recomputable(self):
+        # the run keeps its values alone; the coefficients are recomputed
+        # from (a, rho) and reproduce every step bit for bit
         a, rho = 1.4, 3.2
         state = kernel_det_state(5, a, rho)
-        alpha, beta = RecurrenceState.coefficients(a, rho)
-        assert state.alpha == alpha and state.beta == beta
+        alpha, beta = coefficients(a, rho)
+        assert [f.name for f in dataclasses.fields(RecurrenceState)] == ["values", "scale_pow10"]
         assert beta > 0
         assert len(state.values) == 6
+        d = state.values
+        assert all(d[k] == alpha * d[k - 1] - beta * d[k - 2] for k in range(2, 6))
 
     def test_beta_is_the_rounded_square(self):
         # (1 - rho) ** 2 goes through libm pow, which can miss the correctly
         # rounded square by an ulp (it does here on x86-64 glibc); the product
         # is rounded once, the same on every IEEE platform
         rho = 1.7500466131824943
-        _, beta = RecurrenceState.coefficients(1.0, rho)
+        _, beta = coefficients(1.0, rho)
         assert beta == float(Fraction(1.0 - rho) ** 2)
 
     def test_rejects_negative_order(self):
@@ -270,8 +276,26 @@ class TestCriticalClosedForm:
 
     @pytest.mark.parametrize("m,n", [(2, 3), (4, 3), (1, 5), (6, 8)])
     def test_matches_recurrence(self, m, n):
-        # the constructor itself asserts agreement with the recurrences
-        critical_closed_form(m, n)
+        # lam^m, lam the double root, is the size of the terms the recurrence
+        # cancels: the scale where a closed form is (near) zero
+        rho0, a0 = float(n + 2), (n + 2.0) / n
+        lam = a0 * (1.0 + a0) / (a0 - 1.0)
+        for closed, rec in zip(critical_closed_form(m, n),
+                               (capped_kernel_det(m, a0, rho0), kernel_det(m, a0, rho0))):
+            scale = max(abs(closed), abs(rec), lam ** m, 1.0)
+            assert abs(closed - rec) <= verify.CLOSED_FORM_TOL * scale
+
+    def test_battery_judges_the_closed_forms(self, monkeypatch):
+        # a wrong closed form turns its check red; the other n stay green
+        def wrong(m, n):
+            capped, kernel = critical_closed_form(m, n)
+            return (capped * (1.0 + 1e-6), kernel) if n == 3 else (capped, kernel)
+
+        monkeypatch.setattr(verify, "critical_closed_form", wrong)
+        checks = [c for c in run_battery(n_max=4, criteria={"c07"}).checks
+                  if c.id.startswith("c07-critical-closed-form")]
+        assert [(c.id, c.passed) for c in checks] == [
+            (f"c07-critical-closed-form-n{n:02d}", n != 3) for n in range(1, 5)]
 
 
 class TestOscillatoryClosedForm:
@@ -374,39 +398,18 @@ def test_positive_regime_monotone_decrease():
 
 
 class TestAngleSystemReport:
+    # the angle system as ``shift_radius`` reports it: the angle omega beside
+    # the radius x = 1/a
     def test_main_identity_holds(self):
         for n, rho in ((3, 1.5), (6, 2.0), (9, 2.5)):
-            report = angle_system_report(n, rho)
-            assert report.main_residual <= 1e-9
-
-    def test_exclusion_on_sample_parameters(self):
-        # min over l of the double-angle residual alone is bounded away from
-        # zero at these parameter values (it would vanish at rho = 2, l = 1)
-        for n in range(3, 13):
-            for rho in (1.5, 2.5):
-                report = angle_system_report(n, rho)
-                assert report.excluded
-                if report.rows:
-                    assert min(r.double_angle for r in report.rows) > 1e-3
-
-    def test_rho2_degenerate_double_angle_needs_conjunction(self):
-        # at rho = 2 the double-angle identity holds exactly at l = 1 (the
-        # closed-form angle pi/(n+2)); only the conjunction with the stepdown
-        # identity excludes it
-        report = angle_system_report(6, 2.0)
-        assert report.rows[0].double_angle < 1e-12
-        assert report.rows[0].joint > 1e-3
-        assert report.excluded
-
-    def test_no_rows_for_small_n(self):
-        assert angle_system_report(2, 1.7).rows == ()
+            res = shift_radius(n, rho)
+            a, w = 1.0 / res.value, res.omega
+            assert abs(math.sin(n * w) - (rho / a) * math.sin(w)) <= 1e-9
 
 
 @pytest.mark.parametrize("rho", [1.5, 2.0, 2.9])
 def test_no_angle_refused_at_n1(rho):
     # the 2 x 2 shift has a radius, 1/rho, but no angle in 1 < rho < 3:
-    # both angle routes refuse rather than guess one
-    with pytest.raises(ValueError, match="no angle available"):
-        angle_system_report(1, rho)
+    # the angle route refuses rather than guess one
     with pytest.raises(ValueError, match="no angle available"):
         oscillatory_closed_form(0, 1, rho)

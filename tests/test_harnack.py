@@ -8,8 +8,7 @@ import rho_toolkit.kernel as kernel
 from rho_toolkit import (DiscGrid, GapTooSmallError, InteriorSingularError,
                          TorusSpectrumError, are_harnack_equivalent, canonical_form_c2,
                          domination_constant, make_shift, normalized_shift,
-                         nullspace_equality, radius_bisect, torus_nullspace,
-                         torus_spectrum_check)
+                         nullspace_equality, radius_bisect, torus_nullspace)
 from rho_toolkit.kernel import roots_of_unity
 
 from conftest import disc_points, orthogonal_conjugates
@@ -107,21 +106,6 @@ class TestDominationConstant:
         c_inner = domination_constant(t1, t0, 2.0, inner).c_squared
         c_outer = domination_constant(t1, t0, 2.0, outer).c_squared
         assert c_outer > 10.0 * c_inner
-
-
-class TestTorusSpectrumCheck:
-    def test_same_matrix(self):
-        s = make_shift(2, 1.0)
-        assert torus_spectrum_check(s, s)
-
-    def test_unmatched_unimodular_eigenvalue(self):
-        assert not torus_spectrum_check(np.diag([1.0]), np.diag([0.0]))
-
-    def test_nilpotent_pair(self):
-        assert torus_spectrum_check(make_shift(1, 2.0), make_shift(1, 0.5))
-
-    def test_matched_unimodular_eigenvalue(self):
-        assert torus_spectrum_check(np.diag([1.0, 0.2]), np.diag([0.5, 1.0]))
 
 
 class TestNullspaceEquality:

@@ -76,4 +76,38 @@ def test_public_options_are_pinned():
             found |= {(name, p.name) for p in inspect.signature(obj).parameters.values()
                       if p.default is not p.empty}
     assert found == PUBLIC_OPTIONS
-    assert len(rho_toolkit.__all__) == 73
+    assert len(rho_toolkit.__all__) == 70
+
+
+# the one AssertionError the package raises: run_battery's guard against two
+# checks with one id, a fault in the battery itself rather than a verdict
+RAISED_ASSERTIONS = {("verify", "run_battery")}
+
+
+def _assertion_raisers(tree: ast.AST) -> set:
+    """Names of the functions of a module tree that raise AssertionError,
+    called or bare; a nested function counts for its enclosing ones too."""
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                exc = node.exc if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.add(fn.name)
+    return found
+
+
+def test_no_verdict_is_raised_as_an_assertion():
+    # verdicts are checks of the battery, not exceptions of the library
+    found = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in _assertion_raisers(ast.parse(path.read_text(), filename=str(path)))}
+    assert found == RAISED_ASSERTIONS
+
+
+def test_the_assertion_guard_sees_a_raise():
+    tree = ast.parse("def f():\n    raise AssertionError('x')\n"
+                     "def g():\n    raise AssertionError\n"
+                     "def h():\n    raise ValueError('x')\n")
+    assert _assertion_raisers(tree) == {"f", "g"}

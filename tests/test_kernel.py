@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rho_toolkit.verify as verify
 from rho_toolkit import (DiscGrid, GapTooSmallError, SingularError,
                          TorusSpectrumError, congruence_factor, is_rho_contraction, make_shift,
-                         normalized_shift, nullspace, radius_bisect, rho_kernel,
+                         normalized_shift, nullspace, radius_bisect, rho_kernel, run_battery,
                          shift_radius, spectral_norm, spectral_radius, torus_nullspace)
 from rho_toolkit.kernel import (_resolvent_sum, companion_threshold, roots_of_unity,
                                 threshold_solver)
@@ -109,6 +110,20 @@ class TestCongruenceFactor:
         m = congruence_factor(n, a, rho, z)
         mid = np.array(mid.tolist(), dtype=complex)
         assert spectral_norm(m - mid) <= 1e-10 * spectral_norm(mid)
+
+    def test_battery_judges_the_factor(self, monkeypatch):
+        # a wrong factor turns its check red; the other n stay green
+        def wrong(n, a, rho, z):
+            m = congruence_factor(n, a, rho, z)
+            if n == 3:
+                m[0, 0] += 1e-6
+            return m
+
+        monkeypatch.setattr(verify, "congruence_factor", wrong)
+        checks = [c for c in run_battery(n_max=4, criteria={"c06"}).checks
+                  if c.id.startswith("c06-congruence")]
+        assert [(c.id, c.passed) for c in checks] == [
+            (f"c06-congruence-n{n:02d}", n != 3) for n in range(1, 5)]
 
     def test_null_dimensions_match_kernel(self):
         # at the normalized weight both the kernel and the factor are singular

@@ -117,6 +117,18 @@ class TestNullProfile:
         assert [c.passed for c in report.checks] == [False, False]
         assert all("eigenvalues fall in the gap at rho=1.2" in c.note for c in report.checks)
 
+    def test_interior_coordinates_do_not_vanish(self):
+        # the extracted z = 1 null vector is zero at most at its middle
+        # coordinate (odd dimension n + 1); every other coordinate clears
+        # c05's support floor 1e-5 by far (the least is about 0.05)
+        for n in range(3, 13):
+            for rho in (1.5, 2.5):
+                (u,) = np.abs(circle_null_vectors(n, rho, [1.0], structure.STRUCTURE_TOL))
+                middle = n // 2 if n % 2 == 0 else None
+                assert all(u[k] > 1e-5 for k in range(n + 1) if k != middle), (n, rho)
+                if middle is not None:
+                    assert u[middle] <= structure.STRUCTURE_TOL, (n, rho)
+
     def test_phase_fixed_leading_coordinate(self):
         p = null_profile(4, 2.2)
         assert p.v[0].real > 0
